@@ -143,7 +143,7 @@ class DeadlineSweepGuard(ShedGuard):
 
     def poll(self, kernel: Any) -> Ready | None:
         now = kernel.clock.now
-        for call in self.runtime.acceptable(self.slot, None, all_matches=True):
+        for call in self.runtime.acceptable(self.slot, None):
             if call.dead(now):
                 return Ready(call, token=call)
         return None
@@ -188,7 +188,7 @@ class CpuPressureGuard(ShedGuard):
         node = getattr(self.runtime.obj, "node", None)
         if kernel.cpu_scheduler.queue_depth(node) <= self.depth:
             return None
-        for call in self.runtime.acceptable(self.slot, None, all_matches=True):
+        for call in self.runtime.acceptable(self.slot, None):
             return Ready(call, token=call)
         return None
 
@@ -230,7 +230,7 @@ class PredictedWaitGuard(ShedGuard):
             return None
         now = kernel.clock.now
         predicted = ewma * runtime.pending_count()
-        for call in runtime.acceptable(self.slot, None, all_matches=True):
+        for call in runtime.acceptable(self.slot, None):
             if call.deadline_at is None or call.caller_resumed:
                 continue
             if predicted > call.deadline_at - now:

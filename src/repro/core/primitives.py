@@ -36,11 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _runtime_of(source: Any, proc_name: str) -> "EntryRuntime":
-    """Resolve an entry runtime from an AlpsObject or a runtime itself."""
-    getter = getattr(source, "_entry_runtime", None)
-    if getter is not None:
-        return getter(proc_name)
-    raise ProtocolError(f"{source!r} is not an ALPS object")
+    """Resolve the runtime of ``proc_name`` on an AlpsObject: one lookup."""
+    try:
+        return source._runtimes[proc_name]
+    except KeyError:
+        return source._entry_runtime(proc_name)  # raises, naming the entries
+    except AttributeError:
+        raise ProtocolError(f"{source!r} is not an ALPS object") from None
 
 
 class EntryCall(Syscall):
@@ -334,23 +336,19 @@ class AcceptGuard(Guard):
         self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
+        calls = self.runtime.acceptable(self.slot, self.when)
+        if not calls:
+            return None
         # A quantified guard (slot=None) with a pri clause ranges over the
         # whole array: "(i:1..N) accept P[i] ... pri E" selects the
         # candidate with the smallest priority value (§2.4).
-        if self.pri is not None and callable(self.pri):
-            calls = self.runtime.acceptable(self.slot, self.when, all_matches=True)
-            if not calls:
-                return None
-            call = min(calls, key=self.pri)
-        else:
-            call = self.runtime.acceptable(self.slot, self.when)
-            if call is None:
-                return None
+        call = min(calls, key=self.pri) if callable(self.pri) else calls[0]
         return Ready(call, token=call)
 
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
         call._expect_state(CallState.ATTACHED)
+        self.runtime.attached_slots.remove(call.slot)
         call.state = CallState.ACCEPTED
         call.accepted_at = kernel.clock.now
         kernel.stats.accepts += 1
@@ -389,25 +387,21 @@ class AwaitGuard(Guard):
         self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
+        calls = self.runtime.awaitable(self.slot, self.when)
+        if not calls:
+            return None
         if self.only_call is not None:
-            calls = self.runtime.awaitable(self.slot, self.when, all_matches=True)
             if self.only_call not in calls:
                 return None
-            return Ready(self.only_call, token=self.only_call)
-        if self.pri is not None and callable(self.pri):
-            calls = self.runtime.awaitable(self.slot, self.when, all_matches=True)
-            if not calls:
-                return None
-            call = min(calls, key=self.pri)
+            call = self.only_call
         else:
-            call = self.runtime.awaitable(self.slot, self.when)
-            if call is None:
-                return None
+            call = min(calls, key=self.pri) if callable(self.pri) else calls[0]
         return Ready(call, token=call)
 
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
         call._expect_state(CallState.BODY_DONE)
+        self.runtime.done_slots.remove(call.slot)
         call.state = CallState.AWAITED
         kernel.stats.awaits += 1
         self.commit_cost = kernel.costs.await_

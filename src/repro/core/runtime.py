@@ -10,7 +10,9 @@ on: *arrival* (a call became attached, so ``accept`` may fire) and
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import CallError, ProtocolError
@@ -29,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: configurable per call) so two same-seed runs predict identically.
 EWMA_ALPHA = 0.2
 
+_intercepted_args = attrgetter("intercepted_args")
+_intercepted_results = attrgetter("intercepted_results")
+
 
 class EntryRuntime:
     """Runtime state for one entry procedure of one object instance."""
@@ -42,6 +47,16 @@ class EntryRuntime:
         #: ``slots[i]`` is the call currently attached to ``P[i]`` (through
         #: its whole accept→finish life), or None when the element is free.
         self.slots: list[Call | None] = [None] * self.array_size
+        #: The slot index: ascending element indices that are free, whose
+        #: call is ATTACHED, and whose call is BODY_DONE — the two states
+        #: guards ask about.  Maintained at the transition sites
+        #: (``try_attach``, ``detach``, ``AcceptGuard.commit``,
+        #: ``start_body``, body-done, ``AwaitGuard.commit``, ``reset``) so
+        #: a poll costs O(matches), not O(array).  Always equal to a scan
+        #: of ``slots`` (``tests/core/test_slot_index.py``).
+        self.free_slots: list[int] = list(range(self.array_size))
+        self.attached_slots: list[int] = []
+        self.done_slots: list[int] = []
         #: Calls waiting for a free array element.
         self.waiting: deque[Call] = deque()
         #: Notified when a call becomes ATTACHED (wakes ``accept`` guards).
@@ -72,12 +87,7 @@ class EntryRuntime:
 
     def pending_count(self) -> int:
         """The paper's ``#P``: attached-but-not-accepted plus waiting."""
-        attached_unaccepted = sum(
-            1
-            for call in self.slots
-            if call is not None and call.state == CallState.ATTACHED
-        )
-        return attached_unaccepted + len(self.waiting)
+        return len(self.attached_slots) + len(self.waiting)
 
     def submit(self, call: Call) -> None:
         """A new invocation arrived: attach it or queue it."""
@@ -111,17 +121,19 @@ class EntryRuntime:
         (§2.5); under ``ordered`` arbitration the lowest free index is
         used, under ``random`` a seeded-random free index.
         """
-        free = [i for i, slot in enumerate(self.slots) if slot is None]
+        free = self.free_slots
         if not free:
             return False
         if self.kernel.arbitration == "random" and len(free) > 1:
             index = self.kernel.rng.choice(free)
+            free.remove(index)
         else:
-            index = free[0]
+            index = free.pop(0)
         call.slot = index
         call.state = CallState.ATTACHED
         call.attached_at = self.kernel.clock.now
         self.slots[index] = call
+        insort(self.attached_slots, index)
         self.kernel.notify(self.arrival)
         return True
 
@@ -154,14 +166,11 @@ class EntryRuntime:
                 f"not attached there"
             )
         self.slots[call.slot] = None
-        while self.waiting:
+        insort(self.free_slots, call.slot)
+        if self.waiting:
             nxt = self.waiting.popleft()
-            if self.try_attach(nxt):
-                self._queue_event("slot.queue.leave", nxt)
-                break
-            # No free slot after all (cannot happen: we just freed one).
-            self.waiting.appendleft(nxt)
-            break
+            self.try_attach(nxt)  # cannot fail: an element was just freed
+            self._queue_event("slot.queue.leave", nxt)
 
     # ------------------------------------------------------------------
     # Guard views
@@ -169,51 +178,46 @@ class EntryRuntime:
 
     def _matching(
         self,
+        indexed: list[int],
         state: CallState,
         slot: int | None,
         when: Callable[..., bool] | None,
         values: Callable[[Call], tuple],
     ) -> list[Call]:
-        candidates = (
-            self.slots
-            if slot is None
-            else [self.slots[slot]] if 0 <= slot < self.array_size else []
-        )
-        out = []
-        for call in candidates:
-            if call is None or call.state != state:
-                continue
-            if when is None or when(*values(call)):
-                out.append(call)
-        return out
+        slots = self.slots
+        if slot is None:
+            calls = [slots[i] for i in indexed]
+        else:
+            call = slots[slot] if 0 <= slot < self.array_size else None
+            calls = [call] if call is not None and call.state is state else []
+        if when is not None:
+            calls = [call for call in calls if when(*values(call))]
+        return calls
 
     def acceptable(
-        self, slot: int | None, when: Callable[..., bool] | None, all_matches: bool = False
-    ) -> Any:
-        """ATTACHED call(s) matching ``slot`` and the acceptance condition.
+        self, slot: int | None, when: Callable[..., bool] | None
+    ) -> "list[Call] | tuple":
+        """ATTACHED calls matching ``slot`` and the acceptance condition.
 
-        ``when`` is evaluated on the intercepted-parameter subsequence —
-        the SR-style "receive into temporaries, then test" of §2.4.  A
-        quantified guard with a ``pri`` clause needs every candidate
-        (``all_matches=True``) to pick the minimum among them.
+        In element order; empty when none.  ``when`` is evaluated on the
+        intercepted-parameter subsequence — the SR-style "receive into
+        temporaries, then test" of §2.4.
         """
-        matches = self._matching(
-            CallState.ATTACHED, slot, when, lambda c: c.intercepted_args
+        if not self.attached_slots:
+            return ()
+        return self._matching(
+            self.attached_slots, CallState.ATTACHED, slot, when, _intercepted_args
         )
-        if all_matches:
-            return matches
-        return matches[0] if matches else None
 
     def awaitable(
-        self, slot: int | None, when: Callable[..., bool] | None, all_matches: bool = False
-    ) -> Any:
-        """BODY_DONE call(s) matching ``slot`` and the result condition."""
-        matches = self._matching(
-            CallState.BODY_DONE, slot, when, lambda c: c.intercepted_results
+        self, slot: int | None, when: Callable[..., bool] | None
+    ) -> "list[Call] | tuple":
+        """BODY_DONE calls matching ``slot`` and the result condition."""
+        if not self.done_slots:
+            return ()
+        return self._matching(
+            self.done_slots, CallState.BODY_DONE, slot, when, _intercepted_results
         )
-        if all_matches:
-            return matches
-        return matches[0] if matches else None
 
     # ------------------------------------------------------------------
     # Body execution
@@ -255,6 +259,8 @@ class EntryRuntime:
             runtime.observe_service(call)
             if managed:
                 call.state = CallState.BODY_DONE
+                if runtime.slots[call.slot] is call:  # not orphaned by reset()
+                    insort(runtime.done_slots, call.slot)
                 runtime.kernel.notify(runtime.completion)
                 # The server process conceptually lives until the manager
                 # executes finish (§2.3: "both the finish P(...) and P
@@ -264,6 +270,8 @@ class EntryRuntime:
             else:
                 runtime.complete_unmanaged(call)
 
+        if call.state is CallState.ATTACHED:  # unmanaged: no accept came first
+            self.attached_slots.remove(call.slot)
         call.state = CallState.STARTED
         call.started_at = self.kernel.clock.now
         self.kernel.stats.starts += 1
@@ -279,9 +287,8 @@ class EntryRuntime:
             self.detach(call)
             # With no manager to accept them, newly attached waiting calls
             # must be started here.
-            for queued in self.slots:
-                if queued is not None and queued.state == CallState.ATTACHED:
-                    self.start_body(queued, managed=False)
+            for index in list(self.attached_slots):
+                self.start_body(self.slots[index], managed=False)
         self.record(call)
         self.resume_caller(call, call.body_results[: self.spec.returns])
 
@@ -362,12 +369,15 @@ class EntryRuntime:
     def reset(self) -> None:
         """Forget all in-flight calls (crash recovery; see ``AlpsObject.restart``)."""
         self.slots = [None] * self.array_size
+        self.free_slots = list(range(self.array_size))
+        self.attached_slots = []
+        self.done_slots = []
         self.waiting.clear()
 
     def describe(self) -> str:
         return (
             f"{self.spec.name}[1..{self.array_size}] "
-            f"attached={sum(1 for s in self.slots if s is not None)} "
+            f"attached={self.array_size - len(self.free_slots)} "
             f"waiting={len(self.waiting)}"
         )
 

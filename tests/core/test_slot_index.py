@@ -1,0 +1,262 @@
+"""The slot index always equals a brute-force scan of the hidden array.
+
+:class:`~repro.core.runtime.EntryRuntime` keeps ``free_slots``,
+``attached_slots`` and ``done_slots`` up to date at the transition sites
+instead of scanning ``slots`` on every guard poll.  Each scenario here is
+stepped one kernel event at a time and, after every event, every runtime
+of every object is compared with the scan — including the paths that
+leave the accept→finish protocol sideways (a raising body, an expiring
+caller, a killed body, a crash, a restart, an unmanaged array entry).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import (
+    AcceptGuard,
+    AlpsObject,
+    AwaitGuard,
+    CallState,
+    Finish,
+    Start,
+    entry,
+    manager_process,
+)
+from repro.errors import RemoteCallError
+from repro.faults import FaultPlan, install
+from repro.kernel import Delay, Kernel, Kill, Select
+from repro.kernel.costs import FREE
+from repro.net import ring
+from repro.stdlib import Dictionary, GatedKVStore, Supervisor
+from repro.workloads import Poisson, TrafficEngine
+
+from tests.helpers import assert_index_matches_scan, step_to_quiescence
+
+
+class Gate(AlpsObject):
+    """Two-element array behind an accept/start + await/finish manager."""
+
+    def setup(self, work: int = 10, hold: int = 0):
+        self.work = work
+        self.hold = hold
+        self.started: list = []
+
+    @entry(returns=1, array=2)
+    def op(self, x):
+        if x == "boom":
+            raise ValueError("boom")
+        yield Delay(self.work)
+        return x
+
+    @manager_process(intercepts=["op"])
+    def mgr(self):
+        if self.hold:
+            yield Delay(self.hold)
+        guards = [AcceptGuard(self, "op"), AwaitGuard(self, "op")]
+        while True:
+            result = yield Select(*guards)
+            if isinstance(result.guard, AcceptGuard):
+                self.started.append(result.value)
+                yield Start(result.value)
+            else:
+                yield Finish(result.value)
+
+
+def test_gated_kv_overload_with_deadlines_fires_every_admission_arm():
+    kernel = Kernel(seed=11)
+    kv = GatedKVStore(kernel, name="kv", read_work=2, write_work=6,
+                      request_max=8, queue_cap=16)
+
+    def request(req):
+        if req.index % 3 == 0:
+            return kv.put(f"k{req.index % 7}", req.index, deadline=200)
+        return kv.get(f"k{req.index % 7}", deadline=200)
+
+    engine = TrafficEngine(kernel, Poisson(3, seed=11), 240, request,
+                           callers=1000, engines=4, clients=48, seed=11)
+    engine.start()
+    assert step_to_quiescence(kernel) > 1000
+    fired = kernel.metrics.snapshot()
+    for arm in ("admission.shed.predicted-wait", "admission.shed.queue-cap",
+                "admission.swept"):
+        assert fired[arm] > 0, arm
+
+
+def test_body_that_raises_frees_its_element():
+    kernel = Kernel()
+    gate = Gate(kernel, name="g")
+    outcomes = []
+
+    def caller(x):
+        try:
+            outcomes.append((yield gate.op(x)))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+
+    for x in ("a", "boom", "b", "boom", "c"):
+        kernel.spawn(caller, x)
+    step_to_quiescence(kernel)
+    assert sorted(outcomes) == ["a", "b", "boom", "boom", "c"]
+    assert gate._runtimes["op"].free_slots == [0, 1]
+
+
+def test_caller_timeout_expiring_while_attached():
+    # The manager sleeps through the callers' timeouts: the calls stay
+    # ATTACHED (and indexed) with their callers gone, then get served.
+    kernel = Kernel()
+    gate = Gate(kernel, name="g", hold=50)
+    errors = []
+
+    def caller(x):
+        try:
+            yield gate.op(x, timeout=5)
+        except RemoteCallError:
+            errors.append(x)
+
+    for x in "abc":
+        kernel.spawn(caller, x)
+    step_to_quiescence(kernel, until=40)
+    runtime = gate._runtimes["op"]
+    assert sorted(errors) == ["a", "b", "c"]
+    assert runtime.attached_slots == [0, 1] and len(runtime.waiting) == 1
+    step_to_quiescence(kernel)
+    assert len(gate.started) == 3 and runtime.free_slots == [0, 1]
+
+
+def test_kill_of_a_body_process_leaves_its_element_held():
+    kernel = Kernel()
+    gate = Gate(kernel, name="g", work=30)
+    done = []
+
+    def caller(x):
+        done.append((yield gate.op(x)))
+
+    def killer():
+        yield Delay(10)
+        victim = gate.started[0]
+        assert victim.state is CallState.STARTED
+        yield Kill(victim.body_process)
+
+    kernel.spawn(caller, "doomed", daemon=True)
+    for x in "abc":
+        kernel.spawn(caller, x)
+    kernel.spawn(killer)
+    step_to_quiescence(kernel)
+    # The killed body never reaches BODY_DONE: its element stays taken,
+    # everyone else is served through the other one.
+    assert sorted(done) == ["a", "b", "c"]
+    runtime = gate._runtimes["op"]
+    assert runtime.free_slots == [1] and runtime.done_slots == []
+
+
+def test_node_crash_and_supervisor_requeue():
+    kernel = Kernel(costs=FREE, seed=0)
+    net = ring(kernel, 4)
+    d = net.node("n1").place(
+        Dictionary(kernel, name="d", entries={"a": 42, "b": 7},
+                   search_work=30, search_max=2)
+    )
+    faults = install(
+        kernel, net,
+        FaultPlan(detection_delay=10).crash_node("n1", at=20, restart_at=200),
+    )
+    sup = net.node("n3").place(Supervisor(kernel, name="sup", faults=faults))
+    sup.watch(d)
+    results = []
+
+    def client(word, at):
+        yield Delay(at)
+        results.append((yield d.search(word)))
+
+    # In flight at the crash: two started bodies and three calls in the
+    # overflow queue; all five re-queued after runtime.reset().
+    for i, word in enumerate(["a", "b", "a", "b", "a"]):
+        net.node("n0").spawn(client, word, 8 + 2 * i, name=f"c{i}")
+    step_to_quiescence(kernel)
+    assert sorted(results) == [7, 7, 42, 42, 42]
+    assert sup.restarts == [(200, "d", 5)]
+    assert d._runtimes["search"].free_slots == [0, 1]
+
+
+def test_restart_orphans_in_flight_calls():
+    kernel = Kernel()
+    gate = Gate(kernel, name="g", work=30)
+    served = []
+
+    def caller(x):
+        served.append((yield gate.op(x)))
+
+    for x in "abc":  # two started (bodies running), one queued
+        kernel.spawn(caller, x, daemon=True)
+    step_to_quiescence(kernel, until=15)
+    runtime = gate._runtimes["op"]
+    assert runtime.free_slots == [] and len(runtime.waiting) == 1
+    gate.restart()
+    assert_index_matches_scan(kernel)
+    assert runtime.free_slots == [0, 1] and not runtime.waiting
+    for x in "xy":  # reuse the elements the orphans still point at
+        kernel.spawn(caller, x)
+    step_to_quiescence(kernel)
+    # The orphaned bodies ran to BODY_DONE off-array and were never
+    # indexed; only the post-restart callers were served.
+    assert sorted(served) == ["x", "y"]
+    assert runtime.done_slots == [] and runtime.free_slots == [0, 1]
+
+
+def test_restart_forgets_attached_calls():
+    kernel = Kernel()
+    gate = Gate(kernel, name="g", hold=50)  # manager not accepting yet
+    served = []
+
+    def caller(x):
+        served.append((yield gate.op(x)))
+
+    for x in "abc":
+        kernel.spawn(caller, x, daemon=True)
+    step_to_quiescence(kernel, until=15)
+    runtime = gate._runtimes["op"]
+    assert runtime.attached_slots == [0, 1] and runtime.pending_count() == 3
+    gate.restart()
+    assert_index_matches_scan(kernel)
+    assert runtime.attached_slots == [] and runtime.pending_count() == 0
+    for x in "xy":
+        kernel.spawn(caller, x)
+    step_to_quiescence(kernel)
+    assert sorted(served) == ["x", "y"]
+
+
+def test_unmanaged_array_entry():
+    class Bare(AlpsObject):
+        @entry(returns=1, array=2)
+        def op(self, x):
+            if x == 3:
+                raise ValueError("three")
+            yield Delay(5)
+            return x
+
+    kernel = Kernel()
+    bare = Bare(kernel, name="bare")
+    got = []
+
+    def caller(x):
+        try:
+            got.append((yield bare.op(x)))
+        except ValueError:
+            got.append("err")
+
+    for x in range(6):
+        kernel.spawn(caller, x)
+    step_to_quiescence(kernel)
+    assert sorted(map(str, got)) == ["0", "1", "2", "4", "5", "err"]
+    assert bare._runtimes["op"].free_slots == [0, 1]
+
+
+@pytest.mark.parametrize("arbitration", ["ordered", "random"])
+def test_random_arbitration_draws_from_the_ascending_free_list(arbitration):
+    kernel = Kernel(seed=5, arbitration=arbitration)
+    gate = Gate(kernel, name="g", work=7)
+    for x in range(9):
+        kernel.spawn(lambda x=x: (yield gate.op(x)))
+    step_to_quiescence(kernel)
+    assert len(gate.started) == 9

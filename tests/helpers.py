@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.core import CallState
 from repro.kernel import Kernel
 from repro.kernel.process import Process
 
@@ -23,3 +24,40 @@ def run1(fn: Callable[[], Any], kernel: Kernel | None = None, **kernel_kwargs: A
     """Run one process on a fresh kernel and return its result."""
     k = kernel or Kernel(**kernel_kwargs)
     return k.run_process(fn)
+
+
+def scan_slots(runtime):
+    """(free, attached, done) element indices, read off ``runtime.slots``."""
+    free, attached, done = [], [], []
+    for index, call in enumerate(runtime.slots):
+        if call is None:
+            free.append(index)
+        elif call.state is CallState.ATTACHED:
+            attached.append(index)
+        elif call.state is CallState.BODY_DONE:
+            done.append(index)
+    return free, attached, done
+
+
+def assert_index_matches_scan(kernel: Kernel) -> None:
+    """Every runtime's slot index equals a brute-force scan of its array."""
+    for obj in kernel._alps_objects:
+        for name, runtime in obj._runtimes.items():
+            index = (runtime.free_slots, runtime.attached_slots, runtime.done_slots)
+            assert index == scan_slots(runtime), (
+                f"{obj.alps_name}.{name} at t={kernel.clock.now}"
+            )
+            assert runtime.pending_count() == (
+                len(scan_slots(runtime)[1]) + len(runtime.waiting)
+            )
+
+
+def step_to_quiescence(kernel: Kernel, until: int | None = None) -> int:
+    """Run one event at a time, checking the invariant after each."""
+    events = 0
+    assert_index_matches_scan(kernel)
+    while kernel._events and (until is None or kernel._events[0][0] <= until):
+        kernel.run(max_events=1)
+        assert_index_matches_scan(kernel)
+        events += 1
+    return events

@@ -41,6 +41,10 @@ class AlarmClock(AlpsObject):
     )
     def mgr(self):
         holding = self._holding
+        accepts = [
+            AcceptGuard(self, "sleep_until"),
+            AcceptGuard(self, "sleep_for"),
+        ]
         while True:
             now = self.kernel.clock.now
             # Release everyone whose deadline has passed.
@@ -48,13 +52,11 @@ class AlarmClock(AlpsObject):
             for pair in due:
                 holding.remove(pair)
                 yield Finish(pair[1], now)
-            guards = [
-                AcceptGuard(self, "sleep_until"),
-                AcceptGuard(self, "sleep_for"),
-            ]
+            guards = accepts
             if holding:
+                # A Timeout is anchored one-shot: a fresh one per select.
                 next_deadline = min(deadline for deadline, _call in holding)
-                guards.append(Timeout(max(0, next_deadline - now)))
+                guards = accepts + [Timeout(max(0, next_deadline - now))]
             result = yield Select(*guards)
             if result.index < 2 and result.guard is not None:
                 call = result.value

@@ -75,30 +75,31 @@ class BoundedBuffer(AlpsObject):
         # maintain the state of the buffer."
         count = 0
         cap = self.queue_cap
+        # Built once: the conditions read Count through their closures.
+        if cap is None:
+            guards = [
+                AcceptGuard(self, "deposit", when=lambda: count < self.size),
+                AcceptGuard(self, "remove", when=lambda: count > 0),
+            ]
+        else:
+            # Admission control: under overload (#P > cap) the shed
+            # arms outrank the service arms, so the backlog drains at
+            # reject cost instead of growing without bound.
+            guards = [
+                # Sweep dead calls and shed doomed deadlined calls
+                # before the plain queue cap; all outrank admission.
+                DeadlineSweepGuard(self, "deposit"),
+                DeadlineSweepGuard(self, "remove"),
+                PredictedWaitGuard(self, "deposit"),
+                PredictedWaitGuard(self, "remove"),
+                ShedGuard(self, "deposit", cap=cap, pri=SHED_PRI),
+                ShedGuard(self, "remove", cap=cap, pri=SHED_PRI),
+                AcceptGuard(self, "deposit", when=lambda: count < self.size,
+                            pri=ACCEPT_PRI),
+                AcceptGuard(self, "remove", when=lambda: count > 0,
+                            pri=ACCEPT_PRI),
+            ]
         while True:
-            if cap is None:
-                guards = [
-                    AcceptGuard(self, "deposit", when=lambda: count < self.size),
-                    AcceptGuard(self, "remove", when=lambda: count > 0),
-                ]
-            else:
-                # Admission control: under overload (#P > cap) the shed
-                # arms outrank the service arms, so the backlog drains at
-                # reject cost instead of growing without bound.
-                guards = [
-                    # Sweep dead calls and shed doomed deadlined calls
-                    # before the plain queue cap; all outrank admission.
-                    DeadlineSweepGuard(self, "deposit"),
-                    DeadlineSweepGuard(self, "remove"),
-                    PredictedWaitGuard(self, "deposit"),
-                    PredictedWaitGuard(self, "remove"),
-                    ShedGuard(self, "deposit", cap=cap, pri=SHED_PRI),
-                    ShedGuard(self, "remove", cap=cap, pri=SHED_PRI),
-                    AcceptGuard(self, "deposit", when=lambda: count < self.size,
-                                pri=ACCEPT_PRI),
-                    AcceptGuard(self, "remove", when=lambda: count > 0,
-                                pri=ACCEPT_PRI),
-                ]
             result = yield Select(*guards)
             call = result.value
             if isinstance(result.guard, ShedGuard):

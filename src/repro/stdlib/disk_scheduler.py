@@ -73,22 +73,22 @@ class DiskScheduler(AlpsObject):
     @manager_process(intercepts={"access": icpt(params=1)})
     def mgr(self):
         cap = self.queue_cap
+        guards = [
+            AcceptGuard(
+                self,
+                "access",
+                # pri uses the intercepted parameter (§2.4: priorities
+                # "can possibly use values received by an accept").
+                pri=lambda call: self._scan_priority(call.args[0]),
+            ),
+        ]
+        if cap is not None:
+            # The SCAN arm's callable pri is 0..3*cylinders, so the
+            # shed arm needs a priority below anything it can produce.
+            guards.append(
+                ShedGuard(self, "access", cap=cap, pri=SHED_PRI_ALWAYS)
+            )
         while True:
-            guards = [
-                AcceptGuard(
-                    self,
-                    "access",
-                    # pri uses the intercepted parameter (§2.4: priorities
-                    # "can possibly use values received by an accept").
-                    pri=lambda call: self._scan_priority(call.args[0]),
-                ),
-            ]
-            if cap is not None:
-                # The SCAN arm's callable pri is 0..3*cylinders, so the
-                # shed arm needs a priority below anything it can produce.
-                guards.append(
-                    ShedGuard(self, "access", cap=cap, pri=SHED_PRI_ALWAYS)
-                )
             result = yield Select(*guards)
             call = result.value
             if isinstance(result.guard, ShedGuard):

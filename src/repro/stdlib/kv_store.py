@@ -149,21 +149,22 @@ class GatedKVStore(AlpsObject):
     @manager_process(intercepts=["get", "put", "delete"])
     def mgr(self):
         cap = self.queue_cap
+        # The arms are loop-invariant: built once, polled every iteration.
+        if cap is None:
+            guards = [AwaitGuard(self, op) for op in self.OPS]
+            guards += [AcceptGuard(self, op) for op in self.OPS]
+        else:
+            guards = [AwaitGuard(self, op, pri=AWAIT_PRI) for op in self.OPS]
+            # Latency-aware arms: sweep dead queued calls, then shed
+            # deadlined calls that cannot be served in time, then the
+            # plain queue cap — all before admitting new work.
+            guards += [DeadlineSweepGuard(self, op) for op in self.OPS]
+            guards += [PredictedWaitGuard(self, op) for op in self.OPS]
+            guards += [
+                ShedGuard(self, op, cap=cap, pri=SHED_PRI) for op in self.OPS
+            ]
+            guards += [AcceptGuard(self, op, pri=ACCEPT_PRI) for op in self.OPS]
         while True:
-            if cap is None:
-                guards = [AwaitGuard(self, op) for op in self.OPS]
-                guards += [AcceptGuard(self, op) for op in self.OPS]
-            else:
-                guards = [AwaitGuard(self, op, pri=AWAIT_PRI) for op in self.OPS]
-                # Latency-aware arms: sweep dead queued calls, then shed
-                # deadlined calls that cannot be served in time, then the
-                # plain queue cap — all before admitting new work.
-                guards += [DeadlineSweepGuard(self, op) for op in self.OPS]
-                guards += [PredictedWaitGuard(self, op) for op in self.OPS]
-                guards += [
-                    ShedGuard(self, op, cap=cap, pri=SHED_PRI) for op in self.OPS
-                ]
-                guards += [AcceptGuard(self, op, pri=ACCEPT_PRI) for op in self.OPS]
             result = yield Select(*guards)
             call = result.value
             if isinstance(result.guard, ShedGuard):

@@ -71,28 +71,28 @@ class ResourceAllocator(AlpsObject):
         intercepts={"acquire": icpt(params=1), "release": icpt(params=1)}
     )
     def mgr(self):
-        while True:
-            acquire_guard = AcceptGuard(
-                self,
-                "acquire",
-                # Acceptance condition on the intercepted parameter.
-                when=lambda amount: 0 <= amount <= self.available,
-                # best-fit: among satisfiable requests take the largest.
-                pri=(
-                    (lambda call: -call.args[0])
-                    if self.policy == "best-fit"
-                    else None
-                ),
-            )
-            guards = [acquire_guard, AcceptGuard(self, "release")]
-            if self.queue_cap is not None:
-                # Shed acquires only; the best-fit pri is -amount, so the
-                # shed arm must undercut any negated request size.
-                guards.append(
-                    ShedGuard(
-                        self, "acquire", cap=self.queue_cap, pri=SHED_PRI_ALWAYS
-                    )
+        acquire_guard = AcceptGuard(
+            self,
+            "acquire",
+            # Acceptance condition on the intercepted parameter.
+            when=lambda amount: 0 <= amount <= self.available,
+            # best-fit: among satisfiable requests take the largest.
+            pri=(
+                (lambda call: -call.args[0])
+                if self.policy == "best-fit"
+                else None
+            ),
+        )
+        guards = [acquire_guard, AcceptGuard(self, "release")]
+        if self.queue_cap is not None:
+            # Shed acquires only; the best-fit pri is -amount, so the
+            # shed arm must undercut any negated request size.
+            guards.append(
+                ShedGuard(
+                    self, "acquire", cap=self.queue_cap, pri=SHED_PRI_ALWAYS
                 )
+            )
+        while True:
             result = yield Select(*guards)
             call = result.value
             if isinstance(result.guard, ShedGuard):

@@ -88,25 +88,25 @@ class Spooler(AlpsObject):
     def mgr(self):
         free = list(range(len(self.printer_pool)))  # free printer numbers
         cap = self.queue_cap
+        if cap is None:
+            guards = [
+                # accept Print[i] when a printer is free
+                AcceptGuard(self, "print_file", when=lambda: bool(free)),
+                # (i) await Print[i](printer#) => reclaim the printer
+                AwaitGuard(self, "print_file"),
+            ]
+        else:
+            # pri-preference for in-flight work: reclaim printers
+            # before admitting; shed before admitting under overload.
+            guards = [
+                AwaitGuard(self, "print_file", pri=AWAIT_PRI),
+                DeadlineSweepGuard(self, "print_file"),
+                PredictedWaitGuard(self, "print_file"),
+                ShedGuard(self, "print_file", cap=cap, pri=SHED_PRI),
+                AcceptGuard(self, "print_file", when=lambda: bool(free),
+                            pri=ACCEPT_PRI),
+            ]
         while True:
-            if cap is None:
-                guards = [
-                    # accept Print[i] when a printer is free
-                    AcceptGuard(self, "print_file", when=lambda: bool(free)),
-                    # (i) await Print[i](printer#) => reclaim the printer
-                    AwaitGuard(self, "print_file"),
-                ]
-            else:
-                # pri-preference for in-flight work: reclaim printers
-                # before admitting; shed before admitting under overload.
-                guards = [
-                    AwaitGuard(self, "print_file", pri=AWAIT_PRI),
-                    DeadlineSweepGuard(self, "print_file"),
-                    PredictedWaitGuard(self, "print_file"),
-                    ShedGuard(self, "print_file", cap=cap, pri=SHED_PRI),
-                    AcceptGuard(self, "print_file", when=lambda: bool(free),
-                                pri=ACCEPT_PRI),
-                ]
             result = yield Select(*guards)
             call = result.value
             if isinstance(result.guard, ShedGuard):

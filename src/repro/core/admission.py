@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..kernel.waiting import Ready
 from .primitives import AcceptGuard
 
 #: Conventional arm priorities (see module docstring; smallest wins).
@@ -114,8 +113,16 @@ class ShedGuard(AcceptGuard):
         cap: int,
         pri: Any = SHED_PRI,
     ) -> None:
-        super().__init__(obj, proc_name, when=over_cap(obj, proc_name, cap), pri=pri)
+        if cap < 0:
+            raise ValueError(f"queue cap must be >= 0, got {cap}")
+        super().__init__(obj, proc_name, pri=pri)
         self.cap = cap
+
+    def choose(self, kernel: Any, calls: list) -> Any:
+        # ``when #P > cap`` reads no parameters: test it once, not per call.
+        if self.runtime.pending_count() <= self.cap:
+            return None
+        return super().choose(kernel, calls)
 
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (#P > {self.cap})"
@@ -141,11 +148,11 @@ class DeadlineSweepGuard(ShedGuard):
         AcceptGuard.__init__(self, obj, proc_name, when=None, pri=pri)
         self.cap = None
 
-    def poll(self, kernel: Any) -> Ready | None:
+    def choose(self, kernel: Any, calls: list) -> Any:
         now = kernel.clock.now
-        for call in self.runtime.acceptable(self.slot, None):
+        for call in calls:
             if call.dead(now):
-                return Ready(call, token=call)
+                return call
         return None
 
     def describe(self) -> str:
@@ -184,13 +191,11 @@ class CpuPressureGuard(ShedGuard):
         self.cap = None
         self.depth = depth
 
-    def poll(self, kernel: Any) -> Ready | None:
+    def choose(self, kernel: Any, calls: list) -> Any:
         node = getattr(self.runtime.obj, "node", None)
         if kernel.cpu_scheduler.queue_depth(node) <= self.depth:
             return None
-        for call in self.runtime.acceptable(self.slot, None):
-            return Ready(call, token=call)
-        return None
+        return calls[0] if calls else None
 
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (cpu queue > {self.depth})"
@@ -223,18 +228,18 @@ class PredictedWaitGuard(ShedGuard):
         AcceptGuard.__init__(self, obj, proc_name, when=None, pri=pri)
         self.cap = None
 
-    def poll(self, kernel: Any) -> Ready | None:
+    def choose(self, kernel: Any, calls: list) -> Any:
         runtime = self.runtime
         ewma = runtime.service_ewma
         if ewma is None:
             return None
         now = kernel.clock.now
         predicted = ewma * runtime.pending_count()
-        for call in runtime.acceptable(self.slot, None):
+        for call in calls:
             if call.deadline_at is None or call.caller_resumed:
                 continue
             if predicted > call.deadline_at - now:
-                return Ready(call, token=call)
+                return call
         return None
 
     def describe(self) -> str:

@@ -336,14 +336,23 @@ class AcceptGuard(Guard):
         self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
-        calls = self.runtime.acceptable(self.slot, self.when)
+        runtime = self.runtime
+        if not runtime.attached_slots:  # the common case, and O(1)
+            return None
+        call = self.choose(kernel, runtime.acceptable(self.slot, self.when))
+        return None if call is None else Ready(call, token=call)
+
+    def choose(self, kernel: "Kernel", calls: list[Call]) -> Call | None:
+        """The call this arm would rendezvous with, among the matches.
+
+        A quantified guard (slot=None) with a pri clause ranges over the
+        whole array: "(i:1..N) accept P[i] ... pri E" selects the
+        candidate with the smallest priority value (§2.4).  The admission
+        arms (:mod:`repro.core.admission`) override this, not ``poll``.
+        """
         if not calls:
             return None
-        # A quantified guard (slot=None) with a pri clause ranges over the
-        # whole array: "(i:1..N) accept P[i] ... pri E" selects the
-        # candidate with the smallest priority value (§2.4).
-        call = min(calls, key=self.pri) if callable(self.pri) else calls[0]
-        return Ready(call, token=call)
+        return min(calls, key=self.pri) if callable(self.pri) else calls[0]
 
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
@@ -387,7 +396,10 @@ class AwaitGuard(Guard):
         self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
-        calls = self.runtime.awaitable(self.slot, self.when)
+        runtime = self.runtime
+        if not runtime.done_slots:  # the common case, and O(1)
+            return None
+        calls = runtime.awaitable(self.slot, self.when)
         if not calls:
             return None
         if self.only_call is not None:

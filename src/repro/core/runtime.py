@@ -196,25 +196,21 @@ class EntryRuntime:
 
     def acceptable(
         self, slot: int | None, when: Callable[..., bool] | None
-    ) -> "list[Call] | tuple":
+    ) -> list[Call]:
         """ATTACHED calls matching ``slot`` and the acceptance condition.
 
         In element order; empty when none.  ``when`` is evaluated on the
         intercepted-parameter subsequence — the SR-style "receive into
         temporaries, then test" of §2.4.
         """
-        if not self.attached_slots:
-            return ()
         return self._matching(
             self.attached_slots, CallState.ATTACHED, slot, when, _intercepted_args
         )
 
     def awaitable(
         self, slot: int | None, when: Callable[..., bool] | None
-    ) -> "list[Call] | tuple":
+    ) -> list[Call]:
         """BODY_DONE calls matching ``slot`` and the result condition."""
-        if not self.done_slots:
-            return ()
         return self._matching(
             self.done_slots, CallState.BODY_DONE, slot, when, _intercepted_results
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..errors import DeadlockError, GuardExhaustedError, KernelError, ProcessError
 from ..obs import MetricsRegistry, Observability
@@ -64,7 +64,13 @@ from .waiting import Guard, Ready, Waitable
 
 
 class _PendingSelect:
-    """Bookkeeping for a process blocked in ``Select``."""
+    """Bookkeeping for a process blocked in ``Select``.
+
+    Doubles as the process's ``blocked_on`` description and its
+    ``waiting_for`` guard list: iterating yields the feasible guards and
+    ``str()`` renders ``select(accept get, ...)`` — only when a trace, a
+    deadlock report or a debugger actually reads it.
+    """
 
     __slots__ = ("select", "guards", "registered", "poll_count")
 
@@ -72,10 +78,17 @@ class _PendingSelect:
         self.select = select
         #: Feasible (index, guard) pairs.
         self.guards = guards
-        #: Waitables this process was registered on.
+        #: Distinct waitables this process was registered on, in order.
         self.registered: list[Waitable] = []
-        #: Guard polls performed on behalf of this select while blocked.
-        self.poll_count = 0
+        #: Guard polls performed on behalf of this select, the polls of
+        #: the blocking ``_do_select`` included.
+        self.poll_count = len(guards)
+
+    def __iter__(self):
+        return (guard for _index, guard in self.guards)
+
+    def __str__(self) -> str:
+        return "select(" + ", ".join(guard.describe() for guard in self) + ")"
 
 
 class Kernel:
@@ -403,7 +416,7 @@ class Kernel:
         if proc.alive:
             raise KernelError(
                 f"run_process: {proc.name!r} did not finish "
-                f"(state={proc.state.value}, blocked_on={proc.blocked_on!r})"
+                f"(state={proc.state.value}, blocked_on={str(proc.blocked_on)!r})"
             )
         return proc.result
 
@@ -631,11 +644,12 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _poll_guards(
-        self, guards: Iterable[tuple[int, Guard]]
+        self, guards: list[tuple[int, Guard]]
     ) -> list[tuple[int, Guard, Ready]]:
+        """One sweep: every guard polled once, each a modelled poll."""
+        self.stats.guard_polls += len(guards)
         ready: list[tuple[int, Guard, Ready]] = []
         for index, guard in guards:
-            self.stats.guard_polls += 1
             outcome = guard.poll(self)
             if outcome is not None:
                 ready.append((index, guard, outcome))
@@ -645,6 +659,8 @@ class Kernel:
         self, ready: list[tuple[int, Guard, Ready]]
     ) -> tuple[int, Guard, Ready]:
         """Pick among ready guards: smallest ``pri`` first, then policy."""
+        if len(ready) == 1:
+            return ready[0]
         keyed = [
             (guard.effective_pri(outcome), order, index, guard, outcome)
             for order, (index, guard, outcome) in enumerate(ready)
@@ -694,21 +710,24 @@ class Kernel:
                 ),
             )
             return
-        # Block: register on every waitable of every feasible guard.
+        # Block: register once on each distinct waitable of the feasible
+        # guards, in first-seen order (waiter order is wake order).
         pending = _PendingSelect(select, feasible)
-        pending.poll_count = len(feasible)
         proc.state = ProcessState.BLOCKED
-        proc.blocked_on = "select(" + ", ".join(g.describe() for _, g in feasible) + ")"
-        proc.waiting_for = ("select", [g for _, g in feasible])
+        proc.blocked_on = pending  # rendered on demand (``str``)
+        proc.waiting_for = ("select", pending)
         self._pending_selects[proc.pid] = pending
+        registered = pending.registered
         for _i, guard in feasible:
             for waitable in guard.waitables():
-                waitable.add_waiter(proc)
-                pending.registered.append(waitable)
+                if waitable not in registered:
+                    registered.append(waitable)
+                    waitable.add_waiter(proc)
             on_block = getattr(guard, "on_block", None)
             if on_block is not None:
                 on_block(self, proc)
-        self.trace.record(self.clock.now, "block", proc.name, on=proc.blocked_on)
+        if self.trace.recording:
+            self.trace.record(self.clock.now, "block", proc.name, on=str(pending))
 
     def reevaluate_select(self, proc: Process) -> bool:
         """Re-poll the pending select of ``proc`` after a state change.
@@ -733,9 +752,10 @@ class Kernel:
             value if pending.select.unwrap else SelectResult(index, guard, value)
         )
         self.schedule_resume(proc, result, cost=wake_cost)
-        self.trace.record(
-            self.clock.now, "wake", proc.name, guard=guard.describe()
-        )
+        if self.trace.recording:
+            self.trace.record(
+                self.clock.now, "wake", proc.name, guard=guard.describe()
+            )
         return True
 
     def _cancel_pending_select(self, proc: Process) -> None:

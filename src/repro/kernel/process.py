@@ -103,12 +103,14 @@ class Process:
         self.result: Any = None
         #: Exception that terminated the body, if any.
         self.exception: BaseException | None = None
-        #: Human-readable description of what the process is blocked on.
-        self.blocked_on: str | None = None
+        #: Human-readable description of what the process is blocked on:
+        #: a string, or (for a blocked select) an object whose ``str()``
+        #: renders the description when something actually reads it.
+        self.blocked_on: Any = None
         #: Structured description of the same thing, for the wait-for
         #: graph (:mod:`repro.kernel.waitgraph`): a ``(kind, payload)``
         #: tuple — ``("call", call)``, ``("join", target)``,
-        #: ``("par", children)``, ``("select", guards)``,
+        #: ``("par", children)``, ``("select", iterable of guards)``,
         #: ``("send", channel)`` — or None while runnable.
         self.waiting_for: tuple[str, Any] | None = None
         self._resume_value: Any = None
@@ -205,7 +207,7 @@ class Process:
         return (
             f"<Process {self.pid} {self.name!r} prio={self.priority} "
             f"state={self.state.value}"
-            + (f" blocked_on={self.blocked_on!r}" if self.blocked_on else "")
+            + (f" blocked_on={str(self.blocked_on)!r}" if self.blocked_on else "")
             + ">"
         )
 

@@ -46,6 +46,15 @@ class Trace:
         #: Optional live listeners, invoked synchronously per event.
         self._listeners: list[Callable[[TraceEvent], None]] = []
 
+    @property
+    def recording(self) -> bool:
+        """True when :meth:`record` would keep or forward an event.
+
+        Callers check this first when merely *building* an event's detail
+        is costly (rendering guard descriptions on every select).
+        """
+        return self.enabled or bool(self._listeners)
+
     def record(self, time: int, kind: str, process: str, **detail: Any) -> None:
         """Append an event (no-op when disabled and nobody is listening).
 
@@ -53,7 +62,7 @@ class Trace:
         event even while in-memory retention is off — streaming a run to
         a file must not require holding it in memory too.
         """
-        if not self.enabled and not self._listeners:
+        if not self.enabled and not self._listeners:  # ``recording``, inlined
             return
         event = TraceEvent(time=time, kind=kind, process=process, detail=detail)
         if self.enabled:

@@ -380,3 +380,89 @@ class TestGuardPollAccounting:
 
         kernel.run_process(main)
         assert kernel.clock.now >= 10  # two polls x 5 ticks
+
+
+class TestBlockedSelectBookkeeping:
+    """Registration and description of a blocked select (host-side only)."""
+
+    def test_shared_waitable_is_registered_once_and_released(self, kernel):
+        ch = Channel(name="c")
+        procs = []
+
+        def waiter():
+            # Three guards, one waitable.
+            yield Select(
+                ReceiveGuard(ch, when=lambda v: v == "x"),
+                ReceiveGuard(ch, when=lambda v: v == "y"),
+                ReceiveGuard(ch, when=lambda v: v == "z"),
+            )
+
+        procs.append(kernel.spawn(waiter, name="w"))
+        kernel.run(until=50)
+        assert ch._waiters == procs
+        (pending,) = kernel._pending_selects.values()
+        assert pending.registered == [ch]
+        kernel.spawn(lambda: (yield Send(ch, "y")))
+        kernel.run()
+        assert ch._waiters == [] and not kernel._pending_selects
+
+    def test_wake_order_follows_blocking_order(self):
+        # Both waiters block on (a, b) and (b, a); a message on b must
+        # wake them in the order they blocked, whichever guard came first.
+        kernel = Kernel(costs=FREE)
+        a, b = Channel(name="a"), Channel(name="b")
+        woke = []
+
+        def waiter(tag, first, second):
+            result = yield Select(ReceiveGuard(first), ReceiveGuard(second))
+            woke.append((tag, result.value))
+
+        kernel.spawn(waiter, "one", a, b)
+        kernel.spawn(waiter, "two", b, a)
+
+        def sender():
+            yield Delay(5)
+            yield Send(b, 1)
+            yield Send(b, 2)
+
+        kernel.spawn(sender)
+        kernel.run()
+        assert woke == [("one", 1), ("two", 2)]
+
+    def test_blocked_on_renders_the_feasible_guards_on_demand(self):
+        from repro.errors import DeadlockError
+
+        kernel = Kernel()
+        a, b = Channel(name="a"), Channel(name="b")
+        b.close()  # a closed, drained channel's guard is infeasible
+
+        def stuck():
+            yield Select(ReceiveGuard(a), ReceiveGuard(b), Timeout(10**9, pri=1))
+
+        proc = kernel.spawn(stuck, name="stuck")
+        kernel.run(until=50)
+        assert str(proc.blocked_on) == "select(receive(a), timeout(1000000000))"
+        assert "blocked_on='select(receive(a), " in repr(proc)
+        kind, guards = proc.waiting_for
+        assert kind == "select" and [type(g) for g in guards] == [ReceiveGuard, Timeout]
+
+        kernel2 = Kernel()
+        c = Channel(name="c")
+        kernel2.spawn(lambda: (yield Select(ReceiveGuard(c))), name="lonely")
+        with pytest.raises(DeadlockError, match=r"lonely .* waiting on select\(receive\(c\)\)"):
+            kernel2.run()
+
+    def test_block_and_wake_trace_events_carry_plain_strings(self):
+        kernel = Kernel(trace=True)
+        ch = Channel(name="c")
+
+        def waiter():
+            yield Select(ReceiveGuard(ch))
+
+        kernel.spawn(waiter, name="w")
+        kernel.spawn(lambda: (yield Delay(3)) or (yield Send(ch, 1)))
+        kernel.run()
+        (block,) = kernel.trace.events("block")
+        (wake,) = kernel.trace.events("wake")
+        assert block.detail == {"on": "select(receive(c))"}
+        assert wake.detail == {"guard": "receive(c)"}

@@ -82,23 +82,6 @@ def artifact_path(filename: str, out_dir: str | None = None) -> str:
     return os.path.join(out_dir, filename)
 
 
-def metrics_snapshot(kernel) -> dict[str, Any]:
-    """One merged metrics dict: kernel counters plus the typed registry.
-
-    ``custom`` keys mirrored by a typed counter (declared with
-    ``legacy=``) are suppressed in favour of the dotted registry name,
-    so every number appears exactly once.
-    """
-    merged = kernel.stats.snapshot()
-    custom = merged.pop("custom", {})
-    mirrored = kernel.metrics.legacy_keys
-    for key, value in custom.items():
-        if key not in mirrored:
-            merged[key] = value
-    merged.update(kernel.metrics.snapshot())
-    return merged
-
-
 def attach_chrome_trace(kernel, experiment: str, out_dir: str | None = None) -> str:
     """Attach a Chrome ``trace_event`` sink writing ``TRACE_<EXPERIMENT>.json``.
 

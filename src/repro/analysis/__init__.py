@@ -31,7 +31,7 @@ from ..kernel.waitgraph import (
 )
 from .dot import to_dot
 from .findings import CATALOGUE, Check, Finding, Severity
-from .live import LiveDeadlockDetector
+from .watchdog import LiveDeadlockDetector
 from .sarif import render_sarif, to_sarif
 from .static import (
     ManagerLinter,

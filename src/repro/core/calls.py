@@ -171,12 +171,6 @@ class Call:
 
     # -- deadlines ---------------------------------------------------------
 
-    def remaining_deadline(self, now: int) -> int | None:
-        """Ticks of end-to-end budget left at ``now`` (None = unbounded)."""
-        if self.deadline_at is None:
-            return None
-        return self.deadline_at - now
-
     def deadline_expired(self, now: int) -> bool:
         """True once the deadline tick has been reached (inclusive)."""
         return self.deadline_at is not None and self.deadline_at <= now

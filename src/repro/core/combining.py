@@ -57,10 +57,6 @@ class Combiner(Generic[K]):
         waiting = self._inflight.get(key)
         return len(waiting) if waiting is not None else 0
 
-    @property
-    def inflight_keys(self) -> set:
-        return set(self._inflight)
-
     def __len__(self) -> int:
         return len(self._inflight)
 

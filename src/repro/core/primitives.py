@@ -278,7 +278,6 @@ def _expire_deadline(kernel: "Kernel", call: Call) -> None:
         kernel.obs.complete_call(call, status="deadline")
     kernel.metrics.counter(
         "deadline.expired", "Calls whose end-to-end deadline expired",
-        legacy="deadlines_expired",
     ).inc()
     kernel.trace.record(
         kernel.clock.now,

@@ -15,7 +15,7 @@ from collections import deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import CallError, ProtocolError
+from ..errors import ProtocolError
 from ..kernel.waiting import Waitable
 from ..obs.live.stream import Ewma
 from .calls import Call, CallState
@@ -376,10 +376,3 @@ class EntryRuntime:
             f"attached={self.array_size - len(self.free_slots)} "
             f"waiting={len(self.waiting)}"
         )
-
-
-def arity_error(spec: "EntrySpec", got: int) -> CallError:
-    return CallError(
-        f"{spec.name} expects {spec.params} argument(s) "
-        f"(plus {spec.hidden_params} hidden), got {got}"
-    )

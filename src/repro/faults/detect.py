@@ -167,7 +167,6 @@ class Heartbeat:
         self.status[name] = verdict
         self.kernel.metrics.counter(
             f"heartbeat.{verdict}", f"Heartbeat {verdict} transitions",
-            legacy=f"heartbeat_{verdict}",
         ).inc()
         self.event_count += 1
         self.kernel.notify(self.events)

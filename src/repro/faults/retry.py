@@ -377,7 +377,6 @@ def retry(
             except StopIteration:
                 kernel.metrics.counter(
                     "retry.exhausted", "Retry loops that ran out of attempts",
-                    legacy="retry_exhausted",
                 ).inc()
                 raise exc from None
             if budget is not None and not budget.try_withdraw():
@@ -394,7 +393,6 @@ def retry(
                 ) from exc
             kernel.metrics.counter(
                 "retry.attempts", "Re-attempts after RemoteCallError",
-                legacy="retries",
             ).inc()
             kernel.trace.record(
                 kernel.clock.now, "retry", proc.name,
@@ -419,6 +417,5 @@ def retry(
         if attempt > 1:
             kernel.metrics.counter(
                 "retry.successes", "Calls that succeeded after retrying",
-                legacy="retried_successes",
             ).inc()
         return result

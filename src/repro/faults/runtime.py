@@ -99,33 +99,25 @@ class FaultRuntime:
         #: Objects whose interrupted calls a Supervisor will re-queue.
         self._supervised: set[Any] = set()
         self._interrupted: dict[Any, list[Call]] = {}
-        # Typed metrics (legacy keys keep stats.custom/snapshot stable).
         m = kernel.metrics
         self.c_node_crashes = m.counter(
-            "faults.node_crashes", "Node crash transitions", legacy="node_crashes")
+            "faults.node_crashes", "Node crash transitions")
         self.c_node_restarts = m.counter(
-            "faults.node_restarts", "Node restart transitions", legacy="node_restarts")
+            "faults.node_restarts", "Node restart transitions")
         self.c_calls_to_down = m.counter(
-            "faults.calls_to_down_target", "Calls issued to a crashed object/node",
-            legacy="calls_to_down_target")
+            "faults.calls_to_down_target", "Calls issued to a crashed object/node")
         self.c_dropped_requests = m.counter(
-            "faults.dropped_requests", "Entry-call request legs lost",
-            legacy="dropped_requests")
+            "faults.dropped_requests", "Entry-call request legs lost")
         self.c_dropped_responses = m.counter(
-            "faults.dropped_responses", "Entry-call response legs lost",
-            legacy="dropped_responses")
+            "faults.dropped_responses", "Entry-call response legs lost")
         self.c_failed_calls = m.counter(
-            "faults.failed_calls", "Calls failed with RemoteCallError",
-            legacy="failed_calls")
+            "faults.failed_calls", "Calls failed with RemoteCallError")
         self.c_dropped_messages = m.counter(
-            "faults.dropped_messages", "NetSend messages lost",
-            legacy="dropped_messages")
+            "faults.dropped_messages", "NetSend messages lost")
         self.c_duplicated_messages = m.counter(
-            "faults.duplicated_messages", "NetSend messages delivered twice",
-            legacy="duplicated_messages")
+            "faults.duplicated_messages", "NetSend messages delivered twice")
         self.c_requeued_calls = m.counter(
-            "faults.requeued_calls", "Interrupted calls re-queued after restart",
-            legacy="requeued_calls")
+            "faults.requeued_calls", "Interrupted calls re-queued after restart")
 
     # ------------------------------------------------------------------
     # Scheduling the plan

@@ -9,7 +9,6 @@ See :mod:`repro.kernel.kernel` for the scheduler itself.
 
 from .clock import VirtualClock
 from .costs import DEFAULT, FREE, HEAVY_PROCESSES, CostModel
-from .cpu import CpuPool
 from .kernel import Kernel
 from .process import (
     PRIORITY_BACKGROUND,
@@ -44,7 +43,6 @@ __all__ = [
     "KernelStats",
     "VirtualClock",
     "CostModel",
-    "CpuPool",
     "DEFAULT",
     "FREE",
     "HEAVY_PROCESSES",

@@ -11,8 +11,8 @@ generator coroutines; they interact with the kernel by yielding syscalls
   reproducing the paper's "the manager should execute at a higher priority
   so that it is more receptive to entry calls";
 * **virtual time** — simulated work (``Charge``/``Delay``) advances a
-  virtual clock; with a finite :class:`~repro.kernel.cpu.CpuPool` work
-  contends for processors, with an infinite pool it overlaps freely;
+  virtual clock; on a finite machine work contends for processors
+  (:mod:`repro.kernel.sched`), on an unbounded one it overlaps freely;
 * **selective waiting** — the generic guard protocol under ``select``/
   ``loop``, with run-time priorities and acceptance conditions;
 * **deadlock detection** — if the event queue drains while a non-daemon
@@ -35,7 +35,6 @@ from ..errors import DeadlockError, GuardExhaustedError, KernelError, ProcessErr
 from ..obs import MetricsRegistry, Observability
 from .clock import VirtualClock
 from .costs import DEFAULT, CostModel
-from .cpu import CpuPool
 from .sched import SmpScheduler
 from .process import (
     PRIORITY_NORMAL,
@@ -102,9 +101,9 @@ class Kernel:
         ``None`` for an unbounded machine (pure latency model) or a positive
         integer for a finite machine where simulated work contends on an
         SMP scheduler (per-CPU runqueues; see :mod:`repro.kernel.sched`).
-        ``cpus`` is an alias.  Nodes may additionally declare their own
-        CPU counts (``Network.add_node(name, cpus=...)``), which become
-        node-local scheduling domains.
+        Nodes may additionally declare their own CPU counts
+        (``Network.add_node(name, cpus=...)``), which become node-local
+        scheduling domains.
     seed:
         Seed for all "arbitrary" choices; same seed => same run.
     arbitration:
@@ -127,27 +126,20 @@ class Kernel:
         arbitration: str = "ordered",
         trace: bool = False,
         spans: bool = False,
-        cpus: int | None = None,
     ) -> None:
         costs.validate()
         if arbitration not in ("ordered", "random"):
             raise KernelError(f"unknown arbitration policy {arbitration!r}")
-        if cpus is not None:
-            if num_cpus is not None and num_cpus != cpus:
-                raise KernelError(
-                    f"cpus= and num_cpus= disagree ({cpus} vs {num_cpus})"
-                )
-            num_cpus = cpus
+        if num_cpus is not None and num_cpus < 1:
+            raise ValueError(f"num_cpus must be >= 1 or None, got {num_cpus}")
         self.costs = costs
-        self.cpus = CpuPool(None if num_cpus is None else num_cpus)
         self.clock = VirtualClock()
         self.rng = random.Random(seed)
         self.arbitration = arbitration
         self.trace = Trace(enabled=trace)
         self.stats = KernelStats()
-        #: Typed metric registry; counters declared with a ``legacy=`` key
-        #: mirror into ``stats.custom`` for pre-registry consumers.
-        self.metrics = MetricsRegistry(legacy=self.stats.custom)
+        #: Typed metric registry: every count that is not a ``stats`` field.
+        self.metrics = MetricsRegistry()
         #: Span recording and sink fan-out; disabled unless requested.
         self.obs = Observability(self)
         if spans:
@@ -340,8 +332,8 @@ class Kernel:
             return
         domain = self.cpu_scheduler.domain_of(proc)
         if domain is None:
-            _start, end = self.cpus.acquire(self.clock.now, ticks)
-            self.post(end, action, priority=priority)
+            # ``priority`` fixes same-instant order among finished work.
+            self.post(self.clock.now + ticks, action, priority=priority)
         else:
             domain.submit(proc, priority, ticks, action)
 

@@ -32,11 +32,14 @@ nodes are separate machines.
 Determinism rules (load-bearing — the trace differ and the committed
 fixtures pin them):
 
-* a **single-CPU domain uses the legacy strict order for all classes**:
-  one ``(priority, seq)`` heap, exactly the pre-SMP
-  ``PriorityCpuScheduler`` behaviour, so ``cpus=1`` runs are
-  byte-identical to the historical kernel (fair scheduling cannot
-  change anything with one CPU anyway — there is nothing to balance);
+* a **single-CPU domain has its own path: one ``(priority, seq)`` heap
+  for all classes** (``_submit_strict``/``_start_strict``), because it
+  is measurably cheaper, not because it is older: with one CPU as the
+  degenerate case of the general grant path, ``chan_timer`` (nearly
+  every grant queues) cost +9.1% ``pyops_per_op`` merged straight and
+  +7.9% leaned out, against a 3% bound (DESIGN.md §13).  ``submit``
+  selects on ``count``; ``chan_timer`` and ``pool_smp`` benchmark one
+  side each, and ``tests/fixtures/smp`` pins the one-CPU trace bytes;
 * every choice (CPU pick, steal victim, balance move) breaks ties by
   the lowest CPU index and the deterministic heap keys above, never by
   iteration order of a set or dict;
@@ -160,8 +163,8 @@ class SchedDomain:
         self._free = count
         self._seq = 0
         #: Single-CPU (strict) domain runqueue: ``(priority, seq,
-        #: duration, action)`` — the exact legacy heap, kept so one-CPU
-        #: runs replay the historical kernel byte for byte.
+        #: duration, action)`` — no ``_Work`` record, CPU pick or class
+        #: choice per grant (module docstring has the measured cost).
         self._waiting: list[tuple[int, int, int, Callable[[], None]]] = []
         self.peak_queue = 0
         self.balance_period = balance_period
@@ -218,9 +221,9 @@ class SchedDomain:
         else:
             self._submit_smp(proc, priority, duration, action)
 
-    # -- single-CPU domain: the legacy strict path -----------------------
+    # -- single-CPU domain: the strict path ------------------------------
     #
-    # Identical, call for call, to the historical PriorityCpuScheduler:
+    # Pinned call for call by tests/fixtures/smp/trace_e1_cpus1.json:
     # start if the CPU is free, else queue by (priority, seq); on finish,
     # free the CPU, start the best queued grant, then run the action.
 
@@ -410,8 +413,7 @@ class SmpScheduler:
     that declare ``cpus=`` get their own.  ``domain_of`` routes a
     process's CPU grants: node domain when its home node has one, the
     default domain otherwise; ``None`` means the unbounded machine (the
-    kernel falls back to the infinite :class:`~repro.kernel.cpu.CpuPool`
-    latency model).
+    kernel posts the work's end directly: pure latency, no contention).
     """
 
     __slots__ = ("kernel", "domains", "default", "balance_period")

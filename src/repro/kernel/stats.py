@@ -8,7 +8,6 @@ about qualitatively: process creations (§3 pools), context switches
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 
 
@@ -61,29 +60,9 @@ class KernelStats:
     #: Busy ticks per virtual CPU, keyed ``cpu0`` / ``<node>.cpu0``
     #: (flattened as ``cpu.<key>`` in :meth:`snapshot`).
     cpu: dict[str, int] = field(default_factory=dict)
-    #: Extra tallies keyed by label (benchmarks may add their own).
-    custom: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        """Increment a custom counter.
-
-        .. deprecated::
-            The stringly ``custom`` path is superseded by the typed
-            registry: declare ``kernel.metrics.counter("layer.name",
-            legacy="old_key")`` and call ``inc()`` — typos become
-            declaration errors and the legacy mirror keeps old snapshot
-            keys alive.  ``bump`` remains only for ad-hoc scripts.
-        """
-        warnings.warn(
-            "KernelStats.bump() is deprecated; declare a typed counter on "
-            "kernel.metrics (optionally with legacy=...) and inc() it instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.custom[key] = self.custom.get(key, 0) + amount
 
     def snapshot(self) -> dict[str, int]:
-        """Return a flat dict copy of every counter (custom ones prefixed).
+        """Return a flat dict copy of every counter (per-CPU ones prefixed).
 
         Field names are derived from the dataclass itself, so adding a
         counter field can never silently omit it from benchmark tables.
@@ -91,20 +70,17 @@ class KernelStats:
         flat = {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("custom", "cpu")
+            if f.name != "cpu"
         }
         for key, value in self.cpu.items():
             flat[f"cpu.{key}"] = value
-        for key, value in self.custom.items():
-            flat[f"custom.{key}"] = value
         return flat
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:
         """Counter deltas relative to an earlier :meth:`snapshot`.
 
-        Keys present only in ``earlier`` (e.g. a custom counter that was
-        bumped before the baseline but never after) appear with a
-        negative delta instead of being dropped.
+        Keys present only in ``earlier`` (a ``cpu.*`` key cleared since)
+        appear with a negative delta instead of being dropped.
         """
         now = self.snapshot()
         return {

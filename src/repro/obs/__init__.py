@@ -9,8 +9,8 @@ receptiveness §1/§3, polling cost §3, combining's saved work §2.7):
   finish → body on a pool slot → reply, stitched across the replication
   sequencer and failover;
 * **typed metrics** (:mod:`repro.obs.metrics`) — declared ``Counter``/
-  ``Gauge``/``Histogram`` objects per module instead of stringly
-  ``stats.bump(...)`` calls, registered on ``kernel.metrics``;
+  ``Gauge``/``Histogram`` objects per module, registered on
+  ``kernel.metrics``;
 * **sinks** (:mod:`repro.obs.sinks`) — the in-memory kernel ``Trace``
   (unchanged), JSONL, and Chrome ``trace_event`` for Perfetto.
 

@@ -291,11 +291,6 @@ def _instant_divergence(a: Recording, b: Recording) -> dict[str, list[int]]:
     }
 
 
-def diff_recordings(a: Recording, b: Recording) -> TraceDiff:
-    """Convenience constructor mirroring the CLI."""
-    return TraceDiff(a, b)
-
-
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------

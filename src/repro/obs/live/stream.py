@@ -155,10 +155,6 @@ class WindowedHistogram(_Bucketed):
         live = self.samples(now)
         return sum(live) / len(live) if live else None
 
-    def rate_per_ktick(self, now: int) -> float:
-        """Samples per kilotick over the window."""
-        return self.count(now) * KILOTICK / self.window
-
     def state(self, now: int) -> dict:
         """JSON-able window state (dashboard / OpenMetrics / instants)."""
         live = self.samples(now)

@@ -1,14 +1,11 @@
 """Typed metrics: counters, gauges and histograms in one registry.
 
-PR 1 and PR 2 accumulated two parallel accounting schemes: hardcoded
-integer fields on :class:`~repro.kernel.stats.KernelStats` for the hot
-kernel counters, and stringly-typed ``stats.bump("dropped_requests")``
-calls sprinkled over the fault, retry and replication layers.  Strings
-rot: a typo silently creates a new counter, a renamed key silently
-drops a benchmark column, and nothing documents which module owns which
-name.
-
-The registry replaces the strings with *declared* metric objects:
+A count lives in exactly one place: a field on
+:class:`~repro.kernel.stats.KernelStats` for the hot kernel counters, a
+*declared* metric object here for everything else (faults, retry,
+replication, supervision).  Declaring beats string keys: a typo is a
+declaration error instead of a silent new counter, and the dotted name
+says which module owns the number.
 
 * :class:`Counter` — a monotone event count (``inc``);
 * :class:`Gauge` — a point-in-time value, either ``set()`` explicitly or
@@ -21,12 +18,6 @@ Names are dotted by owning layer (``faults.dropped_requests``,
 ``rpc.messages``, ``replication.failovers``).  Declaring the same name
 twice returns the same object (so modules can acquire metrics lazily),
 but re-declaring under a different type is an error.
-
-Backward compatibility: a counter declared with ``legacy="old_key"``
-mirrors every increment into the kernel's ``stats.custom`` dict under
-the old key, so ``KernelStats.snapshot()`` output, the benchmark tables
-and every existing test keep seeing the numbers they saw before the
-refactor.  New metrics should omit ``legacy``.
 """
 
 from __future__ import annotations
@@ -62,27 +53,14 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        legacy_store: dict[str, int] | None = None,
-        legacy_key: str | None = None,
-    ) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self.value = 0
-        #: Mirror target for pre-registry consumers (``stats.custom``).
-        self._legacy_store = legacy_store if legacy_key is not None else None
-        self._legacy_key = legacy_key
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise MetricError(f"counter {self.name} cannot decrease")
         self.value += amount
-        store = self._legacy_store
-        if store is not None:
-            key = self._legacy_key
-            store[key] = store.get(key, 0) + amount
 
     def sample(self) -> dict[str, int | float]:
         return {self.name: self.value}
@@ -155,18 +133,10 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """Per-kernel home of every typed metric.
+    """Per-kernel home of every typed metric."""
 
-    ``legacy`` is the kernel's ``stats.custom`` dict; counters declared
-    with a ``legacy=`` key mirror into it (see module docstring).
-    """
-
-    def __init__(self, legacy: dict[str, int] | None = None) -> None:
+    def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        self._legacy = legacy
-        #: legacy keys mirrored by a typed counter (so table builders can
-        #: suppress the duplicate ``custom.*`` column).
-        self.legacy_keys: set[str] = set()
 
     # -- declaration (idempotent) ---------------------------------------
 
@@ -183,15 +153,8 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "", legacy: str | None = None) -> Counter:
-        counter = self._declare(
-            Counter,
-            name,
-            lambda: Counter(name, help, legacy_store=self._legacy, legacy_key=legacy),
-        )
-        if legacy is not None:
-            self.legacy_keys.add(legacy)
-        return counter
+    def counter(self, name: str, help: str = "") -> Counter:
+        return self._declare(Counter, name, lambda: Counter(name, help))
 
     def gauge(
         self, name: str, help: str = "", fn: Callable[[], int | float] | None = None

@@ -200,32 +200,25 @@ class Replicated:
         metrics = self.kernel.metrics
         self.c_reads = metrics.counter(
             "replication.reads", "Reads served by any replica",
-            legacy="replicated_reads",
         )
         self.c_failovers = metrics.counter(
             "replication.failovers", "Reads failed over to a backup",
-            legacy="replication_failovers",
         )
         self.c_writes = metrics.counter(
             "replication.writes", "Writes acknowledged by the sequencer",
-            legacy="replicated_writes",
         )
         self.c_write_failures = metrics.counter(
             "replication.write_failures",
             "Writes failed after exhausting every replica",
-            legacy="replication_write_failures",
         )
         self.c_restarts = metrics.counter(
             "replication.restarts", "Replicas self-restarted by the view monitor",
-            legacy="replication_restarts",
         )
         self.c_catchup_writes = metrics.counter(
             "replication.catchup_writes", "Writes replayed during catch-up",
-            legacy="replication_catchup_writes",
         )
         self.c_snapshots = metrics.counter(
             "replication.snapshots", "Full state transfers between replicas",
-            legacy="replication_snapshots",
         )
 
         # -- placement: one replica per distinct node ----------------------
@@ -324,9 +317,6 @@ class Replicated:
 
     def replicas(self) -> list[Any]:
         return [self._objects[n] for n in self.view.order]
-
-    def primary_object(self) -> Any:
-        return self._objects[self.view.primary]
 
     def node_of(self, rname: str) -> str:
         return self._nodes[rname].name

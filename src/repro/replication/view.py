@@ -124,7 +124,6 @@ class ReplicaView:
         self._record("down", name, span_id=self._span_id(span))
         self.kernel.metrics.counter(
             "replication.suspicions", "Replicas marked down in the view",
-            legacy="replication_suspicions",
         ).inc()
 
     def mark_up(self, name: str, span=None) -> None:
@@ -134,7 +133,6 @@ class ReplicaView:
         self._record("rejoin", name, span_id=self._span_id(span))
         self.kernel.metrics.counter(
             "replication.rejoins", "Replicas rejoining the view after catch-up",
-            legacy="replication_rejoins",
         ).inc()
 
     def mark_applied(self, name: str, version: int) -> None:
@@ -167,6 +165,5 @@ class ReplicaView:
         self._record("promote", best, span_id=self._span_id(span))
         self.kernel.metrics.counter(
             "replication.promotions", "Backups promoted to primary",
-            legacy="replication_promotions",
         ).inc()
         return best

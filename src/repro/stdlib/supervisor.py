@@ -97,7 +97,6 @@ class Supervisor(AlpsObject):
             self.restarts.append((kernel.clock.now, name, requeued))
             kernel.metrics.counter(
                 "supervisor.restarts", "Watched objects restarted after a crash",
-                legacy="supervisor_restarts",
             ).inc()
             kernel.trace.record(
                 kernel.clock.now, "restart", name,

@@ -1,5 +1,6 @@
 """Workload generation: arrivals, skew, traces, and the traffic engine."""
 
+from ..obs.live.stream import nearest_rank
 from .engine import Outcome, Request, TrafficEngine, TrafficResult
 from .livewire import watch_traffic
 from .generators import (
@@ -11,7 +12,7 @@ from .generators import (
     closed_loop,
     open_loop,
 )
-from .slo import SloReport, find_knee, goodput_timeline, percentile, summarize
+from .slo import SloReport, find_knee, goodput_timeline, summarize
 from .traces import TraceEntry, mixed_trace, replay
 from .zipf import Zipf, word_corpus
 
@@ -34,7 +35,7 @@ __all__ = [
     "Outcome",
     "SloReport",
     "summarize",
-    "percentile",
+    "nearest_rank",
     "find_knee",
     "goodput_timeline",
     "watch_traffic",

@@ -30,25 +30,6 @@ from .engine import STATUSES, TrafficResult
 KILOTICK = 1000
 
 
-def percentile(values: Sequence[int | float], p: float) -> float:
-    """Nearest-rank percentile of ``values`` (``p`` in [0, 100]).
-
-    The nearest-rank definition returns an element of ``values`` (never
-    an interpolation), so "p999 = 412 ticks" is always a latency some
-    request actually saw.  Raises :class:`ValueError` on empty input.
-
-    Delegates to :func:`repro.obs.live.stream.nearest_rank`, which
-    computes ``rank = ceil(p·n/100)`` with exact rational arithmetic.
-    The float ceiling this used to apply (``-(-p * n // 100)``) picked
-    rank 162 instead of 161 for ``p=16.1, n=1000``: the exact product
-    is the whole number 16100, but the binary float product overshoots
-    it, so the ceiling rounds up one rank too far.
-    """
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    return nearest_rank(values, p)
-
-
 @dataclass
 class SloReport:
     """One run of the traffic engine, reduced to its SLO numbers."""
@@ -123,9 +104,9 @@ def summarize(result: TrafficResult, horizon: int | None = None) -> SloReport:
         horizon=horizon,
         offered_per_ktick=result.issued * KILOTICK / horizon,
         goodput_per_ktick=counts["ok"] * KILOTICK / horizon,
-        p50=percentile(ok_latencies, 50) if ok_latencies else None,
-        p99=percentile(ok_latencies, 99) if ok_latencies else None,
-        p999=percentile(ok_latencies, 99.9) if ok_latencies else None,
+        p50=nearest_rank(ok_latencies, 50),
+        p99=nearest_rank(ok_latencies, 99),
+        p999=nearest_rank(ok_latencies, 99.9),
         mean_latency=(
             sum(ok_latencies) / len(ok_latencies) if ok_latencies else None
         ),

@@ -90,9 +90,9 @@ class TestRetryBudget:
         assert len(outcome) == 1
         assert outcome[0].reason == "retry-budget"
         assert budget.withdrawals == 1 and budget.denials == 1
-        assert kernel.stats.custom["retries"] == 1
+        assert kernel.metrics.value("retry.attempts") == 1
         assert kernel.metrics.value("retry.budget_denied") == 1
-        assert "retry_exhausted" not in kernel.stats.custom
+        assert kernel.metrics.value("retry.exhausted") == 0
 
     def test_healthy_traffic_never_touches_the_budget(self):
         kernel, net, d, _ = scenario(FaultPlan())
@@ -330,7 +330,7 @@ class TestDeadlineTerminatesRetry:
         net.node("n0").spawn(client, name="client")
         kernel.run()
         assert outcome == [(13, 13)]  # issued at 5 + deadline 8
-        assert "retries" not in kernel.stats.custom
+        assert kernel.metrics.value("retry.attempts") == 0
 
     def test_deadline_failure_still_feeds_the_breaker(self):
         kernel, net, d, _ = scenario(

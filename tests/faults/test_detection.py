@@ -109,7 +109,7 @@ class TestTimedCalls:
         kernel.run()
         assert failures == [60]
         assert d.searches_executed == 1  # the work happened
-        assert kernel.stats.custom["dropped_responses"] == 1
+        assert kernel.metrics.value("faults.dropped_responses") == 1
 
     def test_generous_timeout_does_not_fire(self):
         kernel, net, d, _ = scenario(FaultPlan())
@@ -257,7 +257,7 @@ class TestHeartbeat:
         # The daemon is gone: virtual time stops advancing with it.
         assert hb.process is None
         assert hb.is_up("n1")
-        rounds_run = kernel.stats.custom["heartbeat_up"]
+        rounds_run = kernel.metrics.value("heartbeat.up")
         assert rounds_run == 1  # one unknown->up transition, then steady
 
     def test_stop_returns_whether_monitor_was_running(self):

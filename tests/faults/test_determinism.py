@@ -71,7 +71,7 @@ def test_same_seeds_tick_identical_traces():
     # The scenario genuinely exercised every fault class.
     kinds = {e.kind for e in first.trace}
     assert {"crash", "restart", "drop", "partition", "retry"} <= kinds
-    assert first.stats.custom == second.stats.custom
+    assert first.metrics.snapshot() == second.metrics.snapshot()
 
 
 def test_different_fault_seed_diverges():

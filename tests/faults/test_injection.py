@@ -32,7 +32,7 @@ class TestNodeCrash:
         assert not proc.alive
         assert progress == [20, 40]  # nothing after the crash at t=50
         assert kernel.trace.count("crash") == 1
-        assert kernel.stats.custom["node_crashes"] == 1
+        assert kernel.metrics.value("faults.node_crashes") == 1
 
     def test_other_nodes_keep_running(self):
         kernel, net = make_ring()
@@ -92,7 +92,7 @@ class TestMessageFaults:
         install(kernel, net, FaultPlan(seed=5).drop_messages(1.0, dst="n1"))
         got = self._pump(kernel, net, 5)
         assert got == []
-        assert kernel.stats.custom["dropped_messages"] == 5
+        assert kernel.metrics.value("faults.dropped_messages") == 5
         assert kernel.trace.count("drop") == 5
 
     def test_no_loss_delivers_everything(self):
@@ -116,7 +116,7 @@ class TestMessageFaults:
         install(kernel, net, FaultPlan(seed=5).duplicate_messages(1.0, dst="n1"))
         got = self._pump(kernel, net, 3)
         assert sorted(v for _, v in got) == [0, 0, 1, 1, 2, 2]
-        assert kernel.stats.custom["duplicated_messages"] == 3
+        assert kernel.metrics.value("faults.duplicated_messages") == 3
 
     def test_jitter_delays_delivery(self):
         kernel, net = make_ring()
@@ -139,7 +139,7 @@ class TestMessageFaults:
 
         net.node("n0").spawn(sender, name="sender")
         kernel.run()
-        assert kernel.stats.custom["dropped_messages"] == 1
+        assert kernel.metrics.value("faults.dropped_messages") == 1
         assert len(inbox._queue) == 0
 
 

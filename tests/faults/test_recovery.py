@@ -44,9 +44,9 @@ class TestRetry:
         value, when = results[0]
         assert value == 42
         assert when > 200  # could only succeed after the restart
-        assert kernel.stats.custom["retries"] >= 1
-        assert kernel.stats.custom["retried_successes"] == 1
-        assert kernel.trace.count("retry") == kernel.stats.custom["retries"]
+        assert kernel.metrics.value("retry.attempts") >= 1
+        assert kernel.metrics.value("retry.successes") == 1
+        assert kernel.trace.count("retry") == kernel.metrics.value("retry.attempts")
 
     def test_exponential_backoff_beats_lossy_link(self):
         kernel, net, d, _ = scenario(
@@ -86,8 +86,8 @@ class TestRetry:
         net.node("n0").spawn(client, name="client")
         kernel.run()
         assert len(outcome) == 1
-        assert kernel.stats.custom["retry_exhausted"] == 1
-        assert kernel.stats.custom["retries"] == 2  # 3 attempts = 2 retries
+        assert kernel.metrics.value("retry.exhausted") == 1
+        assert kernel.metrics.value("retry.attempts") == 2  # 3 attempts = 2 retries
 
     def test_non_remote_errors_propagate_immediately(self):
         from repro.core import AlpsObject, entry
@@ -113,7 +113,7 @@ class TestRetry:
         net.node("n0").spawn(client, name="client")
         kernel.run()
         assert len(outcome) == 1
-        assert "retries" not in kernel.stats.custom
+        assert kernel.metrics.value("retry.attempts") == 0
 
     def test_max_attempts_one_means_no_retry(self):
         # Degenerate policy: exactly the bare call — first failure is
@@ -136,8 +136,8 @@ class TestRetry:
         net.node("n0").spawn(client, name="client")
         kernel.run()
         assert outcome == [15]  # issue at 5 + detection_delay 10, no backoff
-        assert "retries" not in kernel.stats.custom
-        assert kernel.stats.custom["retry_exhausted"] == 1
+        assert kernel.metrics.value("retry.attempts") == 0
+        assert kernel.metrics.value("retry.exhausted") == 1
 
     def test_jittered_schedule_is_identical_across_runs(self):
         # Same retry seed, two full runs: every retry lands on the same
@@ -208,8 +208,8 @@ class TestSupervisor:
         assert value == 42
         assert when > 200  # completed only after the restart
         assert sup.restarts == [(200, "d", 1)]
-        assert kernel.stats.custom["supervisor_restarts"] == 1
-        assert kernel.stats.custom["requeued_calls"] == 1
+        assert kernel.metrics.value("supervisor.restarts") == 1
+        assert kernel.metrics.value("faults.requeued_calls") == 1
 
     def test_unsupervised_object_fails_its_callers(self):
         kernel, net, d, runtime = scenario(

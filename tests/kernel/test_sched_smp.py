@@ -280,14 +280,9 @@ class TestBalancer:
 
 
 class TestKernelApi:
-    def test_cpus_alias(self):
-        assert Kernel(cpus=2).cpu_scheduler.default.count == 2
+    def test_num_cpus_sizes_the_default_domain(self):
         assert Kernel(num_cpus=3).cpu_scheduler.default.count == 3
         assert Kernel().cpu_scheduler.default is None
-
-    def test_cpus_alias_conflict_rejected(self):
-        with pytest.raises(KernelError):
-            Kernel(num_cpus=2, cpus=4)
 
     def test_bad_cpu_count_rejected(self):
         with pytest.raises(KernelError):

@@ -1,7 +1,5 @@
 """Unit tests for tracing and stats plumbing."""
 
-import pytest
-
 from repro.kernel import Delay, Kernel, Spawn
 from repro.kernel.stats import KernelStats
 from repro.kernel.tracing import Trace, TraceEvent
@@ -72,20 +70,6 @@ class TestTrace:
 
 
 class TestKernelStats:
-    def test_bump_custom_deprecated(self):
-        stats = KernelStats()
-        with pytest.warns(DeprecationWarning, match="typed counter"):
-            stats.bump("widgets")
-        with pytest.warns(DeprecationWarning):
-            stats.bump("widgets", 4)
-        assert stats.custom["widgets"] == 5
-
-    def test_snapshot_includes_custom(self):
-        stats = KernelStats()
-        stats.custom["widgets"] = 2
-        snap = stats.snapshot()
-        assert snap["custom.widgets"] == 2
-
     def test_diff(self):
         stats = KernelStats()
         before = stats.snapshot()

@@ -1,8 +1,7 @@
-"""The typed metrics registry: declaration, values, legacy mirroring."""
+"""The typed metrics registry: declaration and values."""
 
 import pytest
 
-from repro.kernel import Kernel
 from repro.obs import Counter, Gauge, Histogram, MetricError, MetricsRegistry
 
 
@@ -73,20 +72,7 @@ class TestHistogram:
         assert reg.value("lat") == 1
 
 
-class TestLegacyMirror:
-    def test_counter_mirrors_into_kernel_custom(self):
-        kernel = Kernel()
-        c = kernel.metrics.counter("faults.things", legacy="things")
-        c.inc(2)
-        assert kernel.stats.custom["things"] == 2
-        assert kernel.metrics.value("faults.things") == 2
-        assert "things" in kernel.metrics.legacy_keys
-
-    def test_unmirrored_counter_leaves_custom_alone(self):
-        kernel = Kernel()
-        kernel.metrics.counter("new.style").inc()
-        assert kernel.stats.custom == {}
-
+class TestRegistry:
     def test_registry_types(self):
         reg = MetricsRegistry()
         assert isinstance(reg.counter("a"), Counter)
@@ -105,30 +91,23 @@ class TestKernelStatsSnapshot:
 
         stats = KernelStats()
         snap = stats.snapshot()
-        # ``custom`` and ``cpu`` are dict fields flattened with their own
-        # prefixes instead of appearing as single keys.
-        expected = {f.name for f in fields(KernelStats)} - {"custom", "cpu"}
+        # ``cpu`` is a dict field flattened with its own prefix instead
+        # of appearing as a single key.
+        expected = {f.name for f in fields(KernelStats)} - {"cpu"}
         assert set(snap) == expected
         stats.cpu["cpu0"] = 7
         assert stats.snapshot()["cpu.cpu0"] == 7
-
-    def test_snapshot_prefixes_custom(self):
-        from repro.kernel.stats import KernelStats
-
-        stats = KernelStats()
-        stats.custom["weird"] = 1
-        assert stats.snapshot()["custom.weird"] == 1
 
     def test_diff_keeps_earlier_only_keys(self):
         from repro.kernel.stats import KernelStats
 
         stats = KernelStats()
-        stats.custom["once"] = 1
+        stats.cpu["once"] = 1
         earlier = stats.snapshot()
-        stats.custom.clear()
+        stats.cpu.clear()
         stats.sends += 2
         delta = stats.diff(earlier)
-        # The custom key bumped only before the baseline still appears,
-        # as a negative delta (previously it was silently dropped).
-        assert delta["custom.once"] == -1
+        # The per-CPU key present only before the baseline still
+        # appears, as a negative delta (not silently dropped).
+        assert delta["cpu.once"] == -1
         assert delta["sends"] == 2

@@ -133,7 +133,11 @@ class TestEnabledIsScheduleNeutral:
         )
         assert _trace_snapshot(k_on) == _trace_snapshot(k_off)
         assert k_on.clock.now == k_off.clock.now
-        assert k_on.stats.custom == k_off.stats.custom
+        # Spans add their own latency histogram; every other metric agrees.
+        on = k_on.metrics.snapshot()
+        assert {
+            k: v for k, v in on.items() if not k.startswith("calls.latency.")
+        } == k_off.metrics.snapshot()
 
         # ... but only the enabled run recorded spans, and its records
         # carry the observing span ids (detection → promotion linkage).

@@ -55,7 +55,7 @@ class TestConvergence:
         assert failed == []
         assert acked == list(range(30))
         self.assert_converged(rep, acked)
-        assert kernel.stats.custom["replication_rejoins"] >= 2
+        assert kernel.metrics.value("replication.rejoins") >= 2
 
     def test_no_acked_write_lost_on_permanent_primary_crash(self):
         # The acceptance check: the primary dies mid-workload and never
@@ -88,7 +88,7 @@ class TestConvergence:
         acked, failed = spawn_writer(kernel, rep, 25, gap=45)
         kernel.run(until=5000)
         assert failed == []
-        assert kernel.stats.custom["replication_snapshots"] >= 1
+        assert kernel.metrics.value("replication.snapshots") >= 1
         self.assert_converged(rep, acked)
 
     def test_sequencer_orders_concurrent_writers(self):

@@ -45,7 +45,7 @@ def test_same_seeded_plan_is_tick_identical():
     assert rep1.heartbeat.transitions == rep2.heartbeat.transitions
     assert (acked1, wf1, ok1, rf1) == (acked2, wf2, ok2, rf2)
     assert trace_snapshot(k1) == trace_snapshot(k2)
-    assert k1.stats.custom == k2.stats.custom
+    assert k1.metrics.snapshot() == k2.metrics.snapshot()
     # The scenario genuinely failed over (it is not vacuous).
     events = {event for _, event, _, _ in rep1.view.transitions}
     assert {"down", "promote", "rejoin"} <= events

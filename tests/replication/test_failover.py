@@ -20,7 +20,7 @@ class TestReadFailover:
         kernel.run(until=2500)
         assert len(ok) == 12 and rfailed == []
         assert acked == list(range(6)) and wfailed == []
-        assert kernel.stats.custom["replication_failovers"] >= 1
+        assert kernel.metrics.value("replication.failovers") >= 1
         assert rep.view.primary != "rep.r0"
 
     def test_read_exhausts_all_replicas(self):
@@ -67,7 +67,7 @@ class TestReadFailover:
         kernel.spawn(client, name="client")
         kernel.run(until=5000)
         assert len(errors) == 1
-        assert kernel.stats.custom["replication_write_failures"] == 1
+        assert kernel.metrics.value("replication.write_failures") == 1
         # Nothing was acknowledged, so nothing may claim durability.
         assert rep.view.version == 0 and len(rep.log) == 0
 
@@ -118,7 +118,7 @@ class TestReadFailover:
         assert acked == [0, 1, 2]
         assert served == [0]  # k0 was written by write #0
         assert rep.staleness() == [2]  # the straggler lags acks 2 and 3
-        assert kernel.stats.custom["replication_failovers"] == 1
+        assert kernel.metrics.value("replication.failovers") == 1
 
 
 class TestWrapperValidation:

@@ -83,7 +83,7 @@ class TestPromotionEndToEnd:
         )
         kernel.run(until=1000)
         assert rep.view.primary != "rep.r0"
-        assert kernel.stats.custom["replication_promotions"] == 1
+        assert kernel.metrics.value("replication.promotions") == 1
 
     def test_supervised_restart_requeues_interrupted_write(self):
         # A write interrupted by the primary crash is re-queued by the

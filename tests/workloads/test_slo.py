@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import SloReport, find_knee, percentile, summarize
+from repro.workloads import SloReport, find_knee, nearest_rank, summarize
 from repro.workloads.engine import STATUSES, Outcome, Request, TrafficResult
 
 
@@ -26,23 +26,23 @@ class TestPercentile:
     def test_nearest_rank_returns_an_element(self):
         values = [10, 20, 30, 40, 50]
         for p in (1, 25, 50, 75, 99, 100):
-            assert percentile(values, p) in values
+            assert nearest_rank(values, p) in values
 
     def test_median_of_odd(self):
-        assert percentile([3, 1, 2], 50) == 2
+        assert nearest_rank([3, 1, 2], 50) == 2
 
     def test_p100_is_max_p0_is_min(self):
         values = [7, 1, 9, 4]
-        assert percentile(values, 100) == 9
-        assert percentile(values, 0) == 1
+        assert nearest_rank(values, 100) == 9
+        assert nearest_rank(values, 0) == 1
 
     def test_single_element(self):
-        assert percentile([42], 99.9) == 42
+        assert nearest_rank([42], 99.9) == 42
 
     def test_p999_picks_tail(self):
         values = list(range(1, 1001))  # 1..1000
-        assert percentile(values, 99.9) == 999
-        assert percentile(values, 99) == 990
+        assert nearest_rank(values, 99.9) == 999
+        assert nearest_rank(values, 99) == 990
 
     def test_float_ceiling_regression(self):
         # p=16.1 of n=1000 is exactly rank 161 (16.1 * 1000 / 100), but
@@ -50,20 +50,19 @@ class TestPercentile:
         # so the old float ceiling -(-p * n // 100) landed on rank 162.
         # The exact rational arithmetic in nearest_rank picks index 160.
         values = list(range(1000))
-        assert percentile(values, 16.1) == 160
+        assert nearest_rank(values, 16.1) == 160
         assert -(-16.1 * len(values) // 100) == 162  # the bug, preserved
         # And the marquee tail spec stays element-exact too.
-        assert percentile(list(range(8000)), 99.9) == 7991
+        assert nearest_rank(list(range(8000)), 99.9) == 7991
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
+    def test_empty_is_none(self):
+        assert nearest_rank([], 50) is None
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            percentile([1], -1)
+            nearest_rank([1], -1)
         with pytest.raises(ValueError):
-            percentile([1], 101)
+            nearest_rank([1], 101)
 
 
 class TestSummarize:

@@ -74,21 +74,6 @@ class LiveDeadlockDetector:
         """Ask the detector to exit at its next wake-up."""
         self._stopped = True
 
-    def _pending_foreign_events(self) -> bool:
-        """Any live event not our own heartbeat? (stale/cancelled skipped)"""
-        for _when, _prio, _seq, item in self.kernel._events:
-            if item[0] == "step":
-                proc, epoch = item[1], item[2]
-                if proc is self.process:
-                    continue
-                if proc.alive and proc.epoch == epoch:
-                    return True
-            else:  # "call"
-                cancel = item[2]
-                if cancel is None or not cancel.get("cancelled"):
-                    return True
-        return False
-
     def _loop(self):
         while not self._stopped:
             yield Delay(self.interval)
@@ -107,7 +92,7 @@ class LiveDeadlockDetector:
                 return
             if all(
                 p.state == ProcessState.BLOCKED for p in workload
-            ) and not self._pending_foreign_events():
+            ) and not self.kernel.has_live_events(ignoring=self.process):
                 return
             self.scans += 1
             snapshot = build_wait_graph(self.kernel)

@@ -27,8 +27,8 @@ guard choice, arbitrary slot attachment) are governed by the
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..errors import DeadlockError, GuardExhaustedError, KernelError, ProcessError
@@ -37,6 +37,7 @@ from .clock import VirtualClock
 from .costs import DEFAULT, CostModel
 from .sched import SmpScheduler
 from .process import (
+    DEAD_STATES,
     PRIORITY_NORMAL,
     Process,
     ProcessState,
@@ -60,6 +61,16 @@ from .syscalls import (
 )
 from .tracing import Trace
 from .waiting import Guard, Ready, Waitable
+
+# Event records are flat heap entries ``(when, priority, seq, proc, a, b)``
+# (DESIGN.md §5.2).  ``seq`` is unique, so ordering never looks past it.
+# ``proc is None`` marks a callback: ``a`` is the callable, ``b`` its
+# cancel dict or None.  Otherwise ``a`` is ``proc.epoch`` at push time and
+# ``b`` says what surfaces.  The kernel reads ``clock._now`` directly on
+# these paths: ``clock.now`` is a property call per event.
+_STEP = 0  # dispatch proc; dropped before the clock moves when stale
+_RESUME = 1  # proc's CPU grant ends (unbounded machine); proc is READY
+_WAKE = 2  # proc's Delay expires; proc is BLOCKED
 
 
 class _PendingSelect:
@@ -154,8 +165,12 @@ class Kernel:
         #: perfect: no crashes, no loss, no degradation.
         self.faults: Any = None
 
-        self._events: list[tuple[int, int, int, Any]] = []  # (time, prio, seq, item)
+        #: Heap of flat event records (layout at the top of this module).
+        self._events: list[tuple] = []
         self._seq = 0
+        #: ``type(syscall)`` -> handler; grows as extension syscall types
+        #: and subclasses are first seen (:meth:`_learn_syscall`).
+        self._handlers = dict(_KERNEL_SYSCALLS)
         self._next_pid = 1
         #: Per-kernel entry-call ids (a process-global counter would leak
         #: across kernels and make otherwise identical runs diverge in
@@ -226,12 +241,7 @@ class Kernel:
             # Creation cost delays the new process's first dispatch; the
             # work is queued at the *creator's* priority on the
             # creator's CPUs.
-            self._after_cpu(
-                cost,
-                charge_to.priority,
-                lambda: self._schedule_step(proc),
-                proc=charge_to,
-            )
+            self._step_after_cpu(proc, cost, charge_to)
         else:
             self._schedule_step(proc)
         self.trace.record(self.clock.now, "spawn", proc.name, pid=pid, priority=priority)
@@ -251,14 +261,11 @@ class Kernel:
     # Event queue
     # ------------------------------------------------------------------
 
-    def _push(self, when: int, priority: int, item: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (when, priority, self._seq, item))
-
-    def _schedule_step(self, proc: Process, at: int | None = None) -> None:
-        """Queue a dispatch of ``proc`` at time ``at`` (default: now)."""
-        when = self.clock.now if at is None else at
-        self._push(when, proc.priority, ("step", proc, proc.epoch))
+    def _schedule_step(self, proc: Process) -> None:
+        """Queue a dispatch of ``proc`` at the current time."""
+        self._seq = seq = self._seq + 1
+        now = self.clock._now
+        heappush(self._events, (now, proc.priority, seq, proc, proc.epoch, _STEP))
 
     def post(
         self,
@@ -274,9 +281,33 @@ class Kernel:
         ``cancel`` is given and ``cancel["cancelled"]`` is true when the
         event surfaces, it is dropped without advancing the clock.
         """
-        if when < self.clock.now:
+        if when < self.clock._now:
             raise KernelError(f"cannot post event in the past ({when} < {self.clock.now})")
-        self._push(when, priority, ("call", callback, cancel))
+        self._seq = seq = self._seq + 1
+        heappush(self._events, (when, priority, seq, None, callback, cancel))
+
+    def next_event_time(self) -> int | None:
+        """Time of the earliest queued event (stale ones included), if any."""
+        return self._events[0][0] if self._events else None
+
+    def has_live_events(self, ignoring: Process | None = None) -> bool:
+        """Is anything queued that will still do work when it surfaces?
+
+        Cancelled callbacks and events of dead or re-parked processes do
+        not count, nor do events of ``ignoring`` (a watchdog asking
+        whether anything *besides itself* keeps the run going).
+        """
+        for _when, _prio, _seq, proc, a, b in self._events:
+            if proc is None:
+                if b is None or not b.get("cancelled"):
+                    return True
+            elif (
+                proc is not ignoring
+                and proc.epoch == a
+                and proc.state not in DEAD_STATES
+            ):
+                return True
+        return False
 
     def schedule_resume(self, proc: Process, value: Any = None, cost: int = 0) -> None:
         """Unblock ``proc``, delivering ``value`` from its pending syscall.
@@ -284,58 +315,62 @@ class Kernel:
         ``cost`` ticks of CPU are consumed first (queued by the process's
         priority on a finite machine).
         """
-        if not proc.alive:
+        if proc.state in DEAD_STATES:
             return
-        proc.prepare_resume(value)
+        proc._resume_value = value
+        proc._resume_exception = None
         proc.state = ProcessState.READY
         proc.blocked_on = None
         proc.waiting_for = None
         proc.epoch += 1
-        if cost:
-            self._after_cpu(
-                cost, proc.priority, lambda: self._schedule_step(proc), proc=proc
-            )
+        if cost > 0:
+            self._step_after_cpu(proc, cost, proc)
         else:
             self._schedule_step(proc)
 
     def schedule_throw(self, proc: Process, exc: BaseException) -> None:
         """Unblock ``proc`` by raising ``exc`` inside it."""
-        if not proc.alive:
+        if proc.state in DEAD_STATES:
             return
-        proc.prepare_throw(exc)
+        proc._resume_exception = exc
         proc.state = ProcessState.READY
         proc.blocked_on = None
         proc.waiting_for = None
+        # Also retires a CPU completion still pending for ``proc``: its
+        # record (or closure) carries the epoch it was queued under.
         proc.epoch += 1
         self._schedule_step(proc)
 
-    def _after_cpu(
-        self,
-        ticks: int,
-        priority: int,
-        action: Callable[[], None],
-        proc: Process | None = None,
-    ) -> None:
-        """Consume ``ticks`` of CPU, then run ``action``.
+    def _step_after_cpu(self, proc: Process, ticks: int, payer: Process) -> None:
+        """Dispatch ``proc`` once ``payer`` has consumed ``ticks`` of CPU.
 
-        ``proc`` (the process the work belongs to) routes the grant to
-        its home node's scheduling domain; without one — or on a node
-        with no declared CPUs — the kernel-wide default applies.  On an
-        unbounded machine the work starts immediately; on a finite
-        domain it contends on per-CPU runqueues where strict-class work
-        (priority < ``PRIORITY_NORMAL``) is granted first, so a
-        high-priority manager's synchronization steps overtake queued
-        entry-body work — the paper's receptiveness argument (§1, §3).
+        ``payer`` (the process the work belongs to: ``proc`` itself, or
+        its creator for a creation cost) routes the grant to its home
+        node's scheduling domain at its priority; on a node with no
+        declared CPUs the kernel-wide default applies.  On an unbounded
+        machine the work starts immediately and ends in one ``_RESUME``
+        record; on a finite domain it contends on per-CPU runqueues where
+        strict-class work (priority < ``PRIORITY_NORMAL``) is granted
+        first, so a high-priority manager's synchronization steps
+        overtake queued entry-body work — the paper's receptiveness
+        argument (§1, §3).  Either way the completion is void if ``proc``
+        was re-parked (thrown into) meanwhile.
         """
-        if ticks <= 0:
-            action()
-            return
-        domain = self.cpu_scheduler.domain_of(proc)
+        scheduler = self.cpu_scheduler
+        domain = scheduler.domain_of(payer) if scheduler.domains else None
+        epoch = proc.epoch
         if domain is None:
             # ``priority`` fixes same-instant order among finished work.
-            self.post(self.clock.now + ticks, action, priority=priority)
-        else:
-            domain.submit(proc, priority, ticks, action)
+            when = self.clock._now + ticks
+            self._seq = seq = self._seq + 1
+            heappush(self._events, (when, payer.priority, seq, proc, epoch, _RESUME))
+            return
+
+        def complete() -> None:
+            if proc.epoch == epoch:
+                self._schedule_step(proc)
+
+        domain.submit(payer, payer.priority, ticks, complete)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -348,40 +383,63 @@ class Kernel:
         :class:`~repro.errors.DeadlockError` if the system quiesces while a
         non-daemon process is still blocked.  The kernel is resumable:
         calling :meth:`run` again continues where the previous call
-        stopped.
+        stopped.  ``max_events`` counts heap records dispatched; a CPU
+        completion or ``Delay`` expiry that steps its process on the spot
+        is one.
         """
         if self._running:
             raise KernelError("kernel.run() is not reentrant")
         self._running = True
+        events = self._events
+        clock = self.clock
+        stats = self.stats
+        limit = -1 if max_events is None else max_events
         dispatched = 0
         try:
-            while self._events:
-                if max_events is not None and dispatched >= max_events:
-                    return self.stats
-                when, _prio, _seq, item = self._events[0]
-                kind = item[0]
+            while events:
+                if dispatched == limit:
+                    return stats
+                when, _prio, _seq, proc, a, b = events[0]
                 # Drop stale events *before* advancing the clock so that
                 # cancelled timers do not inflate the simulation end time.
-                if kind == "step":
-                    proc, epoch = item[1], item[2]
-                    if proc.epoch != epoch or not proc.alive:
-                        heapq.heappop(self._events)
+                if proc is None:
+                    if b is not None and b.get("cancelled"):
+                        heappop(events)
+                        stats.stale_events += 1
                         continue
-                else:  # "call"
-                    cancel = item[2]
-                    if cancel is not None and cancel.get("cancelled"):
-                        heapq.heappop(self._events)
-                        continue
+                elif not b and (proc.epoch != a or proc.state in DEAD_STATES):
+                    heappop(events)
+                    stats.stale_events += 1
+                    continue
                 if until is not None and when > until:
-                    self.clock.advance_to(until)
-                    return self.stats
-                heapq.heappop(self._events)
-                self.clock.advance_to(when)
+                    clock.advance_to(until)
+                    return stats
+                heappop(events)
+                if when != clock._now:
+                    clock.advance_to(when)
                 dispatched += 1
-                if kind == "step":
-                    self._step_process(item[1])
+                if proc is None:
+                    a()
+                elif not b:
+                    self._step_process(proc)
+                elif proc.epoch != a or proc.state in DEAD_STATES:
+                    # A completion always moves the clock to its time (the
+                    # CPU was busy until then), even when nobody is left
+                    # to resume.
+                    stats.stale_events += 1
                 else:
-                    item[1]()
+                    if b == _WAKE:
+                        proc.state = ProcessState.READY
+                        proc.blocked_on = None
+                        proc.epoch += 1
+                    # One event per resumption: step now unless something
+                    # else is due at this instant at proc's priority or
+                    # better; then proc goes behind it, as a step with a
+                    # fresh seq (DESIGN.md §5.2).
+                    if events and events[0][0] == when and events[0][1] <= proc.priority:
+                        self._schedule_step(proc)
+                    else:
+                        self._step_process(proc)
         finally:
             self._running = False
         # A bounded run (until/max_events) may legitimately drain the
@@ -389,7 +447,7 @@ class Kernel:
         # an unbounded run can conclude deadlock.
         if until is None and max_events is None:
             self._check_quiescence()
-        return self.stats
+        return stats
 
     def run_process(
         self,
@@ -436,114 +494,139 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _step_process(self, proc: Process) -> None:
+        """Resume ``proc`` until its next yield and interpret what it yields."""
+        stats = self.stats
+        # Context-switch and dispatch charges are folded into the cost of
+        # whatever the syscall does.
+        cost = self.costs.dispatch
         if self._last_stepped is not proc:
-            self.stats.context_switches += 1
-            switch_cost = self.costs.context_switch
-        else:
-            switch_cost = 0
-        self._last_stepped = proc
+            stats.context_switches += 1
+            cost += self.costs.context_switch
+            self._last_stepped = proc
         proc.state = ProcessState.RUNNING
-        self.stats.resumptions += 1
+        stats.resumptions += 1
+        proc.resumptions += 1
         try:
-            finished, payload = proc.step()
+            thrown = proc._resume_exception
+            if thrown is not None:
+                proc._resume_exception = None
+                syscall = proc.body.throw(thrown)
+            else:
+                value = proc._resume_value
+                proc._resume_value = None
+                syscall = proc.body.send(value)
+        except StopIteration as stop:
+            proc.state = ProcessState.DONE
+            proc.result = stop.value
         except BaseException as exc:
+            proc.state = ProcessState.FAILED
+            proc.exception = exc
+            unwatched = not proc.exit_watchers
             self._on_exit(proc)
-            if proc.exit_watchers:
-                for watcher in list(proc.exit_watchers):
-                    watcher(proc)
-                return
-            raise
-        if finished:
-            self._on_exit(proc)
-            for watcher in list(proc.exit_watchers):
-                watcher(proc)
+            if unwatched:
+                raise
             return
-        self._dispatch_syscall(proc, payload, base_cost=switch_cost)
+        else:
+            try:
+                handler = self._handlers[type(syscall)]
+            except KeyError:
+                handler = self._learn_syscall(syscall)
+            if handler is None:
+                # Extension point: channels, entry calls, manager primitives.
+                syscall.handle(self, proc, cost)
+            else:
+                handler(self, proc, syscall, cost)
+            return
+        self._on_exit(proc)
 
     def _on_exit(self, proc: Process) -> None:
+        """Book a termination (any kind) and tell the exit watchers."""
         proc.finished_at = self.clock.now
         self.stats.exits += 1
         self.trace.record(
             self.clock.now, "exit", proc.name, state=proc.state.value
         )
+        for watcher in list(proc.exit_watchers):
+            watcher(proc)
 
-    def _dispatch_syscall(self, proc: Process, syscall: Any, base_cost: int = 0) -> None:
-        """Interpret one syscall yielded by ``proc``.
+    def _learn_syscall(self, syscall: Any) -> Callable[..., None] | None:
+        """First sight of a syscall type: find its handler and memoise it.
 
-        ``base_cost`` (context-switch charge) is folded into the cost of
-        whatever the syscall does.
+        A subclass of a kernel syscall is handled as its base; any other
+        type with a ``handle`` method is an extension syscall (``None``
+        in the table: :meth:`_step_process` calls ``syscall.handle``).
         """
-        cost = base_cost + self.costs.dispatch
-        if isinstance(syscall, Spawn):
-            child = self.spawn(
-                syscall.fn,
-                *syscall.args,
-                name=syscall.name,
-                priority=syscall.priority,
-                lightweight=syscall.lightweight,
-                charge_to=proc,
-                **syscall.kwargs,
-            )
-            self.schedule_resume(proc, child, cost=cost)
-        elif isinstance(syscall, Join):
-            self._do_join(proc, syscall.process, cost)
-        elif isinstance(syscall, Delay):
-            if syscall.ticks < 0:
-                self.schedule_throw(proc, KernelError("Delay ticks must be >= 0"))
-                return
-            proc.state = ProcessState.BLOCKED
-            proc.blocked_on = f"delay({syscall.ticks})"
-            proc.epoch += 1
-            epoch = proc.epoch
-            when = self.clock.now + syscall.ticks + cost
-
-            def wake() -> None:
-                if proc.alive and proc.epoch == epoch:
-                    proc.epoch += 1
-                    proc.state = ProcessState.READY
-                    proc.blocked_on = None
-                    proc.waiting_for = None
-                    proc.prepare_resume(None)
-                    self._schedule_step(proc)
-
-            self.post(when, wake, priority=proc.priority)
-        elif isinstance(syscall, Charge):
-            if syscall.ticks < 0:
-                self.schedule_throw(proc, KernelError("Charge ticks must be >= 0"))
-                return
-            ticks = syscall.ticks
-            if self.faults is not None:
-                # Slow-CPU degradation: work on a degraded node dilates.
-                ticks = self.faults.scale_work(proc, ticks)
-            self.stats.work_ticks += ticks
-            self.schedule_resume(proc, None, cost=cost + ticks)
-        elif isinstance(syscall, Select):
-            self._do_select(proc, syscall, cost)
-        elif isinstance(syscall, Par):
-            self._do_par(proc, syscall, cost)
-        elif isinstance(syscall, Yield):
-            self.schedule_resume(proc, None, cost=cost)
-        elif isinstance(syscall, Now):
-            self.schedule_resume(proc, self.clock.now, cost=cost)
-        elif isinstance(syscall, Self):
-            self.schedule_resume(proc, proc, cost=cost)
-        elif isinstance(syscall, Kill):
-            was_alive = self.kill_process(syscall.process)
-            self.schedule_resume(proc, was_alive, cost=cost)
-        elif isinstance(syscall, SetPriority):
-            target = syscall.process or proc
-            target.priority = syscall.priority
-            self.schedule_resume(proc, None, cost=cost)
-        elif hasattr(syscall, "handle"):
-            # Extension point: channels, entry calls, manager primitives.
-            syscall.handle(self, proc, cost)
+        cls = type(syscall)
+        for base, handler in _KERNEL_SYSCALLS.items():
+            if issubclass(cls, base):
+                break
         else:
-            self.schedule_throw(
-                proc,
-                ProcessError(
-                    f"{proc.name!r} yielded {syscall!r}, which is not a syscall"
-                ),
-            )
+            if not hasattr(cls, "handle"):
+                # Not memoised: an instance may carry its own ``handle``.
+                return None if hasattr(syscall, "handle") else Kernel._not_a_syscall
+            handler = None
+        self._handlers[cls] = handler
+        return handler
+
+    def _not_a_syscall(self, proc: Process, syscall: Any, cost: int) -> None:
+        self.schedule_throw(
+            proc,
+            ProcessError(f"{proc.name!r} yielded {syscall!r}, which is not a syscall"),
+        )
+
+    # -- kernel syscall handlers: ``handler(kernel, proc, syscall, cost)`` --
+
+    def _do_spawn(self, proc: Process, syscall: Spawn, cost: int) -> None:
+        child = self.spawn(
+            syscall.fn,
+            *syscall.args,
+            name=syscall.name,
+            priority=syscall.priority,
+            lightweight=syscall.lightweight,
+            charge_to=proc,
+            **syscall.kwargs,
+        )
+        self.schedule_resume(proc, child, cost=cost)
+
+    def _do_delay(self, proc: Process, syscall: Delay, cost: int) -> None:
+        if syscall.ticks < 0:
+            self.schedule_throw(proc, KernelError("Delay ticks must be >= 0"))
+            return
+        proc.state = ProcessState.BLOCKED
+        proc.blocked_on = f"delay({syscall.ticks})"
+        proc.epoch += 1
+        when = self.clock._now + syscall.ticks + cost
+        self._seq = seq = self._seq + 1
+        heappush(self._events, (when, proc.priority, seq, proc, proc.epoch, _WAKE))
+
+    def _do_charge(self, proc: Process, syscall: Charge, cost: int) -> None:
+        if syscall.ticks < 0:
+            self.schedule_throw(proc, KernelError("Charge ticks must be >= 0"))
+            return
+        ticks = syscall.ticks
+        if self.faults is not None:
+            # Slow-CPU degradation: work on a degraded node dilates.
+            ticks = self.faults.scale_work(proc, ticks)
+        self.stats.work_ticks += ticks
+        self.schedule_resume(proc, None, cost=cost + ticks)
+
+    def _do_yield(self, proc: Process, syscall: Yield, cost: int) -> None:
+        self.schedule_resume(proc, None, cost=cost)
+
+    def _do_now(self, proc: Process, syscall: Now, cost: int) -> None:
+        self.schedule_resume(proc, self.clock.now, cost=cost)
+
+    def _do_self(self, proc: Process, syscall: Self, cost: int) -> None:
+        self.schedule_resume(proc, proc, cost=cost)
+
+    def _do_kill(self, proc: Process, syscall: Kill, cost: int) -> None:
+        was_alive = self.kill_process(syscall.process)
+        self.schedule_resume(proc, was_alive, cost=cost)
+
+    def _do_set_priority(self, proc: Process, syscall: SetPriority, cost: int) -> None:
+        target = syscall.process or proc
+        target.priority = syscall.priority
+        self.schedule_resume(proc, None, cost=cost)
 
     def kill_process(self, target: Process) -> bool:
         """Terminate ``target`` immediately (the ``Kill`` syscall's core).
@@ -551,20 +634,19 @@ class Kernel:
         Also the primitive the fault injector uses to crash every process
         on a node.  Returns True if the target was alive.
         """
-        if not target.alive:
+        if target.state in DEAD_STATES:
             return False
         self._cancel_pending_select(target)
         target.kill()
         self._on_exit(target)
-        for watcher in list(target.exit_watchers):
-            watcher(target)
         return True
 
     # ------------------------------------------------------------------
     # Join / Par
     # ------------------------------------------------------------------
 
-    def _do_join(self, proc: Process, target: Process, cost: int) -> None:
+    def _do_join(self, proc: Process, syscall: Join, cost: int) -> None:
+        target = syscall.process
         if target.state == ProcessState.DONE:
             self.schedule_resume(proc, target.result, cost=cost)
             return
@@ -728,7 +810,7 @@ class Kernel:
         True if the select fired.
         """
         pending = self._pending_selects.get(proc.pid)
-        if pending is None or not proc.alive:
+        if pending is None or proc.state in DEAD_STATES:
             return False
         ready = self._poll_guards(pending.guards)
         pending.poll_count += len(pending.guards)
@@ -764,3 +846,20 @@ class Kernel:
     def notify(self, waitable: Waitable) -> None:
         """Tell blocked selectors that ``waitable`` changed state."""
         waitable.notify(self)
+
+
+#: Handlers of the kernel's own syscalls, in the order a subclass is
+#: matched against them.
+_KERNEL_SYSCALLS: dict[type, Callable[..., None]] = {
+    Spawn: Kernel._do_spawn,
+    Join: Kernel._do_join,
+    Delay: Kernel._do_delay,
+    Charge: Kernel._do_charge,
+    Select: Kernel._do_select,
+    Par: Kernel._do_par,
+    Yield: Kernel._do_yield,
+    Now: Kernel._do_now,
+    Self: Kernel._do_self,
+    Kill: Kernel._do_kill,
+    SetPriority: Kernel._do_set_priority,
+}

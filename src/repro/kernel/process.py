@@ -42,6 +42,10 @@ class ProcessState(enum.Enum):
     KILLED = "killed"    # terminated externally
 
 
+#: The states a process never leaves (``Process.alive`` is "not one of
+#: these"; the kernel's hot paths spell the test out on ``state``).
+DEAD_STATES = (ProcessState.DONE, ProcessState.FAILED, ProcessState.KILLED)
+
 #: The type of a process body: a generator yielding syscalls.
 ProcessBody = Generator[Any, Any, Any]
 
@@ -113,6 +117,10 @@ class Process:
         #: ``("par", children)``, ``("select", iterable of guards)``,
         #: ``("send", channel)`` — or None while runnable.
         self.waiting_for: tuple[str, Any] | None = None
+        #: What the next resumption delivers into the body: a value to
+        #: ``send`` or, when set, an exception to ``throw``.  Staged by
+        #: ``Kernel.schedule_resume``/``schedule_throw``, consumed by the
+        #: kernel's step.
         self._resume_value: Any = None
         self._resume_exception: BaseException | None = None
         #: Callbacks invoked (with this process) when it terminates.
@@ -149,43 +157,6 @@ class Process:
         #: hint and migration detection for the SMP scheduler.
         self.last_cpu: tuple | None = None
 
-    # -- scheduling hooks (used by the scheduler only) ------------------
-
-    def prepare_resume(self, value: Any = None) -> None:
-        """Stage the value that the next ``send`` into the body will carry."""
-        self._resume_value = value
-        self._resume_exception = None
-
-    def prepare_throw(self, exc: BaseException) -> None:
-        """Stage an exception to raise inside the body at resumption."""
-        self._resume_exception = exc
-
-    def step(self) -> tuple[bool, Any]:
-        """Resume the body until its next yield.
-
-        Returns ``(finished, payload)``: when ``finished`` is False the
-        payload is the syscall that was yielded; when True it is the
-        body's return value.  Exceptions from the body propagate after
-        marking the process FAILED.
-        """
-        self.resumptions += 1
-        try:
-            if self._resume_exception is not None:
-                exc, self._resume_exception = self._resume_exception, None
-                syscall = self.body.throw(exc)
-            else:
-                value, self._resume_value = self._resume_value, None
-                syscall = self.body.send(value)
-        except StopIteration as stop:
-            self.state = ProcessState.DONE
-            self.result = stop.value
-            return True, stop.value
-        except BaseException as exc:
-            self.state = ProcessState.FAILED
-            self.exception = exc
-            raise
-        return False, syscall
-
     def kill(self) -> None:
         """Terminate the process without running it further."""
         if self.state in (ProcessState.DONE, ProcessState.FAILED):
@@ -197,11 +168,7 @@ class Process:
 
     @property
     def alive(self) -> bool:
-        return self.state not in (
-            ProcessState.DONE,
-            ProcessState.FAILED,
-            ProcessState.KILLED,
-        )
+        return self.state not in DEAD_STATES
 
     def __repr__(self) -> str:
         return (

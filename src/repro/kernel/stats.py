@@ -57,6 +57,10 @@ class KernelStats:
     steals: int = 0
     #: SMP scheduler: periodic load-balancer invocations.
     balance_runs: int = 0
+    #: Simulator vital: queued events that surfaced with nothing left to
+    #: do — cancelled callbacks (timers whose select fired first) and
+    #: steps or CPU completions of dead or re-parked processes.
+    stale_events: int = 0
     #: Busy ticks per virtual CPU, keyed ``cpu0`` / ``<node>.cpu0``
     #: (flattened as ``cpu.<key>`` in :meth:`snapshot`).
     cpu: dict[str, int] = field(default_factory=dict)

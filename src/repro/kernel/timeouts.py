@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .process import DEAD_STATES
 from .waiting import Guard, Ready
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +61,7 @@ class Timeout(Guard):
         self._cancel["cancelled"] = False
 
         def fire() -> None:
-            if proc.alive and proc.epoch == epoch:
+            if proc.epoch == epoch and proc.state not in DEAD_STATES:
                 kernel.reevaluate_select(proc)
 
         kernel.post(self._deadline, fire, priority=proc.priority, cancel=self._cancel)

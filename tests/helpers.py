@@ -56,7 +56,9 @@ def step_to_quiescence(kernel: Kernel, until: int | None = None) -> int:
     """Run one event at a time, checking the invariant after each."""
     events = 0
     assert_index_matches_scan(kernel)
-    while kernel._events and (until is None or kernel._events[0][0] <= until):
+    while (due := kernel.next_event_time()) is not None and (
+        until is None or due <= until
+    ):
         kernel.run(max_events=1)
         assert_index_matches_scan(kernel)
         events += 1

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ProcessError
+from repro.kernel import Kernel
+from repro.kernel.costs import FREE
 from repro.kernel.process import (
     PRIORITY_MANAGER,
     PRIORITY_NORMAL,
@@ -13,12 +15,31 @@ from repro.kernel.process import (
 )
 
 
-def _gen():
-    value = yield "syscall-1"
+class _Echo:
+    """Extension syscall: resumes the caller with ``value`` (or parks it)."""
+
+    def __init__(self, value=None, park=False):
+        self.value = value
+        self.park = park
+        self.seen_by = None
+
+    def handle(self, kernel, proc, cost):
+        self.seen_by = (proc, proc.state)
+        if self.park:
+            proc.state = ProcessState.BLOCKED
+            proc.blocked_on = "parked"
+        else:
+            kernel.schedule_resume(proc, self.value, cost=cost)
+
+
+def _gen(syscall=None):
+    value = yield syscall or _Echo(21)
     return value * 2
 
 
 class TestProcess:
+    """A process's life cycle, stepped by the kernel (the only stepper)."""
+
     def make(self, body=None, **kwargs):
         return Process(pid=1, name="p", body=body or _gen(), **kwargs)
 
@@ -33,18 +54,17 @@ class TestProcess:
         assert proc.daemon is False
 
     def test_step_yields_syscall(self):
-        proc = self.make()
-        finished, payload = proc.step()
-        assert not finished
-        assert payload == "syscall-1"
+        kernel = Kernel(costs=FREE)
+        syscall = _Echo(park=True)
+        proc = kernel.spawn(_gen, syscall)
+        kernel.run(max_events=1)
+        assert syscall.seen_by == (proc, ProcessState.RUNNING)
+        assert proc.alive and proc.state == ProcessState.BLOCKED
 
     def test_step_to_completion_captures_result(self):
-        proc = self.make()
-        proc.step()
-        proc.prepare_resume(21)
-        finished, result = proc.step()
-        assert finished
-        assert result == 42
+        kernel = Kernel(costs=FREE)
+        proc = kernel.spawn(_gen)
+        kernel.run()
         assert proc.state == ProcessState.DONE
         assert proc.result == 42
         assert not proc.alive
@@ -52,49 +72,50 @@ class TestProcess:
     def test_prepare_throw_raises_inside_body(self):
         def body():
             try:
-                yield "x"
+                yield _Echo(park=True)
             except ValueError:
                 return "caught"
 
-        proc = self.make(body=body())
-        proc.step()
-        proc.prepare_throw(ValueError("boom"))
-        finished, result = proc.step()
-        assert finished and result == "caught"
+        kernel = Kernel(costs=FREE)
+        proc = kernel.spawn(body)
+        kernel.run(max_events=1)
+        kernel.schedule_throw(proc, ValueError("boom"))
+        kernel.run()
+        assert proc.state == ProcessState.DONE and proc.result == "caught"
 
     def test_uncaught_exception_marks_failed(self):
         def body():
-            yield "x"
+            yield _Echo()
             raise RuntimeError("bad")
 
-        proc = self.make(body=body())
-        proc.step()
+        kernel = Kernel(costs=FREE)
+        proc = kernel.spawn(body)
         with pytest.raises(RuntimeError):
-            proc.step()
+            kernel.run()
         assert proc.state == ProcessState.FAILED
         assert isinstance(proc.exception, RuntimeError)
 
     def test_kill(self):
-        proc = self.make()
-        proc.step()
-        proc.kill()
+        kernel = Kernel(costs=FREE)
+        proc = kernel.spawn(_gen, _Echo(park=True))
+        kernel.run(max_events=1)
+        assert kernel.kill_process(proc)
         assert proc.state == ProcessState.KILLED
         assert not proc.alive
 
     def test_kill_finished_is_noop(self):
-        proc = self.make()
-        proc.step()
-        proc.prepare_resume(1)
-        proc.step()
+        kernel = Kernel(costs=FREE)
+        proc = kernel.spawn(_gen)
+        kernel.run()
         proc.kill()
+        assert not kernel.kill_process(proc)
         assert proc.state == ProcessState.DONE
 
     def test_resumption_counter(self):
-        proc = self.make()
-        proc.step()
-        proc.prepare_resume(1)
-        proc.step()
-        assert proc.resumptions == 2
+        kernel = Kernel(costs=FREE)
+        proc = kernel.spawn(_gen)
+        kernel.run()
+        assert proc.resumptions == 2 == kernel.stats.resumptions
 
     def test_manager_priority_is_higher_than_normal(self):
         # Numerically smaller = dispatched first.

@@ -134,9 +134,10 @@ class Channel(Waitable):
         return message
 
     def _find(self, when: Callable[..., bool] | None) -> tuple[int, tuple] | None:
-        """First queued message satisfying ``when`` (or the head if None)."""
-        if not self._queue:
-            return None
+        """First queued message satisfying ``when`` (or the head if None).
+
+        The queue is not empty (``ReceiveGuard.poll`` looks first).
+        """
         if when is None:
             return 0, self._queue[0]
         for index, message in enumerate(self._queue):
@@ -214,7 +215,13 @@ class ReceiveGuard(Guard):
         self.when = when
         self.pri = pri
 
+    @property  # not stored: a receive guard is usually built per select
+    def poll_source(self) -> deque:
+        return self.channel._queue
+
     def poll(self, kernel: "Kernel") -> Ready | None:
+        if not self.channel._queue:  # the common case, and O(1)
+            return None
         found = self.channel._find(self.when)
         if found is None:
             return None
@@ -232,7 +239,7 @@ class ReceiveGuard(Guard):
 
     def feasible(self) -> bool:
         # A closed, drained channel can never produce another message.
-        return not (self.channel.closed and self.channel.empty)
+        return not (self.channel._closed and not self.channel._queue)
 
     def describe(self) -> str:
         cond = "" if self.when is None else " when ..."

@@ -329,10 +329,10 @@ class AcceptGuard(Guard):
         pri: Any = None,
     ) -> None:
         self.runtime = _runtime_of(obj, proc_name)
+        self.poll_source = self.runtime.attached_slots
         self.slot = slot
         self.when = when
         self.pri = pri
-        self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
         runtime = self.runtime
@@ -388,11 +388,11 @@ class AwaitGuard(Guard):
         call: Call | None = None,
     ) -> None:
         self.runtime = _runtime_of(obj, proc_name)
+        self.poll_source = self.runtime.done_slots
         self.slot = call.slot if call is not None else slot
         self.only_call = call
         self.when = when
         self.pri = pri
-        self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
         runtime = self.runtime

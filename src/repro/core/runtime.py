@@ -365,9 +365,10 @@ class EntryRuntime:
     def reset(self) -> None:
         """Forget all in-flight calls (crash recovery; see ``AlpsObject.restart``)."""
         self.slots = [None] * self.array_size
-        self.free_slots = list(range(self.array_size))
-        self.attached_slots = []
-        self.done_slots = []
+        # In place: guards hold these lists as their ``poll_source``.
+        self.free_slots[:] = range(self.array_size)
+        self.attached_slots.clear()
+        self.done_slots.clear()
         self.waiting.clear()
 
     def describe(self) -> str:

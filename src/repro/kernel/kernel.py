@@ -73,6 +73,75 @@ _RESUME = 1  # proc's CPU grant ends (unbounded machine); proc is READY
 _WAKE = 2  # proc's Delay expires; proc is BLOCKED
 
 
+#: Bucket key of guards with no ``poll_source``: never empty, so a sweep
+#: always polls them.
+_ALWAYS = (None,)
+
+
+class _SelectPlan:
+    """What the kernel derives from a ``Select``'s guards (DESIGN.md §5.1).
+
+    Built on a select's first run and kept on the ``Select`` only when no
+    guard overrides ``Guard.feasible``; a select that comes back skips
+    the feasibility pass, is bucketed on that second run and fills its
+    block lists once.  Host work only: nothing here is modelled.
+    """
+
+    __slots__ = (
+        "pairs", "count", "buckets", "compiled",
+        "waitables", "on_block", "on_unblock",
+    )
+
+    def __init__(self, select: Select) -> None:
+        #: Feasible (index, guard) pairs, in guard-index order.
+        self.pairs = pairs = []
+        static = True
+        for index, guard in enumerate(select.guards):
+            if not guard.always_feasible:
+                static = False
+                if not guard.feasible():
+                    continue
+            pairs.append((index, guard))
+        self.count = len(pairs)
+        if static:
+            select._plan = self
+        #: ``(source, pairs)``: a sweep polls ``pairs`` only while
+        #: ``source`` is non-empty.  One always-polled bucket until
+        #: :meth:`compile`.
+        self.buckets = [(_ALWAYS, pairs)]
+        self.compiled = False
+        #: Distinct waitables in first-seen order (waiter order is wake
+        #: order); None until the first block (:meth:`fill_block_lists`).
+        self.waitables: list[Waitable] | None = None
+
+    def compile(self) -> None:
+        """Bucket the guards by ``poll_source`` (the select's second run)."""
+        buckets: dict[int, tuple[Any, list]] = {}
+        for pair in self.pairs:
+            source = pair[1].poll_source
+            if source is None:
+                source = _ALWAYS
+            bucket = buckets.get(id(source))
+            if bucket is None:
+                bucket = buckets[id(source)] = (source, [])
+            bucket[1].append(pair)
+        self.buckets = list(buckets.values())
+        self.compiled = True
+
+    def fill_block_lists(self) -> None:
+        self.waitables = waitables = []
+        self.on_block = on_block = []
+        self.on_unblock = on_unblock = []
+        for _index, guard in self.pairs:
+            for waitable in guard.waitables():
+                if waitable not in waitables:
+                    waitables.append(waitable)
+            if guard.on_block is not None:
+                on_block.append(guard)
+            if guard.on_unblock is not None:
+                on_unblock.append(guard)
+
+
 class _PendingSelect:
     """Bookkeeping for a process blocked in ``Select``.
 
@@ -82,20 +151,19 @@ class _PendingSelect:
     deadlock report or a debugger actually reads it.
     """
 
-    __slots__ = ("select", "guards", "registered", "poll_count")
+    __slots__ = ("select", "plan", "poll_count")
 
-    def __init__(self, select: Select, guards: list[tuple[int, Guard]]) -> None:
+    def __init__(self, select: Select, plan: _SelectPlan) -> None:
         self.select = select
-        #: Feasible (index, guard) pairs.
-        self.guards = guards
-        #: Distinct waitables this process was registered on, in order.
-        self.registered: list[Waitable] = []
+        #: The plan this process blocked under (a reused ``Select`` may
+        #: be blocked on by several processes: they share it).
+        self.plan = plan
         #: Guard polls performed on behalf of this select, the polls of
         #: the blocking ``_do_select`` included.
-        self.poll_count = len(guards)
+        self.poll_count = plan.count
 
     def __iter__(self):
-        return (guard for _index, guard in self.guards)
+        return (guard for _index, guard in self.plan.pairs)
 
     def __str__(self) -> str:
         return "select(" + ", ".join(guard.describe() for guard in self) + ")"
@@ -332,6 +400,9 @@ class Kernel:
         """Unblock ``proc`` by raising ``exc`` inside it."""
         if proc.state in DEAD_STATES:
             return
+        if proc.pid in self._pending_selects:  # rare; saves the call
+            # Thrown into while blocked in a select: the select is over.
+            self._cancel_pending_select(proc)
         proc._resume_exception = exc
         proc.state = ProcessState.READY
         proc.blocked_on = None
@@ -717,16 +788,19 @@ class Kernel:
     # Select machinery
     # ------------------------------------------------------------------
 
-    def _poll_guards(
-        self, guards: list[tuple[int, Guard]]
-    ) -> list[tuple[int, Guard, Ready]]:
-        """One sweep: every guard polled once, each a modelled poll."""
-        self.stats.guard_polls += len(guards)
+    def _sweep(self, plan: _SelectPlan) -> list[tuple[int, Guard, Ready]]:
+        """One sweep: every feasible guard polled once, each a modelled poll.
+
+        The host skips the buckets whose source says "nothing there".
+        """
+        self.stats.guard_polls += plan.count
         ready: list[tuple[int, Guard, Ready]] = []
-        for index, guard in guards:
-            outcome = guard.poll(self)
-            if outcome is not None:
-                ready.append((index, guard, outcome))
+        for source, pairs in plan.buckets:
+            if source:
+                for index, guard in pairs:
+                    outcome = guard.poll(self)
+                    if outcome is not None:
+                        ready.append((index, guard, outcome))
         return ready
 
     def _choose(
@@ -736,36 +810,34 @@ class Kernel:
         if len(ready) == 1:
             return ready[0]
         keyed = [
-            (guard.effective_pri(outcome), order, index, guard, outcome)
-            for order, (index, guard, outcome) in enumerate(ready)
+            (guard.effective_pri(outcome), index, guard, outcome)
+            for index, guard, outcome in ready
         ]
         best_pri = min(k[0] for k in keyed)
         candidates = [k for k in keyed if k[0] == best_pri]
-        if self.arbitration == "random" and len(candidates) > 1:
-            chosen = self.rng.choice(candidates)
-        else:
-            chosen = candidates[0]
-        return chosen[2], chosen[3], chosen[4]
+        if len(candidates) > 1:
+            # Textual order, whatever order the sweep's buckets polled in
+            # (indices are distinct: the sort never compares guards).
+            candidates.sort()
+            if self.arbitration == "random":
+                return self.rng.choice(candidates)[1:]
+        return candidates[0][1:]
 
     def _do_select(self, proc: Process, select: Select, cost: int) -> None:
         self.stats.selects += 1
-        if not select.guards and not select.else_:
-            self.schedule_throw(
-                proc, GuardExhaustedError("select with no guards and no else")
-            )
-            return
-        feasible = [
-            (i, g) for i, g in enumerate(select.guards) if g.feasible()
-        ]
-        ready = self._poll_guards(feasible)
-        poll_cost = self.costs.guard_poll * len(feasible)
+        plan = select._plan
+        if plan is None:
+            plan = _SelectPlan(select)
+        elif not plan.compiled:
+            plan.compile()
+        ready = self._sweep(plan)
         if ready:
             index, guard, outcome = self._choose(ready)
             value = guard.commit(self, proc, outcome)
             self.stats.commits += 1
-            commit_cost = getattr(guard, "commit_cost", 0)
             result = value if select.unwrap else SelectResult(index, guard, value)
-            self.schedule_resume(proc, result, cost=cost + poll_cost + commit_cost)
+            cost += self.costs.guard_poll * plan.count + guard.commit_cost
+            self.schedule_resume(proc, result, cost=cost)
             return
         if select.else_:
             result = (
@@ -773,9 +845,10 @@ class Kernel:
                 if select.unwrap
                 else SelectResult(-1, None, select.else_value)
             )
-            self.schedule_resume(proc, result, cost=cost + poll_cost)
+            cost += self.costs.guard_poll * plan.count
+            self.schedule_resume(proc, result, cost=cost)
             return
-        if not feasible:
+        if not plan.count:
             self.schedule_throw(
                 proc,
                 GuardExhaustedError(
@@ -786,20 +859,17 @@ class Kernel:
             return
         # Block: register once on each distinct waitable of the feasible
         # guards, in first-seen order (waiter order is wake order).
-        pending = _PendingSelect(select, feasible)
+        if plan.waitables is None:
+            plan.fill_block_lists()
+        pending = _PendingSelect(select, plan)
         proc.state = ProcessState.BLOCKED
         proc.blocked_on = pending  # rendered on demand (``str``)
         proc.waiting_for = ("select", pending)
         self._pending_selects[proc.pid] = pending
-        registered = pending.registered
-        for _i, guard in feasible:
-            for waitable in guard.waitables():
-                if waitable not in registered:
-                    registered.append(waitable)
-                    waitable.add_waiter(proc)
-            on_block = getattr(guard, "on_block", None)
-            if on_block is not None:
-                on_block(self, proc)
+        for waitable in plan.waitables:
+            waitable.add_waiter(proc)
+        for guard in plan.on_block:
+            guard.on_block(self, proc)
         if self.trace.recording:
             self.trace.record(self.clock.now, "block", proc.name, on=str(pending))
 
@@ -812,16 +882,16 @@ class Kernel:
         pending = self._pending_selects.get(proc.pid)
         if pending is None or proc.state in DEAD_STATES:
             return False
-        ready = self._poll_guards(pending.guards)
-        pending.poll_count += len(pending.guards)
+        plan = pending.plan
+        ready = self._sweep(plan)
+        pending.poll_count += plan.count
         if not ready:
             return False
         index, guard, outcome = self._choose(ready)
         self._cancel_pending_select(proc)
         value = guard.commit(self, proc, outcome)
         self.stats.commits += 1
-        wake_cost = self.costs.guard_poll * pending.poll_count
-        wake_cost += getattr(guard, "commit_cost", 0)
+        wake_cost = self.costs.guard_poll * pending.poll_count + guard.commit_cost
         result = (
             value if pending.select.unwrap else SelectResult(index, guard, value)
         )
@@ -836,12 +906,11 @@ class Kernel:
         pending = self._pending_selects.pop(proc.pid, None)
         if pending is None:
             return
-        for waitable in pending.registered:
+        plan = pending.plan
+        for waitable in plan.waitables:
             waitable.remove_waiter(proc)
-        for _i, guard in pending.guards:
-            on_unblock = getattr(guard, "on_unblock", None)
-            if on_unblock is not None:
-                on_unblock(self, proc)
+        for guard in plan.on_unblock:
+            guard.on_unblock(self, proc)
 
     def notify(self, waitable: Waitable) -> None:
         """Tell blocked selectors that ``waitable`` changed state."""

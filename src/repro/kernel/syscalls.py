@@ -112,17 +112,21 @@ class Select(Syscall):
     else_: bool = False
     else_value: Any = None
     unwrap: bool = False
+    #: Kernel-private: what ``kernel.py`` derived from ``guards`` when this
+    #: object was first yielded, kept when it is valid for every later run.
+    _plan: Any = field(default=None, repr=False, compare=False)
 
     def __init__(self, *guards: Guard, else_: bool = False, else_value: Any = None) -> None:
         # Accept both Select(g1, g2) and Select([g1, g2]).
         if len(guards) == 1 and isinstance(guards[0], (list, tuple)):
             guards = tuple(guards[0])
-        self.guards = tuple(guards)
+        self.guards = guards
         self.else_ = else_
         self.else_value = else_value
         #: When True the selecting process receives the committed value
         #: directly instead of a SelectResult (used by Receive/Accept sugar).
         self.unwrap = False
+        self._plan = None
 
 
 @dataclass(slots=True)

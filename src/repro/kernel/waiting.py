@@ -100,11 +100,34 @@ class Guard:
     guards the one with the smallest priority value is selected.  It may be
     an int or a callable applied to the polled value (so priorities can
     depend on received parameters, as §2.4 requires).
+
+    A ``Select`` object that is yielded again keeps what the kernel
+    derived from its guards, so a guard that does not override
+    :meth:`feasible` must return the same :meth:`waitables` every time.
     """
 
     #: Evaluation priority (paper: "pri E", smallest wins). ``None`` means
     #: unprioritized, which sorts after every explicit priority.
     pri: Any = None
+    #: A container whose emptiness means :meth:`poll` returns ``None``
+    #: (the kernel then skips the call; the poll is still modelled), or
+    #: ``None`` to be called on every sweep.  Must keep its identity for
+    #: the guard's lifetime; a subclass whose ``poll`` can be ready on an
+    #: empty source resets this to ``None``.
+    poll_source: Any = None
+    #: Ticks the last :meth:`commit` cost, charged to the selector.
+    commit_cost = 0
+    #: Optional hooks ``(kernel, proc)``, run when a select holding this
+    #: guard blocks and when that blocked select is resolved or cancelled.
+    on_block = None
+    on_unblock = None
+    #: :meth:`feasible` is not overridden (set per subclass below), so a
+    #: reused ``Select`` need not ask again.
+    always_feasible = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.always_feasible = cls.feasible is Guard.feasible
 
     def poll(self, kernel: "Kernel") -> Ready | None:
         raise NotImplementedError

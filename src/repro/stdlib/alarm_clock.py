@@ -45,6 +45,7 @@ class AlarmClock(AlpsObject):
             AcceptGuard(self, "sleep_until"),
             AcceptGuard(self, "sleep_for"),
         ]
+        idle = Select(accepts)  # nobody held: no deadline to wait for
         while True:
             now = self.kernel.clock.now
             # Release everyone whose deadline has passed.
@@ -52,12 +53,12 @@ class AlarmClock(AlpsObject):
             for pair in due:
                 holding.remove(pair)
                 yield Finish(pair[1], now)
-            guards = accepts
+            select = idle
             if holding:
-                # A Timeout is anchored one-shot: a fresh one per select.
+                # A Timeout is anchored one-shot: a fresh select each time.
                 next_deadline = min(deadline for deadline, _call in holding)
-                guards = accepts + [Timeout(max(0, next_deadline - now))]
-            result = yield Select(*guards)
+                select = Select(*accepts, Timeout(max(0, next_deadline - now)))
+            result = yield select
             if result.index < 2 and result.guard is not None:
                 call = result.value
                 if call.entry == "sleep_until":

@@ -35,8 +35,9 @@ class Barrier(AlpsObject):
     @manager_process(intercepts=["arrive"])
     def mgr(self):
         waiting = []
+        select = Select(AcceptGuard(self, "arrive"))
         while True:
-            result = yield Select(AcceptGuard(self, "arrive"))
+            result = yield select
             waiting.append(result.value)
             if len(waiting) == self.parties:
                 generation = self.generation

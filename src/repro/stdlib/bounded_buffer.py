@@ -99,8 +99,9 @@ class BoundedBuffer(AlpsObject):
                 AcceptGuard(self, "remove", when=lambda: count > 0,
                             pri=ACCEPT_PRI),
             ]
+        select = Select(guards)
         while True:
-            result = yield Select(*guards)
+            result = yield select
             call = result.value
             if isinstance(result.guard, ShedGuard):
                 yield Reject(call, reason=result.guard.reason)

@@ -65,11 +65,12 @@ class Dictionary(AlpsObject):
     @manager_process(intercepts={"search": icpt(params=1, results=1)})
     def mgr(self):
         combiner: Combiner[str] = Combiner()
+        select = Select(
+            AcceptGuard(self, "search"),
+            AwaitGuard(self, "search"),
+        )
         while True:
-            result = yield Select(
-                AcceptGuard(self, "search"),
-                AwaitGuard(self, "search"),
-            )
+            result = yield select
             call = result.value
             if isinstance(result.guard, AcceptGuard):
                 (word,) = call.intercepted_args

@@ -88,8 +88,9 @@ class DiskScheduler(AlpsObject):
             guards.append(
                 ShedGuard(self, "access", cap=cap, pri=SHED_PRI_ALWAYS)
             )
+        select = Select(guards)
         while True:
-            result = yield Select(*guards)
+            result = yield select
             call = result.value
             if isinstance(result.guard, ShedGuard):
                 yield Reject(call)

@@ -149,7 +149,7 @@ class GatedKVStore(AlpsObject):
     @manager_process(intercepts=["get", "put", "delete"])
     def mgr(self):
         cap = self.queue_cap
-        # The arms are loop-invariant: built once, polled every iteration.
+        # The arms are loop-invariant: one Select, yielded every iteration.
         if cap is None:
             guards = [AwaitGuard(self, op) for op in self.OPS]
             guards += [AcceptGuard(self, op) for op in self.OPS]
@@ -164,8 +164,9 @@ class GatedKVStore(AlpsObject):
                 ShedGuard(self, op, cap=cap, pri=SHED_PRI) for op in self.OPS
             ]
             guards += [AcceptGuard(self, op, pri=ACCEPT_PRI) for op in self.OPS]
+        select = Select(guards)
         while True:
-            result = yield Select(*guards)
+            result = yield select
             call = result.value
             if isinstance(result.guard, ShedGuard):
                 yield Reject(call, reason=result.guard.reason)

@@ -80,16 +80,17 @@ class ParallelBuffer(AlpsObject):
         # Free: slot indices holding no message; Full: indices holding one.
         free: deque[int] = deque(range(self.size))
         full: deque[int] = deque()
+        select = Select(
+            # accept Deposit[i] when a free slot exists
+            AcceptGuard(self, "deposit", when=lambda: bool(free)),
+            # accept Remove[i] when a full slot exists
+            AcceptGuard(self, "remove", when=lambda: bool(full)),
+            # await/finish either; hidden results carry the slot back
+            AwaitGuard(self, "deposit"),
+            AwaitGuard(self, "remove"),
+        )
         while True:
-            result = yield Select(
-                # accept Deposit[i] when a free slot exists
-                AcceptGuard(self, "deposit", when=lambda: bool(free)),
-                # accept Remove[i] when a full slot exists
-                AcceptGuard(self, "remove", when=lambda: bool(full)),
-                # await/finish either; hidden results carry the slot back
-                AwaitGuard(self, "deposit"),
-                AwaitGuard(self, "remove"),
-            )
+            result = yield select
             call = result.value
             if isinstance(result.guard, AcceptGuard):
                 if call.entry == "deposit":

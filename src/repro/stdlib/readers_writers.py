@@ -80,35 +80,38 @@ class Database(AlpsObject):
         read_count = 0   # active readers
         writer_last = False  # a writer has just used the database
         writing = False
+        # One Select for every iteration: the conditions read the state
+        # above through their closures.
+        select = Select(
+            # (i:1..ReadMax) accept Read[i]
+            #   when ReadCount < ReadMax and not writing
+            #        and (#Write = 0 or WriterLast)
+            AcceptGuard(
+                self,
+                "read",
+                when=lambda: (
+                    read_count < self.read_max
+                    and not writing
+                    and (self.pending("write") == 0 or writer_last)
+                ),
+            ),
+            # accept Write when ReadCount = 0 and not writing
+            #   and (#Read = 0 or not WriterLast)
+            AcceptGuard(
+                self,
+                "write",
+                when=lambda: (
+                    read_count == 0
+                    and not writing
+                    and (self.pending("read") == 0 or not writer_last)
+                ),
+            ),
+            # (i:1..ReadMax) await Read[i] => finish Read[i]
+            AwaitGuard(self, "read"),
+            AwaitGuard(self, "write"),
+        )
         while True:
-            result = yield Select(
-                # (i:1..ReadMax) accept Read[i]
-                #   when ReadCount < ReadMax and not writing
-                #        and (#Write = 0 or WriterLast)
-                AcceptGuard(
-                    self,
-                    "read",
-                    when=lambda: (
-                        read_count < self.read_max
-                        and not writing
-                        and (self.pending("write") == 0 or writer_last)
-                    ),
-                ),
-                # accept Write when ReadCount = 0 and not writing
-                #   and (#Read = 0 or not WriterLast)
-                AcceptGuard(
-                    self,
-                    "write",
-                    when=lambda: (
-                        read_count == 0
-                        and not writing
-                        and (self.pending("read") == 0 or not writer_last)
-                    ),
-                ),
-                # (i:1..ReadMax) await Read[i] => finish Read[i]
-                AwaitGuard(self, "read"),
-                AwaitGuard(self, "write"),
-            )
+            result = yield select
             fired = result.guard
             call = result.value
             if isinstance(fired, AcceptGuard):

@@ -92,8 +92,9 @@ class ResourceAllocator(AlpsObject):
                     self, "acquire", cap=self.queue_cap, pri=SHED_PRI_ALWAYS
                 )
             )
+        select = Select(guards)
         while True:
-            result = yield Select(*guards)
+            result = yield select
             call = result.value
             if isinstance(result.guard, ShedGuard):
                 yield Reject(call)

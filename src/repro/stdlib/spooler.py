@@ -106,8 +106,9 @@ class Spooler(AlpsObject):
                 AcceptGuard(self, "print_file", when=lambda: bool(free),
                             pri=ACCEPT_PRI),
             ]
+        select = Select(guards)
         while True:
-            result = yield Select(*guards)
+            result = yield select
             call = result.value
             if isinstance(result.guard, ShedGuard):
                 yield Reject(call, reason=result.guard.reason)

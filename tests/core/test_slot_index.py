@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.channels import Channel, Receive, ReceiveGuard, Send
 from repro.core import (
     AcceptGuard,
     AlpsObject,
     AwaitGuard,
     CallState,
+    CpuPressureGuard,
+    DeadlineSweepGuard,
     Finish,
+    PredictedWaitGuard,
+    ShedGuard,
     Start,
     entry,
     manager_process,
@@ -81,6 +86,60 @@ def test_gated_kv_overload_with_deadlines_fires_every_admission_arm():
     for arm in ("admission.shed.predicted-wait", "admission.shed.queue-cap",
                 "admission.swept"):
         assert fired[arm] > 0, arm
+
+
+def test_poll_source_contract_holds_across_restart():
+    # "source empty => poll() is None", for every guard class that names a
+    # poll_source, after every event — and the sources keep their identity
+    # when restart() resets the runtimes under the manager's one Select.
+    kernel = Kernel(seed=11)
+    kv = GatedKVStore(kernel, name="kv", read_work=2, write_work=6,
+                      request_max=4, queue_cap=6)
+    side = Channel(name="side")
+    probes = [ReceiveGuard(side)]
+    for op in kv.OPS:
+        probes += [AcceptGuard(kv, op), AwaitGuard(kv, op),
+                   DeadlineSweepGuard(kv, op), PredictedWaitGuard(kv, op),
+                   ShedGuard(kv, op, cap=6), CpuPressureGuard(kv, op, depth=0)]
+    sources = [probe.poll_source for probe in probes]
+    assert all(source is not None for source in sources)
+    ready = set()
+
+    def contract():
+        for probe, source in zip(probes, sources):
+            assert probe.poll_source is source, probe.describe()
+            if probe.poll(kernel) is not None:
+                assert source, probe.describe()
+                ready.add(type(probe))
+        for pending in kernel._pending_selects.values():
+            if pending.plan.compiled:  # the manager, blocked on its one Select
+                for source, pairs in pending.plan.buckets:
+                    assert all(g.poll_source is source for _i, g in pairs)
+
+    def request(req):
+        if req.index % 3 == 0:
+            return kv.put(f"k{req.index % 7}", req.index, deadline=120)
+        return kv.get(f"k{req.index % 7}", deadline=120)
+
+    def side_traffic():
+        yield Delay(40)
+        yield Send(side, "m")
+        yield Delay(200)
+        yield Receive(side)
+
+    kernel.spawn(side_traffic)
+    engine = TrafficEngine(kernel, Poisson(3, seed=11), 300, request,
+                           callers=1000, engines=4, clients=48, seed=11)
+    engine.start()
+    step_to_quiescence(kernel, until=300, also=contract)
+    manager = kv.manager_process
+    served_before = kv.reads_served
+    kv.restart()  # manager alive: it keeps its Select and the compiled plan
+    contract()
+    step_to_quiescence(kernel, also=contract)
+    assert kv.manager_process is manager and kv.reads_served > served_before
+    assert ready >= {ReceiveGuard, AcceptGuard, AwaitGuard, ShedGuard,
+                     DeadlineSweepGuard, PredictedWaitGuard}
 
 
 def test_body_that_raises_frees_its_element():

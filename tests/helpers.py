@@ -52,8 +52,12 @@ def assert_index_matches_scan(kernel: Kernel) -> None:
             )
 
 
-def step_to_quiescence(kernel: Kernel, until: int | None = None) -> int:
-    """Run one event at a time, checking the invariant after each."""
+def step_to_quiescence(
+    kernel: Kernel,
+    until: int | None = None,
+    also: Callable[[], None] | None = None,
+) -> int:
+    """Run one event at a time, checking the invariant (and ``also``) after each."""
     events = 0
     assert_index_matches_scan(kernel)
     while (due := kernel.next_event_time()) is not None and (
@@ -61,5 +65,7 @@ def step_to_quiescence(kernel: Kernel, until: int | None = None) -> int:
     ):
         kernel.run(max_events=1)
         assert_index_matches_scan(kernel)
+        if also is not None:
+            also()
         events += 1
     return events

@@ -8,6 +8,7 @@ from repro.core import WhenGuard
 from repro.errors import GuardExhaustedError
 from repro.kernel import Delay, Kernel, Select, SelectResult, Timeout
 from repro.kernel.costs import FREE
+from repro.kernel.waiting import Guard, Ready, Waitable
 
 
 class TestImmediateSelect:
@@ -401,7 +402,7 @@ class TestBlockedSelectBookkeeping:
         kernel.run(until=50)
         assert ch._waiters == procs
         (pending,) = kernel._pending_selects.values()
-        assert pending.registered == [ch]
+        assert pending.plan.waitables == [ch]
         kernel.spawn(lambda: (yield Send(ch, "y")))
         kernel.run()
         assert ch._waiters == [] and not kernel._pending_selects
@@ -466,3 +467,154 @@ class TestBlockedSelectBookkeeping:
         (wake,) = kernel.trace.events("wake")
         assert block.detail == {"on": "select(receive(c))"}
         assert wake.detail == {"guard": "receive(c)"}
+
+
+class Inbox(Waitable):
+    """A list of items to take; the list is its guards' ``poll_source``."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+        self.items = []
+
+    def put(self, kernel, item):
+        self.items.append(item)
+        kernel.notify(self)
+
+
+class TakeGuard(Guard):
+    """Static-feasibility guard: ready while its inbox holds an item."""
+
+    def __init__(self, inbox, pri=None, want=None):
+        self.inbox = inbox
+        self.poll_source = inbox.items
+        self.pri = pri
+        self.want = want
+
+    def poll(self, kernel):
+        items = self.inbox.items
+        if items and self.want in (None, items[0]):
+            return Ready(items[0])
+        return None
+
+    def commit(self, kernel, proc, ready):
+        return self.inbox.items.pop(0)
+
+    def waitables(self):
+        return (self.inbox,)
+
+    def describe(self):
+        return f"take({self.inbox.name})"
+
+
+class TestThrowIntoBlockedSelect:
+    def test_throw_cancels_the_pending_select_and_its_timeout(self):
+        kernel = Kernel(costs=FREE)
+        ch = Channel(name="c")
+        timeout = Timeout(50)
+        log = []
+
+        def victim():
+            try:
+                yield Select(ReceiveGuard(ch), timeout)
+            except RuntimeError:
+                log.append(("caught", kernel.clock.now))
+            log.append(("slept", (yield Delay(100)), kernel.clock.now))
+
+        proc = kernel.spawn(victim, name="victim")
+        kernel.post(5, lambda: kernel.schedule_throw(proc, RuntimeError("boom")))
+        kernel.spawn(lambda: (yield Delay(10)) or (yield Send(ch, "msg")))
+        kernel.run(until=7)  # thrown into, message not yet sent
+        assert not kernel._pending_selects and ch._waiters == []
+        assert timeout._consumed and timeout._cancel["cancelled"]  # on_unblock ran
+        kernel.run()
+        # The send at t=10 neither consumed the message on the victim's
+        # behalf nor cut its Delay short with a SelectResult.
+        assert log == [("caught", 5), ("slept", None, 105)]
+        assert ch.peek_all() == [("msg",)]
+        assert kernel.clock.now == 105  # the cancelled timer did not fire at 50
+
+
+class TestSelectPlan:
+    """A ``Select`` object yielded more than once (DESIGN.md §5.1)."""
+
+    def test_dynamic_feasible_select_is_never_cached(self, free_kernel):
+        flag = {"on": True}
+        select = Select(WhenGuard(lambda: flag["on"], value="ok"))
+        seen = []
+
+        def main():
+            seen.append((yield select).value)
+            assert select._plan is None
+            seen.append((yield select).value)
+            flag["on"] = False  # now infeasible: nothing could ever wake it
+            yield select
+
+        with pytest.raises(GuardExhaustedError):
+            free_kernel.run_process(main)
+        assert seen == ["ok", "ok"] and select._plan is None
+
+    def test_one_select_object_blocks_two_processes(self, free_kernel):
+        kernel = free_kernel
+        a, b = Inbox("a"), Inbox("b")
+        shared = Select(TakeGuard(a), TakeGuard(b), TakeGuard(a, pri=0))
+        got = []
+
+        def taker(tag):
+            for _ in range(2):
+                result = yield shared
+                got.append((tag, result.index, result.value))
+
+        first = kernel.spawn(taker, "one")
+        second = kernel.spawn(taker, "two")
+        kernel.run(until=1)
+        one, two = (kernel._pending_selects[p.pid] for p in (first, second))
+        assert one is not two and one.plan is two.plan is shared._plan
+        assert a._waiters == b._waiters == [first, second]
+        b.put(kernel, "b1")     # wakes "one" only
+        a.put(kernel, "a1")     # "two": guards 0 and 2 ready, pri 0 wins
+        kernel.run(until=2)     # both block again, on the compiled plan
+        assert got == [("one", 1, "b1"), ("two", 2, "a1")]
+        assert a._waiters == b._waiters == [first, second]
+        b.put(kernel, "b2")
+        b.put(kernel, "b3")
+        kernel.run()
+        assert got[2:] == [("one", 1, "b2"), ("two", 1, "b3")]
+        assert a._waiters == b._waiters == [] and not kernel._pending_selects
+
+    def test_compiled_plan_still_chooses_in_textual_order(self, free_kernel):
+        a, b = Inbox("a"), Inbox("b")
+        # Buckets a: [0, 2], b: [1].  Guard 0 never matches, so a sweep
+        # meets guard 2 before guard 1; the choice is guard 1 all the same.
+        select = Select(TakeGuard(a, want="never"), TakeGuard(b), TakeGuard(a))
+        picks = []
+
+        def main():
+            for _ in range(3):
+                a.items.append("x")
+                b.items.append("y")
+                picks.append((yield select).index)
+
+        free_kernel.run_process(main)
+        assert select._plan.compiled and picks == [1, 1, 1]
+
+    def test_blocked_reused_select_still_lists_its_guards_in_order(self):
+        kernel = Kernel()
+        a, b = Inbox("a"), Inbox("b")
+        guards = [TakeGuard(a), TakeGuard(b), TakeGuard(a)]
+        select = Select(guards)
+        a.items.extend(["x", "y"])
+
+        def main():
+            for _ in range(3):  # two commits, then a block on the compiled plan
+                yield select
+
+        proc = kernel.spawn(main, name="m", daemon=True)
+        kernel.run()
+        # Bucketed by source as a: [0, 2], b: [1] — the wait-for graph and
+        # the deadlock report still see textual order.
+        sources = [source for source, _pairs in select._plan.buckets]
+        assert sources[0] is a.items and sources[1] is b.items and len(sources) == 2
+        kind, pending = proc.waiting_for
+        assert kind == "select" and list(pending) == guards
+        assert str(proc.blocked_on) == "select(take(a), take(b), take(a))"

@@ -73,7 +73,6 @@ from .core import (
     icpt,
     local,
     manager_process,
-    over_cap,
     par_range,
 )
 from .errors import (
@@ -156,7 +155,6 @@ __all__ = [
     "Finish",
     "Reject",
     "ShedGuard",
-    "over_cap",
     "accept",
     "await_call",
     "execute_call",

@@ -129,9 +129,9 @@ def callgraph_to_dot(graph: CallGraph) -> str:
 
     cycle_nodes: set[Node] = set()
     cycle_pairs: set[tuple[Node, Node]] = set()
-    from .cycles import strongly_connected
+    from .cycles import components
 
-    for component in strongly_connected(graph):
+    for component in components(graph):
         members = set(component)
         if len(component) == 1:
             node = component[0]

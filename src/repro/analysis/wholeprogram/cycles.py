@@ -2,7 +2,7 @@
 
 The runtime wait-for graph (:mod:`repro.kernel.waitgraph`) detects a
 cycle once the processes are already stuck; this module finds the same
-shape *before a single tick runs* by running Tarjan's SCC algorithm over
+shape *before a single tick runs* by running the same SCC routine over
 the resolved edges of the whole-program call graph.  Every non-trivial
 strongly connected component — and every self-loop that is not a plain
 manager self-call, which the per-class linter already reports as ALP111
@@ -20,63 +20,17 @@ the analysis degrades to visible uncertainty, not to silence.
 
 from __future__ import annotations
 
+from ...kernel.waitgraph import strongly_connected
 from ..findings import Finding
 from .callgraph import CallGraph, Edge, Node
 
 
-def strongly_connected(graph: CallGraph) -> list[list[Node]]:
-    """Tarjan SCC over resolved edges, in deterministic node order."""
-    adj: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
+def components(graph: CallGraph) -> list[list[Node]]:
+    """SCCs over resolved edges, in deterministic node order."""
+    successors: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
     for edge in graph.resolved_edges():
-        adj[edge.src].append(edge.dst)  # type: ignore[arg-type]
-
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    sccs: list[list[Node]] = []
-    counter = [0]
-
-    def strongconnect(root: Node) -> None:
-        # Iterative Tarjan: (node, iterator position) work stack.
-        work = [(root, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            neighbours = adj[node]
-            for i in range(pos, len(neighbours)):
-                succ = neighbours[i]
-                if succ not in index:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if recurse:
-                continue
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: list[Node] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-
-    for node in graph.nodes:
-        if node not in index:
-            strongconnect(node)
-    return sccs
+        successors[edge.src].append(edge.dst)  # type: ignore[arg-type]
+    return strongly_connected(successors)
 
 
 def _cycle_edges(graph: CallGraph, component: list[Node]) -> list[Edge]:
@@ -127,7 +81,7 @@ def describe_cycle(edges: list[Edge]) -> str:
 def predict_cycles(graph: CallGraph) -> list[Finding]:
     """All predicted wait cycles, one ALP120 finding per cycle."""
     findings: list[Finding] = []
-    for component in strongly_connected(graph):
+    for component in components(graph):
         if len(component) == 1:
             node = component[0]
             self_edges = [
@@ -171,7 +125,7 @@ def predict_cycles(graph: CallGraph) -> list[Finding]:
 def cycle_class_sets(graph: CallGraph) -> list[set[str]]:
     """Class-name participant sets per predicted cycle (soundness gate)."""
     sets: list[set[str]] = []
-    for component in strongly_connected(graph):
+    for component in components(graph):
         if len(component) == 1:
             node = component[0]
             if node.kind == "manager" or not any(

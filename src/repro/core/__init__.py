@@ -10,7 +10,6 @@ from .admission import (
     DeadlineSweepGuard,
     PredictedWaitGuard,
     ShedGuard,
-    over_cap,
 )
 from .calls import Call, CallState
 from .combining import Combiner, combine_finishes
@@ -65,7 +64,6 @@ __all__ = [
     "Start",
     "Finish",
     "Reject",
-    "over_cap",
     "AWAIT_PRI",
     "SWEEP_PRI",
     "SHED_PRI",

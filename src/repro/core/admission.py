@@ -58,7 +58,7 @@ Usage inside a manager::
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from .primitives import AcceptGuard
 
@@ -72,20 +72,6 @@ ACCEPT_PRI = 3
 #: keys, best-fit negated amounts) — any value those expressions can
 #: realistically produce sorts after it.
 SHED_PRI_ALWAYS = -(10**9)
-
-
-def over_cap(obj: Any, proc_name: str, cap: int) -> Callable[..., bool]:
-    """Acceptance condition ``#P > cap`` for entry ``proc_name``.
-
-    ``#P`` is the paper's pending count (§2.5.1): attached-but-not-yet-
-    accepted calls plus the overflow queue.  The returned callable
-    ignores the intercepted parameters it is handed, so it fits guards
-    of any arity.
-    """
-    if cap < 0:
-        raise ValueError(f"queue cap must be >= 0, got {cap}")
-    runtime = obj._entry_runtime(proc_name)
-    return lambda *_args: runtime.pending_count() > cap
 
 
 class ShedGuard(AcceptGuard):
@@ -135,8 +121,8 @@ class DeadlineSweepGuard(ShedGuard):
     its caller was already resumed by a per-hop timeout or crash
     detection — so serving it could not possibly help anyone.  The
     manager yields ``Reject`` and the slot frees at reject cost; since
-    the caller is long gone, no error reaches it (``fail_caller`` is a
-    no-op after the first resume).  Sweeps in attachment order.
+    the caller is long gone, no error reaches it (``EntryRuntime.fail``
+    settles a call at most once).  Sweeps in attachment order.
 
     Runs at :data:`SWEEP_PRI`, between ``await`` and the queue-cap shed
     arm: freeing a slot held by a corpse beats shedding a live call.
@@ -192,7 +178,7 @@ class CpuPressureGuard(ShedGuard):
         self.depth = depth
 
     def choose(self, kernel: Any, calls: list) -> Any:
-        node = getattr(self.runtime.obj, "node", None)
+        node = self.runtime.obj.node
         if kernel.cpu_scheduler.queue_depth(node) <= self.depth:
             return None
         return calls[0] if calls else None

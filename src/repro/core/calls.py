@@ -15,8 +15,10 @@ Combining (§2.7) short-circuits: ``ACCEPTED → DONE`` with the manager
 fabricating all results.  Non-intercepted entries skip the manager
 entirely: ``PENDING → STARTED → DONE``.
 
-Timestamps for every transition are recorded so benchmarks can report
-response time, queueing delay and service time without extra plumbing.
+Every transition is made by a method of the call's
+:class:`~repro.core.runtime.EntryRuntime`, and only there.  Timestamps
+for every transition are recorded so benchmarks can report response
+time, queueing delay and service time without extra plumbing.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class Call:
         "spec",
         "args",
         "caller",
+        "runtime",
         "state",
         "slot",
         "hidden_args",
@@ -69,9 +72,8 @@ class Call:
         "response_delay",
         "caller_resumed",
         "timeout",
-        "timeout_cancel",
         "deadline_at",
-        "deadline_cancel",
+        "expiry_cancel",
         "interrupted",
         "delivery_epoch",
         "span",
@@ -90,6 +92,9 @@ class Call:
         #: Invocation parameters (the *definition* parameters only).
         self.args = args
         self.caller = caller
+        #: The :class:`~repro.core.runtime.EntryRuntime` that owns every
+        #: transition of this call; filled in when the call is issued.
+        self.runtime = None
         self.state = CallState.PENDING
         #: Index into the hidden procedure array once attached, else None.
         self.slot: int | None = None
@@ -119,14 +124,13 @@ class Call:
         self.caller_resumed = False
         #: Deadline of a timed call (``yield obj.p(args, timeout=n)``).
         self.timeout: int | None = None
-        #: Cancellation token of the armed timeout event, if any.
-        self.timeout_cancel: dict | None = None
         #: Absolute end-to-end deadline (§ deadline propagation): the
         #: smaller of the caller's explicit ``deadline=`` and any budget
         #: inherited from the process serving an enclosing call.
         self.deadline_at: int | None = None
-        #: Cancellation token of the armed deadline event, if any.
-        self.deadline_cancel: dict | None = None
+        #: Cancellation token of the one armed expiry event (the earlier
+        #: of timeout and deadline), if any.
+        self.expiry_cancel: dict | None = None
         #: Set by the fault injector when a node crash interrupted this
         #: call; a Supervisor may re-queue it (which clears the flag).
         self.interrupted = False

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ObjectModelError
 from ..kernel.process import Process
+from .calls import Call
 from .entry import EntrySpec, ObjectDefinition
 from .manager import ManagerSpec
 from .pool import DYNAMIC, PoolConfig, ServerPool
@@ -163,15 +164,11 @@ class AlpsObject(metaclass=AlpsObjectMeta):
         self.kernel = kernel
         self.alps_name = name or type(self).__name__
         # Registered so the wait-for graph can scan hidden procedure
-        # arrays for exhaustion (kernels created before this field existed
-        # are tolerated for pickled/stubbed kernels in tests).
-        registry = getattr(kernel, "_alps_objects", None)
-        if registry is not None:
-            registry.append(self)
+        # arrays for exhaustion.
+        kernel._alps_objects.append(self)
         #: Set by the network layer when the object is placed on a node.
         self.node = None
-        #: Set by the fault injector when this object's node crashes;
-        #: cleared by :meth:`restart`.
+        #: Set by :meth:`crash`, cleared by :meth:`restart`.
         self._crashed = False
         self._manager_priority = manager_priority
         self._record_calls = record_calls
@@ -225,6 +222,31 @@ class AlpsObject(metaclass=AlpsObjectMeta):
         # Keep the manager attributed to the object's home node so a node
         # crash takes it down (place() sets this for objects placed later).
         self.manager_process.node = self.node
+
+    def crash(self) -> list[Call]:
+        """Take the object down; the inverse of :meth:`restart`.
+
+        Kills the manager and every running body, forgets all in-flight
+        calls and returns them, each once: entry by entry the hidden
+        array's elements and then its overflow queue, then the pool
+        backlog.  The calls keep the state the crash caught them in;
+        settling their callers (or re-queueing them) is up to whoever
+        crashed the object.
+        """
+        self._crashed = True
+        kill = self.kernel.kill_process
+        if self.manager_process is not None:
+            kill(self.manager_process)
+        for call in self._pool.active:
+            kill(call.body_process)
+        held: list[Call] = []
+        for runtime in self._runtimes.values():
+            held += [call for call in runtime.slots if call is not None]
+            held += runtime.waiting
+            runtime.reset()
+        held += self._pool.queued_calls()
+        self._pool.reset()
+        return list(dict.fromkeys(held))
 
     def restart(self) -> None:
         """Recover a crashed object: reset call state, respawn the manager.
@@ -292,7 +314,7 @@ class AlpsObject(metaclass=AlpsObjectMeta):
         node = self.node
         if node is None:
             return (0, 0)
-        caller_node = getattr(caller, "node", None)
+        caller_node = caller.node
         if caller_node is None or caller_node is node:
             return (0, 0)
         latency = node.network.latency(caller_node, node)

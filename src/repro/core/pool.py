@@ -156,7 +156,7 @@ class ServerPool:
             self.kernel.stats.lwp_spawns -= 1
         # Server processes live where the object lives; a node crash must
         # take executing bodies down with it.
-        proc.node = getattr(call.obj, "node", None)
+        proc.node = call.obj.node
         # Entry calls issued from inside the body (nested calls) parent
         # under this call's span; None whenever spans are disabled.
         proc.span = call.span

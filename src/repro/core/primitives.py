@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from ..errors import (
-    AdmissionError,
-    CallError,
-    DeadlineExceeded,
-    ProtocolError,
-    RemoteCallError,
-)
+from ..errors import CallError, ProtocolError
 from ..kernel.process import ProcessState
 from ..kernel.syscalls import Select, Syscall
 from ..kernel.waiting import Guard, Ready, Waitable
@@ -118,16 +112,16 @@ class EntryCall(Syscall):
             return
 
         call = Call(self.obj, spec, tuple(self.args), proc)
+        call.runtime = runtime
         proc.state = ProcessState.BLOCKED
         proc.blocked_on = f"call {self.obj.alps_name}.{self.proc_name}"
         proc.waiting_for = ("call", call)
         # The caller-perceived issue instant — before any network delay.
-        call.issued_at = kernel.clock.now
+        call.issued_at = now = kernel.clock.now
         # Effective deadline: the smaller of the explicit budget and the
         # budget inherited from the enclosing call this process serves.
-        now = kernel.clock.now
         explicit = now + self.deadline if self.deadline is not None else None
-        inherited = getattr(proc, "deadline_at", None)
+        inherited = proc.deadline_at
         if explicit is not None and inherited is not None:
             call.deadline_at = min(explicit, inherited)
         else:
@@ -139,21 +133,12 @@ class EntryCall(Syscall):
                 call.span.attrs["deadline_left"] = call.deadline_at - now
         if call.deadline_at is not None and call.deadline_at <= now:
             # Inherited budget already spent: fail at issue, deliver nothing.
-            _expire_deadline(kernel, call)
+            runtime.expire(call)
             return
-        if self.timeout is not None:
-            call.timeout = self.timeout
-            arm_call_timeout(kernel, call)
-        if call.deadline_at is not None:
-            arm_call_deadline(kernel, call)
-
-        def deliver() -> None:
-            if spec.intercepted:
-                runtime.submit(call)
-            else:
-                # No manager interception: "a process is created
-                # implicitly and made to execute the procedure" (§2.3).
-                runtime.submit_unmanaged(call)
+        call.timeout = self.timeout
+        if self.timeout is not None or call.deadline_at is not None:
+            runtime.arm_expiry(call)
+        deliver = lambda: runtime.submit(call)
 
         # When a fault injector is installed it owns routing: crashed
         # targets, partitions, message loss and jitter all happen there.
@@ -176,132 +161,12 @@ class EntryCall(Syscall):
 
 def _tag_hop(call: Call, proc: "Process") -> None:
     """Label a remote call's root span with the RPC hop's endpoints."""
-    src = getattr(proc, "node", None)
-    dst = getattr(call.obj, "node", None)
+    src = proc.node
+    dst = call.obj.node
     if src is not None:
         call.span.attrs["src_node"] = src.name
     if dst is not None:
         call.span.attrs["dst_node"] = dst.name
-
-
-def arm_call_timeout(kernel: "Kernel", call: Call) -> None:
-    """Post the expiry event of a timed call (cancelled at first resume)."""
-    assert call.timeout is not None
-    cancel = {"cancelled": False}
-    call.timeout_cancel = cancel
-    deadline = kernel.clock.now + call.timeout
-
-    def expire() -> None:
-        if call.caller_resumed:
-            return
-        call.caller_resumed = True
-        call.finished_at = kernel.clock.now
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
-        if kernel.obs.enabled:
-            kernel.obs.complete_call(call, status="timeout")
-        kernel.trace.record(
-            kernel.clock.now,
-            "call_timeout",
-            call.caller.name,
-            entry=call.entry,
-            obj=call.obj.alps_name,
-            after=call.timeout,
-        )
-        # The protocol state is deliberately left alone: the caller is
-        # gone (``call.dead()``), but the object may still rendezvous
-        # with the corpse — a sweep arm frees the slot at reject cost, a
-        # plain accept arm serves it and discards the response
-        # (at-least-once).  Forcing FAILED here would wedge the slot and
-        # race the accept/start/reject window.  Wake sweeping managers.
-        _notify_if_queued(kernel, call)
-        kernel.schedule_throw(
-            call.caller,
-            RemoteCallError(
-                f"call to {call.obj.alps_name}.{call.entry} timed out after "
-                f"{call.timeout} ticks",
-                entry=call.entry,
-                obj=call.obj.alps_name,
-            ),
-        )
-
-    kernel.post(deadline, expire, priority=call.caller.priority, cancel=cancel)
-
-
-def _notify_if_queued(kernel: "Kernel", call: Call) -> bool:
-    """Wake sweep arms on the call's entry if it is still queued.
-
-    Returns True when the call was PENDING/ATTACHED — i.e. an expiry
-    left a dead call in the queue for a
-    :class:`~repro.core.admission.DeadlineSweepGuard` to reach.
-    """
-    if call.state not in (CallState.PENDING, CallState.ATTACHED):
-        return False
-    try:
-        runtime = _runtime_of(call.obj, call.entry)
-    except ProtocolError:
-        return False
-    kernel.notify(runtime.arrival)
-    return True
-
-
-def arm_call_deadline(kernel: "Kernel", call: Call) -> None:
-    """Post the end-to-end deadline expiry event (cancelled at first resume)."""
-    assert call.deadline_at is not None
-    cancel = {"cancelled": False}
-    call.deadline_cancel = cancel
-    kernel.post(
-        call.deadline_at,
-        lambda: _expire_deadline(kernel, call),
-        priority=call.caller.priority,
-        cancel=cancel,
-    )
-
-
-def _expire_deadline(kernel: "Kernel", call: Call) -> None:
-    """Resume the caller with ``DeadlineExceeded``; leave the call swept-able.
-
-    Unlike a per-hop timeout this does *not* force the call to FAILED:
-    a queued call keeps its ATTACHED state (and its slot) so the normal
-    rendezvous machinery — ideally a
-    :class:`~repro.core.admission.DeadlineSweepGuard` arm — can still
-    reach it and free the slot at reject cost.  The arrival waitable is
-    notified so a sweeping manager wakes at the expiry tick.
-    """
-    if call.caller_resumed:
-        return
-    call.caller_resumed = True
-    call.finished_at = kernel.clock.now
-    if call.timeout_cancel is not None:
-        call.timeout_cancel["cancelled"] = True
-    if kernel.obs.enabled:
-        kernel.obs.complete_call(call, status="deadline")
-    kernel.metrics.counter(
-        "deadline.expired", "Calls whose end-to-end deadline expired",
-    ).inc()
-    kernel.trace.record(
-        kernel.clock.now,
-        "deadline_exceeded",
-        call.caller.name,
-        entry=call.entry,
-        obj=call.obj.alps_name,
-        state=call.state.value,
-    )
-    if _notify_if_queued(kernel, call):
-        kernel.metrics.counter(
-            "deadline.expired_queued",
-            "Deadlines that expired while the call was still queued",
-        ).inc()
-    kernel.schedule_throw(
-        call.caller,
-        DeadlineExceeded(
-            f"call to {call.obj.alps_name}.{call.entry} exceeded its "
-            f"deadline (t={call.deadline_at})",
-            entry=call.entry,
-            obj=call.obj.alps_name,
-            deadline_at=call.deadline_at,
-        ),
-    )
 
 
 def _arity(spec: Any, got: int) -> CallError:
@@ -355,11 +220,7 @@ class AcceptGuard(Guard):
 
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
-        call._expect_state(CallState.ATTACHED)
-        self.runtime.attached_slots.remove(call.slot)
-        call.state = CallState.ACCEPTED
-        call.accepted_at = kernel.clock.now
-        kernel.stats.accepts += 1
+        self.runtime.accepted(call)
         self.commit_cost = kernel.costs.accept
         return call
 
@@ -411,10 +272,7 @@ class AwaitGuard(Guard):
 
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
-        call._expect_state(CallState.BODY_DONE)
-        self.runtime.done_slots.remove(call.slot)
-        call.state = CallState.AWAITED
-        kernel.stats.awaits += 1
+        self.runtime.awaited(call)
         self.commit_cost = kernel.costs.await_
         return call
 
@@ -508,9 +366,7 @@ class Start(Syscall):
         except ProtocolError as exc:
             kernel.schedule_throw(proc, exc)
             return
-        call.hidden_args = tuple(self.hidden)
-        runtime = _runtime_of(call.obj, call.entry)
-        runtime.start_body(call, managed=True)
+        call.runtime.start(call, self.hidden)
         kernel.schedule_resume(proc, call, cost=cost + kernel.costs.start)
 
 
@@ -537,7 +393,6 @@ class Finish(Syscall):
 
     def handle(self, kernel: "Kernel", proc: "Process", cost: int) -> None:
         call = self.call
-        runtime = _runtime_of(call.obj, call.entry)
         spec = call.spec
         try:
             call._expect_state(CallState.AWAITED, CallState.ACCEPTED, code="ALP104")
@@ -565,22 +420,10 @@ class Finish(Syscall):
                         code="ALP107",
                     )
                 final = tuple(self.results)
-                call.combined = True
-                kernel.stats.calls_combined += 1
         except ProtocolError as exc:
             kernel.schedule_throw(proc, exc)
             return
-
-        was_started = call.state == CallState.AWAITED
-        call.state = CallState.DONE
-        call.finished_at = kernel.clock.now
-        kernel.stats.finishes += 1
-        kernel.stats.calls_completed += 1
-        if was_started:
-            runtime.pool.release(call)
-        runtime.detach(call)
-        runtime.record(call)
-        runtime.resume_caller(call, final)
+        call.runtime.finish(call, final)
         kernel.schedule_resume(proc, None, cost=cost + kernel.costs.finish)
 
 
@@ -611,38 +454,7 @@ class Reject(Syscall):
         except ProtocolError as exc:
             kernel.schedule_throw(proc, exc)
             return
-        runtime = _runtime_of(call.obj, call.entry)
-        if call.caller_resumed:
-            # A sweep: the caller was already resumed (deadline expiry,
-            # per-hop timeout, crash detection) — this reject only frees
-            # the slot, so it is not counted as a shed response.
-            kernel.metrics.counter(
-                "admission.swept",
-                "Dead queued calls swept at accept time (slot freed, "
-                "no response owed)",
-            ).inc()
-            runtime.detach(call)
-            call.state = CallState.FAILED
-            kernel.schedule_resume(proc, None, cost=cost + kernel.costs.finish)
-            return
-        call.finished_at = kernel.clock.now
-        kernel.stats.calls_shed += 1
-        kernel.metrics.counter(
-            f"admission.shed.{self.reason}",
-            "Calls shed by admission control, by reason",
-        ).inc()
-        runtime.detach(call)
-        runtime.fail_caller(
-            call,
-            AdmissionError(
-                f"{call.obj.alps_name}.{call.entry} shed the call "
-                f"({self.reason})",
-                entry=call.entry,
-                obj=call.obj.alps_name,
-                reason=self.reason,
-            ),
-            status="shed",
-        )
+        call.runtime.reject(call, self.reason)
         kernel.schedule_resume(proc, None, cost=cost + kernel.costs.finish)
 
 

@@ -6,6 +6,12 @@ requests than can be accommodated in the procedure array P, the remaining
 requests continue to wait", §2.5), and the two waitables managers block
 on: *arrival* (a call became attached, so ``accept`` may fire) and
 *completion* (a body became ready to terminate, so ``await`` may fire).
+
+It is also the only writer of the §2.3 protocol.  Every edge a call can
+take is one method here that moves ``call.state``, the slot index, the
+timestamps and ``kernel.stats`` together (the table is DESIGN.md §12.2);
+guards, syscalls and the fault injector call these methods and never
+assign a state or touch the index themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from collections import deque
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import ProtocolError
+from ..errors import AdmissionError, DeadlineExceeded, ProtocolError, RemoteCallError
 from ..kernel.waiting import Waitable
 from ..obs.live.stream import Ewma
 from .calls import Call, CallState
@@ -43,17 +49,18 @@ class EntryRuntime:
         self.spec = spec
         self.kernel = kernel
         self.pool = pool
+        #: Does a manager intercept this entry?  If not, a body starts as
+        #: soon as its call holds an element and finishes when it returns.
+        self.managed = spec.intercepted
         self.array_size = spec.resolve_array(obj)
         #: ``slots[i]`` is the call currently attached to ``P[i]`` (through
         #: its whole accept→finish life), or None when the element is free.
         self.slots: list[Call | None] = [None] * self.array_size
         #: The slot index: ascending element indices that are free, whose
         #: call is ATTACHED, and whose call is BODY_DONE — the two states
-        #: guards ask about.  Maintained at the transition sites
-        #: (``try_attach``, ``detach``, ``AcceptGuard.commit``,
-        #: ``start_body``, body-done, ``AwaitGuard.commit``, ``reset``) so
-        #: a poll costs O(matches), not O(array).  Always equal to a scan
-        #: of ``slots`` (``tests/core/test_slot_index.py``).
+        #: guards ask about.  Written only by the transitions below, so a
+        #: poll costs O(matches), not O(array).  Always equal to a scan of
+        #: ``slots`` (``tests/core/test_slot_index.py``).
         self.free_slots: list[int] = list(range(self.array_size))
         self.attached_slots: list[int] = []
         self.done_slots: list[int] = []
@@ -82,7 +89,7 @@ class EntryRuntime:
         return self.service_estimator.value
 
     # ------------------------------------------------------------------
-    # Attachment (§2.5)
+    # Arrival and attachment (§2.5)
     # ------------------------------------------------------------------
 
     def pending_count(self) -> int:
@@ -90,32 +97,23 @@ class EntryRuntime:
         return len(self.attached_slots) + len(self.waiting)
 
     def submit(self, call: Call) -> None:
-        """A new invocation arrived: attach it or queue it."""
-        if call.issued_at is None:
-            call.issued_at = self.kernel.clock.now
-        self.kernel.stats.calls_issued += 1
-        if not self.try_attach(call):
-            self.waiting.append(call)
-            self._queue_event("slot.queue.enter", call)
+        """A new invocation arrived: attach it, queue it, or run it.
 
-    def submit_unmanaged(self, call: Call) -> None:
-        """Invocation of a non-intercepted entry (§2.3).
-
-        No manager rendezvous: "each time an entry procedure is called a
-        process is created implicitly and made to execute the procedure".
-        Array slots still bound concurrency if the entry declares one.
+        A non-intercepted entry has no manager rendezvous — "each time an
+        entry procedure is called a process is created implicitly and
+        made to execute the procedure" (§2.3) — so its body starts at
+        once; array elements still bound concurrency if it declares any.
         """
-        if call.issued_at is None:
-            call.issued_at = self.kernel.clock.now
         self.kernel.stats.calls_issued += 1
-        if self.spec.array is not None and not self.try_attach(call):
+        bounded = self.managed or self.spec.array is not None
+        if bounded and not self.attach(call):
             self.waiting.append(call)
             self._queue_event("slot.queue.enter", call)
-            return
-        self.start_body(call, managed=False)
+        elif not self.managed:
+            self.start(call)
 
-    def try_attach(self, call: Call) -> bool:
-        """Attach ``call`` to a free element, if any.
+    def attach(self, call: Call) -> bool:
+        """PENDING → ATTACHED on a free element, if any.
 
         The element is "selected arbitrarily by the implementation"
         (§2.5); under ``ordered`` arbitration the lowest free index is
@@ -158,7 +156,7 @@ class EntryRuntime:
         )
 
     def detach(self, call: Call) -> None:
-        """Free the call's slot and attach the next waiting call."""
+        """Free the call's element and attach the next waiting call."""
         assert call.slot is not None
         if self.slots[call.slot] is not call:
             raise ProtocolError(
@@ -169,8 +167,22 @@ class EntryRuntime:
         insort(self.free_slots, call.slot)
         if self.waiting:
             nxt = self.waiting.popleft()
-            self.try_attach(nxt)  # cannot fail: an element was just freed
+            self.attach(nxt)  # cannot fail: an element was just freed
             self._queue_event("slot.queue.leave", nxt)
+            if not self.managed:
+                self.start(nxt)  # no manager will ever accept it
+
+    def retire(self, call: Call) -> None:
+        """The call leaves the object: free its worker, then its element.
+
+        Called on the way to DONE or FAILED, while ``call.state`` still
+        says how far the call got: only an ACCEPTED call (combined or
+        rejected) never had a body started.
+        """
+        if call.state is not CallState.ACCEPTED:
+            self.pool.release(call)
+        if call.slot is not None:
+            self.detach(call)
 
     # ------------------------------------------------------------------
     # Guard views
@@ -216,14 +228,24 @@ class EntryRuntime:
         )
 
     # ------------------------------------------------------------------
-    # Body execution
+    # The manager's edges (§2.3)
     # ------------------------------------------------------------------
 
-    def start_body(self, call: Call, managed: bool) -> None:
-        """Dispatch the body of ``call`` onto a server process.
+    def accepted(self, call: Call) -> None:
+        """ATTACHED → ACCEPTED: the manager rendezvoused with the call."""
+        call._expect_state(CallState.ATTACHED)
+        self.attached_slots.remove(call.slot)
+        call.state = CallState.ACCEPTED
+        call.accepted_at = self.kernel.clock.now
+        self.kernel.stats.accepts += 1
 
-        ``managed`` bodies report BODY_DONE and wait for ``finish``;
-        unmanaged (non-intercepted) bodies deliver results directly.
+    def start(self, call: Call, hidden: tuple = ()) -> None:
+        """→ STARTED: dispatch the body of ``call`` onto a server process.
+
+        From ACCEPTED for a managed entry, whose body reports BODY_DONE
+        and waits for ``finish``; straight from arrival (PENDING, or
+        ATTACHED if the entry declares an array) for a non-intercepted
+        one, whose body finishes the call itself.
         """
         runtime = self
 
@@ -245,15 +267,13 @@ class EntryRuntime:
             except BaseException as exc:
                 # A failing body must not wedge the object: free the slot
                 # and worker, and re-raise the error in the caller.
-                runtime.pool.release(call)
-                if call.slot is not None:
-                    runtime.detach(call)
-                runtime.fail_caller(call, exc)
+                runtime.retire(call)
+                runtime.fail(call, exc)
                 return
             call.body_results = results
             call.body_done_at = runtime.kernel.clock.now
             runtime.observe_service(call)
-            if managed:
+            if runtime.managed:
                 call.state = CallState.BODY_DONE
                 if runtime.slots[call.slot] is call:  # not orphaned by reset()
                     insort(runtime.done_slots, call.slot)
@@ -264,29 +284,80 @@ class EntryRuntime:
                 # caller and releases the worker; this generator ends here
                 # but the pool slot stays occupied until release().
             else:
-                runtime.complete_unmanaged(call)
+                runtime.finish(call, results[: runtime.spec.returns])
 
         if call.state is CallState.ATTACHED:  # unmanaged: no accept came first
             self.attached_slots.remove(call.slot)
+        call.hidden_args = hidden
         call.state = CallState.STARTED
         call.started_at = self.kernel.clock.now
         self.kernel.stats.starts += 1
         self.pool.dispatch(job, call)
 
-    def complete_unmanaged(self, call: Call) -> None:
-        """Finish a non-intercepted call: results flow straight back."""
+    def awaited(self, call: Call) -> None:
+        """BODY_DONE → AWAITED: the manager received the results."""
+        call._expect_state(CallState.BODY_DONE)
+        self.done_slots.remove(call.slot)
+        call.state = CallState.AWAITED
+        self.kernel.stats.awaits += 1
+
+    def finish(self, call: Call, results: tuple) -> None:
+        """→ DONE, the one ok fate; ``results`` are the caller's.
+
+        From AWAITED the manager endorsed the body's termination; from
+        ACCEPTED it *combined* the call away and no body ever ran (§2.7);
+        from STARTED a non-intercepted body returned.
+        """
+        stats = self.kernel.stats
+        if self.managed:
+            stats.finishes += 1
+            if call.state is CallState.ACCEPTED:
+                call.combined = True
+                stats.calls_combined += 1
+        stats.calls_completed += 1
+        self.retire(call)
         call.state = CallState.DONE
         call.finished_at = self.kernel.clock.now
-        self.kernel.stats.calls_completed += 1
-        self.pool.release(call)
-        if call.slot is not None:
-            self.detach(call)
-            # With no manager to accept them, newly attached waiting calls
-            # must be started here.
-            for index in list(self.attached_slots):
-                self.start_body(self.slots[index], managed=False)
-        self.record(call)
-        self.resume_caller(call, call.body_results[: self.spec.returns])
+        if self.record_calls:
+            self.completed.append(call)
+        self.resume_caller(call, results)
+
+    def reject(self, call: Call, reason: str) -> None:
+        """ACCEPTED → FAILED with no body: shed a live call, sweep a dead one.
+
+        A sweep — the caller was already resumed by a deadline expiry, a
+        per-hop timeout or crash detection — only frees the element, so
+        it is not counted as a shed response (and ``fail`` owes nobody).
+        """
+        kernel = self.kernel
+        if call.caller_resumed:
+            kernel.metrics.counter(
+                "admission.swept",
+                "Dead queued calls swept at accept time (slot freed, "
+                "no response owed)",
+            ).inc()
+        else:
+            kernel.stats.calls_shed += 1
+            kernel.metrics.counter(
+                f"admission.shed.{reason}",
+                "Calls shed by admission control, by reason",
+            ).inc()
+        self.retire(call)
+        obj, entry = self.obj.alps_name, self.spec.name
+        self.fail(
+            call,
+            AdmissionError(
+                f"{obj}.{entry} shed the call ({reason})",
+                entry=entry,
+                obj=obj,
+                reason=reason,
+            ),
+            "shed",
+        )
+
+    # ------------------------------------------------------------------
+    # Settlement: the caller is resumed exactly once
+    # ------------------------------------------------------------------
 
     def resume_caller(self, call: Call, results: tuple) -> None:
         """Deliver ``results`` (definition results only) to the caller.
@@ -304,10 +375,8 @@ class EntryRuntime:
             # timeout (plus retry), never through a silent double-resume.
             return
         call.caller_resumed = True
-        if call.timeout_cancel is not None:
-            call.timeout_cancel["cancelled"] = True
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
+        if call.expiry_cancel is not None:
+            call.expiry_cancel["cancelled"] = True
         value: Any
         if self.spec.returns == 0:
             value = None
@@ -330,25 +399,120 @@ class EntryRuntime:
         if self.kernel.obs.enabled:
             self.kernel.obs.complete_call(call, status="ok")
 
-    def fail_caller(
-        self, call: Call, exc: BaseException, status: str = "error"
+    def fail(
+        self,
+        call: Call,
+        exc: BaseException,
+        status: str = "error",
+        expired: bool = False,
     ) -> None:
-        """Propagate a body failure to the caller (at most once).
+        """Settle ``call`` by raising ``exc`` in its caller, at most once.
 
-        ``status`` labels the call's root span on completion — ``"error"``
-        for body failures, ``"shed"`` when admission control rejected it.
+        Every fate but ok ends here; ``status`` labels the root span:
+        ``"error"`` (the body raised), ``"shed"`` (admission control),
+        ``"failed"`` (crash detection), ``"timeout"``/``"deadline"``.
+
+        The last two are ``expired``, the one fate that leaves
+        ``call.state`` alone: the caller is gone (``call.dead()``) but
+        the object may still rendezvous with the corpse — a sweep arm
+        frees the element at reject cost, a plain accept arm serves it
+        and discards the response (at-least-once).  Forcing FAILED here
+        would wedge the element and race the accept/start/reject window;
+        sweeping managers are woken instead, if the call is still in
+        ``#P`` (one that was never delivered is not).
         """
-        call.state = CallState.FAILED
+        if not expired:
+            call.state = CallState.FAILED
         if call.caller_resumed:
             return
+        kernel = self.kernel
         call.caller_resumed = True
-        if call.timeout_cancel is not None:
-            call.timeout_cancel["cancelled"] = True
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
-        if self.kernel.obs.enabled:
-            self.kernel.obs.complete_call(call, status=status)
-        self.kernel.schedule_throw(call.caller, exc)
+        call.finished_at = kernel.clock.now
+        if call.expiry_cancel is not None:
+            call.expiry_cancel["cancelled"] = True
+        if kernel.obs.enabled:
+            kernel.obs.complete_call(call, status=status)
+        if expired:
+            self._expired(call, status)
+        kernel.schedule_throw(call.caller, exc)
+
+    def _expired(self, call: Call, status: str) -> None:
+        """Trace an expiry; wake sweep arms if it left a corpse in ``#P``."""
+        kernel = self.kernel
+        counter = kernel.metrics.counter
+        obj, entry = self.obj.alps_name, self.spec.name
+        if status == "deadline":
+            counter("deadline.expired", "Calls whose end-to-end deadline expired").inc()
+            kernel.trace.record(
+                kernel.clock.now, "deadline_exceeded", call.caller.name,
+                entry=entry, obj=obj, state=call.state.value,
+            )
+        else:
+            kernel.trace.record(
+                kernel.clock.now, "call_timeout", call.caller.name,
+                entry=entry, obj=obj, after=call.timeout,
+            )
+        if call.state is CallState.ATTACHED or (
+            call.state is CallState.PENDING and call in self.waiting
+        ):
+            kernel.notify(self.arrival)
+            if status == "deadline":
+                counter(
+                    "deadline.expired_queued",
+                    "Deadlines that expired while the call was still queued",
+                ).inc()
+
+    def arm_expiry(self, call: Call) -> None:
+        """Post the one event that can expire ``call``.
+
+        Whichever of the per-hop timeout and the end-to-end deadline
+        comes first settles the call and so voids the other; on a tie
+        the timeout wins.  Cancelled at the first settlement.
+        """
+        when = call.deadline_at
+        if call.timeout is not None:
+            due = call.issued_at + call.timeout
+            if when is None or due <= when:
+                when = due
+        call.expiry_cancel = cancel = {"cancelled": False}
+        self.kernel.post(
+            when, lambda: self.expire(call), priority=call.caller.priority, cancel=cancel
+        )
+
+    def expire(self, call: Call) -> None:
+        """The armed expiry fired (or the budget was spent before issue)."""
+        obj, entry = self.obj.alps_name, self.spec.name
+        timeout = call.timeout
+        if timeout is not None and call.issued_at + timeout <= self.kernel.clock.now:
+            exc: RemoteCallError = RemoteCallError(
+                f"call to {obj}.{entry} timed out after {timeout} ticks",
+                entry=entry,
+                obj=obj,
+            )
+            status = "timeout"
+        else:
+            exc = DeadlineExceeded(
+                f"call to {obj}.{entry} exceeded its deadline "
+                f"(t={call.deadline_at})",
+                entry=entry,
+                obj=obj,
+                deadline_at=call.deadline_at,
+            )
+            status = "deadline"
+        self.fail(call, exc, status, expired=True)
+
+    def requeue(self, call: Call) -> None:
+        """→ PENDING: forget an attempt a crash interrupted.
+
+        The supervisor re-submits the call once the object is back; the
+        caller never notices, and the armed expiry keeps its anchor.
+        """
+        call.state = CallState.PENDING
+        call.slot = None
+        call.hidden_args = ()
+        call.body_results = None
+        call.body_process = None
+        call.combined = False
 
     def observe_service(self, call: Call) -> None:
         """Fold one completed body's service time into the EWMA."""
@@ -357,10 +521,6 @@ class EntryRuntime:
             return
         sample = call.body_done_at - start
         self.service_estimator.update(sample)
-
-    def record(self, call: Call) -> None:
-        if self.record_calls:
-            self.completed.append(call)
 
     def reset(self) -> None:
         """Forget all in-flight calls (crash recovery; see ``AlpsObject.restart``)."""

@@ -168,6 +168,11 @@ class FaultRuntime:
     def node_up(self, name: str) -> bool:
         return name not in self._down_nodes
 
+    def is_down(self, obj: Any) -> bool:
+        """Is ``obj`` crashed, or homed on a node that is?"""
+        node = obj.node
+        return obj._crashed or (node is not None and node.name in self._down_nodes)
+
     def _cut(self, a: str, b: str) -> bool:
         pair = (a, b) if a <= b else (b, a)
         if pair in self._down_links:
@@ -202,7 +207,7 @@ class FaultRuntime:
         self.epoch += 1
         killed = 0
         for proc in kernel.processes():
-            if proc.alive and getattr(proc, "node", None) is node:
+            if proc.alive and proc.node is node:
                 kernel.kill_process(proc)
                 killed += 1
         kernel.trace.record(
@@ -259,44 +264,20 @@ class FaultRuntime:
 
     def _crash_object(self, obj: Any, node: "Node") -> None:
         """Take a placed object down, capturing its interrupted calls."""
-        kernel = self.kernel
-        obj._crashed = True
-        manager = obj.manager_process
-        if manager is not None and manager.alive:
-            kernel.kill_process(manager)
-
+        held = obj.crash()
+        on_the_wire = [call for call in self._inflight if call.obj is obj]
+        self._inflight = [call for call in self._inflight if call.obj is not obj]
         records: list[Call] = []
-        seen: set[int] = set()
-
-        def capture(call: Call | None) -> None:
-            if call is None or call.call_id in seen:
-                return
-            seen.add(call.call_id)
-            if call.body_process is not None and call.body_process.alive:
-                kernel.kill_process(call.body_process)
+        for call in dict.fromkeys(held + on_the_wire):
             # Stale in-flight deliveries must not land on the restarted
             # object (the Supervisor owns redelivery).
             call.delivery_epoch += 1
             if call.caller_resumed or not call.caller.alive:
-                return
-            if getattr(call.caller, "node", None) is node:
-                return  # the caller died in the same crash
+                continue
+            if call.caller.node is node:
+                continue  # the caller died in the same crash
             call.interrupted = True
             records.append(call)
-
-        for runtime in obj._runtimes.values():
-            for call in list(runtime.slots):
-                capture(call)
-            for call in list(runtime.waiting):
-                capture(call)
-            runtime.reset()
-        for _job, call in list(obj._pool._backlog):
-            capture(call)
-        obj._pool.reset()
-        for call in list(self._inflight):
-            if call.obj is obj:
-                capture(call)
-                self._inflight.remove(call)
 
         if obj in self._supervised:
             self._interrupted.setdefault(obj, []).extend(records)
@@ -317,12 +298,10 @@ class FaultRuntime:
         """Deliver (or lose, or fail) a freshly issued entry call."""
         kernel = self.kernel
         obj = call.obj
-        node = getattr(obj, "node", None)
-        src = getattr(caller, "node", None)
+        node = obj.node
+        src = caller.node
 
-        if getattr(obj, "_crashed", False) or (
-            node is not None and not self.node_up(node.name)
-        ):
+        if self.is_down(obj):
             self.c_calls_to_down.inc()
             self._fail_later(
                 call,
@@ -381,14 +360,10 @@ class FaultRuntime:
         def fire() -> None:
             if call.caller_resumed or call.delivery_epoch != epoch:
                 return
-            obj = call.obj
-            node = getattr(obj, "node", None)
-            if getattr(obj, "_crashed", False) or (
-                node is not None and not self.node_up(node.name)
-            ):
+            if self.is_down(call.obj):
                 self.kernel.trace.record(
                     self.kernel.clock.now, "drop", call.caller.name,
-                    leg="request", entry=call.entry, obj=obj.alps_name,
+                    leg="request", entry=call.entry, obj=call.obj.alps_name,
                     reason="target down",
                 )
                 return
@@ -413,8 +388,8 @@ class FaultRuntime:
         topology (a route may have lengthened since the request).
         """
         obj = call.obj
-        node = getattr(obj, "node", None)
-        dst = getattr(call.caller, "node", None)
+        node = obj.node
+        dst = call.caller.node
         if node is None or dst is None or node is dst:
             return False
         if not self.node_up(dst.name):
@@ -450,19 +425,11 @@ class FaultRuntime:
     def _fail_call(self, call: Call, reason: str) -> None:
         if call.caller_resumed:
             return
-        call.caller_resumed = True
-        call.state = CallState.FAILED
-        call.finished_at = self.kernel.clock.now
-        if call.timeout_cancel is not None:
-            call.timeout_cancel["cancelled"] = True
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
         self.c_failed_calls.inc()
-        if self.kernel.obs.enabled:
-            self.kernel.obs.complete_call(call, status="failed")
-        self.kernel.schedule_throw(
-            call.caller,
+        call.runtime.fail(
+            call,
             RemoteCallError(reason, entry=call.entry, obj=call.obj.alps_name),
+            "failed",
         )
 
     # ------------------------------------------------------------------
@@ -522,7 +489,7 @@ class FaultRuntime:
         """Dilate ``Charge``d work on a degraded node."""
         if not self.plan.slow_cpus:
             return ticks
-        node = getattr(proc, "node", None)
+        node = proc.node
         if node is None:
             return ticks
         now = self.kernel.clock.now
@@ -563,10 +530,8 @@ class FaultRuntime:
         if call.caller_resumed or not caller.alive or not call.interrupted:
             return False
         obj = call.obj
-        node = getattr(obj, "node", None)
-        if getattr(obj, "_crashed", False) or (
-            node is not None and not self.node_up(node.name)
-        ):
+        node = obj.node
+        if self.is_down(obj):
             # Crashed again before we could re-queue: hold the call for
             # the next recovery round.
             self._interrupted.setdefault(obj, []).append(call)
@@ -574,19 +539,10 @@ class FaultRuntime:
 
         call.interrupted = False
         call.delivery_epoch += 1
-        call.state = CallState.PENDING
-        call.slot = None
-        call.hidden_args = ()
-        call.body_results = None
-        call.body_process = None
-        call.combined = False
-        runtime = obj._entry_runtime(call.entry)
-        if call.spec.intercepted:
-            deliver: Callable[[], None] = lambda: runtime.submit(call)
-        else:
-            deliver = lambda: runtime.submit_unmanaged(call)
+        runtime = call.runtime
+        runtime.requeue(call)
 
-        src = getattr(caller, "node", None)
+        src = caller.node
         request = 0
         call.response_delay = 0
         if node is not None and src is not None and src is not node:
@@ -607,7 +563,7 @@ class FaultRuntime:
         )
         if node is not None:
             self._track(call)
-        fire = self._guarded(call, deliver)
+        fire = self._guarded(call, lambda: runtime.submit(call))
         if request:
             kernel.post(kernel.clock.now + request, fire)
         else:

@@ -17,7 +17,7 @@ labelled with the object/entry/slot involved:
 
 A cycle of such edges is a deadlock: every participant needs another
 participant to move first.  :meth:`WaitForSnapshot.cycles` finds them
-(Tarjan SCCs), and the kernel attaches the whole snapshot to
+(:func:`strongly_connected`), and the kernel attaches the whole snapshot to
 :class:`~repro.errors.DeadlockError` as ``.wait_for`` so tests and the
 faults runtime can assert on the cycle structurally instead of parsing
 the exception text.  The opt-in *live* detector
@@ -34,7 +34,7 @@ left to fire).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping
 
 from .process import Process, ProcessState
 from .timeouts import Timeout
@@ -143,13 +143,16 @@ class WaitForSnapshot:
         adjacency: dict[int, list[WaitEdge]] = {}
         for edge in edges:
             adjacency.setdefault(edge.src.pid, []).append(edge)
+        successors = {
+            pid: [e.dst.pid for e in out] for pid, out in adjacency.items()
+        }
         cycles: list[list[WaitEdge]] = []
-        for component in _tarjan_sccs(adjacency):
+        for component in strongly_connected(successors):
             if len(component) == 1:
-                pid = next(iter(component))
-                if not any(e.dst.pid == pid for e in adjacency.get(pid, ())):
+                pid = component[0]
+                if pid not in successors.get(pid, ()):
                     continue  # trivial SCC without a self-loop
-            cycle = _walk_cycle(component, adjacency)
+            cycle = _walk_cycle(set(component), adjacency)
             if cycle:
                 cycles.append(cycle)
         return cycles
@@ -232,54 +235,54 @@ class WaitForSnapshot:
         )
 
 
-def _tarjan_sccs(adjacency: dict[int, list[WaitEdge]]) -> list[set[int]]:
-    """Strongly connected components of the pid graph (iterative Tarjan)."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = [0]
+def strongly_connected(
+    successors: Mapping[Hashable, Iterable[Hashable]],
+) -> list[list]:
+    """Strongly connected components of a directed graph (iterative Tarjan).
 
-    for root in adjacency:
+    ``successors`` maps a node to the nodes it points at; a node that
+    only ever appears as a successor has none of its own.  Roots and
+    successors are visited in insertion order and a component lists its
+    members in stack-pop order, so the result is a pure function of how
+    the mapping was built (``DeadlockError`` text and ALP120 findings are
+    compared byte for byte).
+    """
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    components: list[list] = []
+
+    def visit(node: Hashable) -> tuple:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(successors.get(node, ()))
+
+    for root in successors:
         if root in index:
             continue
-        work = [(root, iter(adjacency.get(root, ())))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        work = [visit(root)]
         while work:
-            node, edges = work[-1]
-            advanced = False
-            for edge in edges:
-                nxt = edge.dst.pid
+            node, pending = work[-1]
+            for nxt in pending:
                 if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
+                    work.append(visit(nxt))
                     break
                 if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: set[int] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-    return sccs
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    components.append(component)
+    return components
 
 
 def _walk_cycle(

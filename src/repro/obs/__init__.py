@@ -237,9 +237,9 @@ class Observability:
 
         The phases come from the timestamps :class:`~repro.core.calls.Call`
         already records — no per-transition allocation ever happens on
-        the call path, even with the layer enabled.  Safe to invoke from
-        every completion route (finish, unmanaged completion, body
-        failure, timeout expiry, crash detection); the first wins.
+        the call path, even with the layer enabled.  Invoked by the two
+        settlements, ``EntryRuntime.resume_caller`` (ok) and
+        ``EntryRuntime.fail`` (every other status); the first wins.
         """
         root = call.span
         if root is None:
@@ -251,7 +251,7 @@ class Observability:
         rid = root.span_id
         cid = call.call_id
         entry = call.entry
-        manager = getattr(call.obj, "manager_process", None)
+        manager = call.obj.manager_process
         mname = manager.name if manager is not None else root.process
 
         def phase(kind: str, name: str, start: int | None, stop: int | None,

@@ -23,8 +23,9 @@ order, however far one jump travels.  Aggregation is therefore a pure
 function of the observed (time, value) stream: with the plane enabled,
 schedules are byte-identical to a run without it, and two replays of the
 same seed produce byte-identical alert logs and dashboard snapshots
-(asserted by ``tests/obs/test_live_neutrality.py`` and the E14/ESPEED
-CI gates).
+(asserted by ``tests/obs/test_live_neutrality.py``, the E14 CI gate and
+the perf lab's ``kv_observed`` workload, whose fingerprint must equal
+that of its plane-less twin ``kv_steady``).
 
 Typical use::
 

@@ -120,19 +120,6 @@ TRACKED: dict[str, Experiment] = {
         [Metric("goodput_per_ktick", higher_is_better=True, tolerance=0.05),
          Metric("p95_response", higher_is_better=False, tolerance=0.10)],
     ),
-    "ESPEED": Experiment(
-        ("workload",),
-        # The virtual outcome is deterministic: any drift in resumption
-        # count means the kernel's semantics changed, not its speed.
-        [Metric("events", higher_is_better=False, tolerance=0.0),
-         # Wall-clock rate is noisy across runners — gate only a gross
-         # slowdown (60%), never a speedup.
-         Metric("events_per_sec", higher_is_better=True, tolerance=0.6),
-         # Live-plane slowdown factor (base rate / live rate, 1.0 = the
-         # plane is free).  Only on the -live row; same wall-clock noise
-         # caveat, so only a gross cost explosion fails the gate.
-         Metric("live_overhead_x", higher_is_better=False, tolerance=1.0)],
-    ),
 }
 
 
@@ -182,10 +169,15 @@ def load_history(path: str) -> list[dict[str, Any]]:
 
 
 def latest_baselines(history: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """The most recent trajectory entry per experiment."""
+    """The most recent trajectory entry per tracked experiment.
+
+    Entries of a retired experiment stay in the file as history and
+    gate nothing.
+    """
     out: dict[str, dict[str, Any]] = {}
     for entry in history:  # file order == record order
-        out[entry["experiment"]] = entry
+        if entry["experiment"] in TRACKED:
+            out[entry["experiment"]] = entry
     return out
 
 

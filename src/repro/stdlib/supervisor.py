@@ -57,7 +57,7 @@ class Supervisor(AlpsObject):
         :class:`~repro.errors.ObjectModelError` instead of silently
         overwriting the watch table.
         """
-        if getattr(obj, "node", None) is None:
+        if obj.node is None:
             raise ObjectModelError(
                 f"{self.alps_name}: cannot watch {obj.alps_name!r} — place "
                 "it on a node first (unplaced objects cannot crash)"

@@ -12,7 +12,6 @@ from repro.core import (
     ShedGuard,
     entry,
     manager_process,
-    over_cap,
 )
 from repro.errors import AdmissionError, ProtocolError
 from repro.kernel import Delay, Kernel, Select
@@ -106,15 +105,8 @@ class TestShedGuard:
         assert all(s == "ok" for _, s, _ in outcomes)
         assert kernel.stats.calls_shed == 0
 
-    def test_over_cap_reads_pending(self, kernel):
-        obj = Gated(kernel, cap=1)
-        predicate = over_cap(obj, "op", 0)
-        assert predicate() is False  # nothing pending yet
-
     def test_negative_cap_rejected(self, kernel):
         obj = Gated(kernel)
-        with pytest.raises(ValueError):
-            over_cap(obj, "op", -1)
         with pytest.raises(ValueError):
             ShedGuard(obj, "op", cap=-3)
 

@@ -36,6 +36,31 @@ def serial_store(kernel, **kwargs):
     return GatedKVStore(kernel, name="kv", **kwargs)
 
 
+def idle_polls():
+    """Guard polls of a ``serial_store`` manager that is never woken."""
+    quiet = Kernel(costs=FREE, seed=0)
+    serial_store(quiet)
+    quiet.run()
+    return quiet.stats.guard_polls
+
+
+class Relay(AlpsObject):
+    """Spends its caller's whole budget, then issues a nested call."""
+
+    def setup(self, store):
+        self.store = store
+        self.seen = None
+
+    @entry(returns=1)
+    def run(self):
+        yield Charge(10)
+        try:
+            yield self.store.put("k", 1)
+        except DeadlineExceeded as exc:
+            self.seen = (exc.deadline_at, self.kernel.clock.now)
+        return self.seen
+
+
 class TestDeadlineAtExactAcceptTick:
     """``deadline_expired`` is inclusive: t == deadline_at is dead."""
 
@@ -73,6 +98,55 @@ class TestDeadlineAtExactAcceptTick:
         assert "b" not in store.data
         assert kernel.metrics.value("admission.swept") == 1
         assert kernel.metrics.value("deadline.expired_queued") == 1
+
+    def test_budget_spent_before_issue_is_not_queued(self, kernel):
+        # The relay's body inherits its caller's deadline (t=5), burns 10
+        # ticks, then issues a nested put: that call is failed at issue
+        # and never enters #P, so it is not "expired while queued" and
+        # must not wake the store's manager for a sweep of nothing.
+        store = serial_store(kernel)
+        relay = Relay(kernel, name="relay", store=store)
+        caught = []
+
+        def client():
+            try:
+                yield relay.run(deadline=5)
+            except DeadlineExceeded:
+                caught.append(kernel.clock.now)
+
+        kernel.spawn(client, name="client")
+        kernel.run()
+        assert caught == [5] and relay.seen == (5, 10)
+        assert kernel.stats.calls_issued == 1  # relay.run; the put never arrived
+        assert kernel.metrics.value("deadline.expired") == 2
+        assert kernel.metrics.value("deadline.expired_queued") == 0
+        assert kernel.stats.guard_polls == idle_polls()
+
+    def test_deadline_that_expires_on_the_wire_is_not_queued(self, kernel):
+        # Two hops away, deadline=1: the budget runs out while the request
+        # is still in the network.  Nothing is queued at t=1, so nobody is
+        # woken; the corpse that arrives at t=2 is then swept as usual.
+        net = ring(kernel, 4)
+        store = serial_store(kernel)
+        net.node("n2").place(store)
+        caught = []
+
+        def client():
+            try:
+                yield store.put("b", 2, deadline=1)
+            except DeadlineExceeded:
+                caught.append(kernel.clock.now)
+
+        net.node("n0").spawn(client, name="client")
+        kernel.run(until=1)
+        assert caught == [1]
+        assert kernel.metrics.value("deadline.expired") == 1
+        assert kernel.metrics.value("deadline.expired_queued") == 0
+        assert kernel.stats.guard_polls == idle_polls()
+        kernel.run()
+        assert kernel.metrics.value("admission.swept") == 1
+        assert kernel.metrics.value("deadline.expired_queued") == 0
+        assert "b" not in store.data
 
     def test_unmakeable_deadline_is_shed_not_served(self, kernel):
         # deadline=11: B is still alive at the t=10 accept tick, but the

@@ -5,7 +5,7 @@ import pytest
 from repro.core import AlpsObject, entry, manager_process
 from repro.errors import DeadlockError
 from repro.kernel import Delay, Kernel
-from repro.kernel.waitgraph import WaitForSnapshot, build_wait_graph
+from repro.kernel.waitgraph import WaitForSnapshot, build_wait_graph, strongly_connected
 
 
 class Alpha(AlpsObject):
@@ -142,3 +142,17 @@ class TestQuiescenceStillClean:
         assert excinfo.value.wait_for is not None
         assert excinfo.value.wait_for.cycles() == []
         assert "wait-for cycle" not in str(excinfo.value)
+
+
+class TestStronglyConnected:
+    """The one SCC routine: the order of its output is part of its contract."""
+
+    def test_components_in_completion_order_members_in_pop_order(self):
+        graph = {"a": ["b"], "b": ["c", "d"], "c": ["a"], "d": ["e"], "x": ["x"]}
+        # "e" only ever appears as a successor; roots and successors are
+        # visited in insertion order.
+        assert strongly_connected(graph) == [["e"], ["d"], ["c", "b", "a"], ["x"]]
+
+    def test_successor_order_decides_the_member_order(self):
+        assert strongly_connected({1: [2, 3], 2: [1], 3: [1]}) == [[3, 2, 1]]
+        assert strongly_connected({1: [3, 2], 2: [1], 3: [1]}) == [[2, 3, 1]]

@@ -101,6 +101,18 @@ class TestRecordCheckRoundTrip:
         assert check(history, [second]).ok()
         assert not check(history, [first]).ok()  # old numbers now regress
 
+    def test_retired_experiment_stays_as_history_and_gates_nothing(self, tmp_path):
+        history = tmp_path / "hist.jsonl"
+        bench = _write(tmp_path, "BENCH_E1.json", _bench())
+        record(str(history), [bench])
+        retired = {"experiment": "ESPEED", "seq": 2, "git_rev": "abc1234",
+                   "note": "", "metrics": {"pingpong:events": 6408}}
+        with history.open("a") as fh:
+            fh.write(json.dumps(retired) + "\n")
+        assert len(load_history(str(history))) == 2
+        assert list(latest_baselines(load_history(str(history)))) == ["E1"]
+        assert check(str(history), [bench]).ok()  # no BENCH_ESPEED.json owed
+
     def test_regression_is_reported_readably(self, tmp_path):
         history = str(tmp_path / "hist.jsonl")
         base = _write(tmp_path, "base.json", _bench())

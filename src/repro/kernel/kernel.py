@@ -28,6 +28,7 @@ guard choice, arbitrary slot attachment) are governed by the
 from __future__ import annotations
 
 import random
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable
 
@@ -66,11 +67,20 @@ from .waiting import Guard, Ready, Waitable
 # (DESIGN.md §5.2).  ``seq`` is unique, so ordering never looks past it.
 # ``proc is None`` marks a callback: ``a`` is the callable, ``b`` its
 # cancel dict or None.  Otherwise ``a`` is ``proc.epoch`` at push time and
-# ``b`` says what surfaces.  The kernel reads ``clock._now`` directly on
-# these paths: ``clock.now`` is a property call per event.
+# ``b`` says what surfaces: one of the kinds below, or — the end of a grant
+# on a finite machine, pushed by :meth:`Kernel.post_release` — the CPU's
+# ``release`` callable, run before anything is decided about ``proc``.  The
+# kernel reads ``clock._now`` directly on these paths: ``clock.now`` is a
+# property call per event.
 _STEP = 0  # dispatch proc; dropped before the clock moves when stale
 _RESUME = 1  # proc's CPU grant ends (unbounded machine); proc is READY
 _WAKE = 2  # proc's Delay expires; proc is BLOCKED
+
+
+def _release_then(release: Callable[[], None], action: Callable[[], None]) -> None:
+    """What ends a grant that completes in a callable (``post_release``)."""
+    release()
+    action()
 
 
 #: Bucket key of guards with no ``poll_source``: never empty, so a sweep
@@ -290,6 +300,7 @@ class Kernel:
         body = as_generator(fn, *args, **kwargs)
         pid = self._next_pid
         self._next_pid += 1
+        now = self.clock._now
         proc = Process(
             pid=pid,
             name=name or getattr(fn, "__name__", "proc"),
@@ -297,7 +308,7 @@ class Kernel:
             priority=priority,
             lightweight=lightweight,
             daemon=daemon,
-            created_at=self.clock.now,
+            created_at=now,
         )
         self._processes[pid] = proc
         self.stats.spawns += 1
@@ -312,7 +323,9 @@ class Kernel:
             self._step_after_cpu(proc, cost, charge_to)
         else:
             self._schedule_step(proc)
-        self.trace.record(self.clock.now, "spawn", proc.name, pid=pid, priority=priority)
+        trace = self.trace
+        if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
+            trace.record(now, "spawn", proc.name, pid=pid, priority=priority)
         return proc
 
     def process_count(self, alive_only: bool = True) -> int:
@@ -354,6 +367,23 @@ class Kernel:
         self._seq = seq = self._seq + 1
         heappush(self._events, (when, priority, seq, None, callback, cancel))
 
+    def post_release(
+        self, when: int, release: Callable[[], None], proc: Process | None, then: Any
+    ) -> None:
+        """A CPU grant made by :mod:`.sched` ends at ``when``.
+
+        One record: ``release()`` runs at kernel priority, ahead of every
+        step at that instant, whatever became of ``proc``; then ``proc``
+        is dispatched as on the unbounded machine, if its epoch is still
+        ``then``.  With no ``proc``, ``then()`` is called instead.
+        """
+        self._seq = seq = self._seq + 1
+        if proc is None:
+            callback = partial(_release_then, release, then)
+            heappush(self._events, (when, 0, seq, None, callback, None))
+        else:
+            heappush(self._events, (when, 0, seq, proc, then, release))
+
     def next_event_time(self) -> int | None:
         """Time of the earliest queued event (stale ones included), if any."""
         return self._events[0][0] if self._events else None
@@ -363,13 +393,15 @@ class Kernel:
 
         Cancelled callbacks and events of dead or re-parked processes do
         not count, nor do events of ``ignoring`` (a watchdog asking
-        whether anything *besides itself* keeps the run going).
+        whether anything *besides itself* keeps the run going).  The end
+        of a finite-machine grant always counts: it frees a CPU, which
+        may start another process's queued work.
         """
         for _when, _prio, _seq, proc, a, b in self._events:
             if proc is None:
                 if b is None or not b.get("cancelled"):
                     return True
-            elif (
+            elif callable(b) or (
                 proc is not ignoring
                 and proc.epoch == a
                 and proc.state not in DEAD_STATES
@@ -408,7 +440,7 @@ class Kernel:
         proc.blocked_on = None
         proc.waiting_for = None
         # Also retires a CPU completion still pending for ``proc``: its
-        # record (or closure) carries the epoch it was queued under.
+        # record carries the epoch it was queued under.
         proc.epoch += 1
         self._schedule_step(proc)
 
@@ -424,24 +456,19 @@ class Kernel:
         strict-class work (priority < ``PRIORITY_NORMAL``) is granted
         first, so a high-priority manager's synchronization steps
         overtake queued entry-body work — the paper's receptiveness
-        argument (§1, §3).  Either way the completion is void if ``proc``
-        was re-parked (thrown into) meanwhile.
+        argument (§1, §3) — and ends in one :meth:`post_release` record.
+        Either way the completion is void if ``proc`` was re-parked
+        (thrown into) meanwhile.
         """
         scheduler = self.cpu_scheduler
         domain = scheduler.domain_of(payer) if scheduler.domains else None
-        epoch = proc.epoch
         if domain is None:
             # ``priority`` fixes same-instant order among finished work.
             when = self.clock._now + ticks
             self._seq = seq = self._seq + 1
-            heappush(self._events, (when, payer.priority, seq, proc, epoch, _RESUME))
-            return
-
-        def complete() -> None:
-            if proc.epoch == epoch:
-                self._schedule_step(proc)
-
-        domain.submit(payer, payer.priority, ticks, complete)
+            heappush(self._events, (when, payer.priority, seq, proc, proc.epoch, _RESUME))
+        else:
+            domain.grant(payer, payer.priority, ticks, proc, proc.epoch)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -455,8 +482,8 @@ class Kernel:
         non-daemon process is still blocked.  The kernel is resumable:
         calling :meth:`run` again continues where the previous call
         stopped.  ``max_events`` counts heap records dispatched; a CPU
-        completion or ``Delay`` expiry that steps its process on the spot
-        is one.
+        completion (on the unbounded machine or a finite one) or ``Delay``
+        expiry that steps its process on the spot is one.
         """
         if self._running:
             raise KernelError("kernel.run() is not reentrant")
@@ -498,11 +525,18 @@ class Kernel:
                     # CPU was busy until then), even when nobody is left
                     # to resume.
                     stats.stale_events += 1
+                    if callable(b):
+                        b()
                 else:
-                    if b == _WAKE:
-                        proc.state = ProcessState.READY
-                        proc.blocked_on = None
-                        proc.epoch += 1
+                    if b != _RESUME:
+                        if b == _WAKE:
+                            proc.state = ProcessState.READY
+                            proc.blocked_on = None
+                            proc.epoch += 1
+                        else:
+                            # A finite machine's grant: CPU bookkeeping at
+                            # kernel priority first, then the same rule.
+                            b()
                     # One event per resumption: step now unless something
                     # else is due at this instant at proc's priority or
                     # better; then proc goes behind it, as a step with a
@@ -612,11 +646,11 @@ class Kernel:
 
     def _on_exit(self, proc: Process) -> None:
         """Book a termination (any kind) and tell the exit watchers."""
-        proc.finished_at = self.clock.now
+        proc.finished_at = now = self.clock._now
         self.stats.exits += 1
-        self.trace.record(
-            self.clock.now, "exit", proc.name, state=proc.state.value
-        )
+        trace = self.trace
+        if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
+            trace.record(now, "exit", proc.name, state=proc.state.value)
         for watcher in list(proc.exit_watchers):
             watcher(proc)
 
@@ -870,8 +904,9 @@ class Kernel:
             waitable.add_waiter(proc)
         for guard in plan.on_block:
             guard.on_block(self, proc)
-        if self.trace.recording:
-            self.trace.record(self.clock.now, "block", proc.name, on=str(pending))
+        trace = self.trace
+        if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
+            trace.record(self.clock._now, "block", proc.name, on=str(pending))
 
     def reevaluate_select(self, proc: Process) -> bool:
         """Re-poll the pending select of ``proc`` after a state change.
@@ -896,10 +931,9 @@ class Kernel:
             value if pending.select.unwrap else SelectResult(index, guard, value)
         )
         self.schedule_resume(proc, result, cost=wake_cost)
-        if self.trace.recording:
-            self.trace.record(
-                self.clock.now, "wake", proc.name, guard=guard.describe()
-            )
+        trace = self.trace
+        if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
+            trace.record(self.clock._now, "wake", proc.name, guard=guard.describe())
         return True
 
     def _cancel_pending_select(self, proc: Process) -> None:

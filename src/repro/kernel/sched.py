@@ -29,17 +29,32 @@ cancel-dict so it never inflates the simulation end time) equalizes
 runqueue depths within a domain.  Load never moves between domains:
 nodes are separate machines.
 
+One grant path, two completion kinds.  :meth:`SchedDomain.grant` is what
+the kernel calls: the grant's end is **one flat kernel record**
+(:meth:`Kernel.post_release <repro.kernel.kernel.Kernel.post_release>`)
+carrying the CPU's pre-built ``release`` hook and the process to step.
+When it surfaces the run loop calls ``release`` — free the CPU or start
+(or steal) the next queued grant, disarm a drained balancer: kernel
+priority, ahead of every step at that instant — and then dispatches the
+process by the same direct-vs-requeue rule as on the unbounded machine
+(DESIGN.md §5.2).  :meth:`SchedDomain.submit` ends a grant in a plain
+callback that runs the same ``release`` and then the caller's action;
+pick, enqueue, release, steal and balance are shared line for line.
+What a domain counts it keeps as counters (``queued``, ``_free``,
+per-CPU ``queued_ticks``), never as a scan of its runqueues;
+``tests/helpers.py`` checks counter == scan after every kernel event.
+
 Determinism rules (load-bearing — the trace differ and the committed
 fixtures pin them):
 
 * a **single-CPU domain has its own path: one ``(priority, seq)`` heap
-  for all classes** (``_submit_strict``/``_start_strict``), because it
+  for all classes** (``_start_strict``/``_release_strict``), because it
   is measurably cheaper, not because it is older: with one CPU as the
   degenerate case of the general grant path, ``chan_timer`` (nearly
   every grant queues) cost +9.1% ``pyops_per_op`` merged straight and
-  +7.9% leaned out, against a 3% bound (DESIGN.md §13).  ``submit``
+  +7.9% leaned out, against a 3% bound (DESIGN.md §13).  ``grant``
   selects on ``count``; ``chan_timer`` and ``pool_smp`` benchmark one
-  side each, and ``tests/fixtures/smp`` pins the one-CPU trace bytes;
+  side each, and ``tests/fixtures/smp`` pins the trace bytes of both;
 * every choice (CPU pick, steal victim, balance move) breaks ties by
   the lowest CPU index and the deterministic heap keys above, never by
   iteration order of a set or dict;
@@ -51,7 +66,8 @@ fixtures pin them):
 
 from __future__ import annotations
 
-import heapq
+from functools import partial
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import KernelError
@@ -68,25 +84,25 @@ DEFAULT_BALANCE_PERIOD = 50
 
 
 class _Work:
-    """One pending CPU grant: a duration and a completion action."""
+    """One queued CPU grant of a multi-CPU domain (:meth:`SchedDomain.grant`)."""
 
-    __slots__ = ("proc", "priority", "duration", "action", "seq", "vruntime")
+    __slots__ = ("proc", "priority", "duration", "target", "then", "seq")
 
     def __init__(
         self,
         proc: "Process | None",
         priority: int,
         duration: int,
-        action: Callable[[], None],
+        target: "Process | None",
+        then: Any,
         seq: int,
     ) -> None:
         self.proc = proc
         self.priority = priority
         self.duration = duration
-        self.action = action
+        self.target = target
+        self.then = then
         self.seq = seq
-        #: Normalized virtual runtime at enqueue (fair class only).
-        self.vruntime = 0
 
 
 class _Cpu:
@@ -95,6 +111,9 @@ class _Cpu:
     __slots__ = (
         "index",
         "key",
+        "here",
+        "label",
+        "release",
         "free",
         "rt",
         "fair",
@@ -103,17 +122,28 @@ class _Cpu:
         "fair_clock",
     )
 
-    def __init__(self, index: int, key: str) -> None:
+    def __init__(self, domain: "SchedDomain", index: int) -> None:
         self.index = index
+        prefix = f"{domain.name}." if domain.name else ""
         #: Stats key (``cpu0`` / ``<node>.cpu0``) under ``stats.cpu``.
-        self.key = key
+        self.key = f"{prefix}cpu{index}"
+        #: What ``Process.last_cpu`` holds after a grant here.
+        self.here = (domain.name, index)
+        #: ``cpu=`` span tag and ``migrate`` endpoint.
+        self.label = f"{domain.name or 'cpu'}/{index}"
+        #: Runs when a grant on this CPU ends: free it or start the next.
+        self.release: Callable[[], None] = partial(
+            domain._release_strict if domain.count == 1 else domain._release_smp,
+            self,
+        )
         self.free = True
         #: Strict-class runqueue: heap of ``((priority, seq), work)``.
         self.rt: list[tuple[tuple, _Work]] = []
         #: Fair-class runqueue: heap of
         #: ``((vruntime, node, cpu, pid, seq), work)``.
         self.fair: list[tuple[tuple, _Work]] = []
-        #: Total duration of queued (not yet granted) work.
+        #: Total duration of queued (not yet granted) work.  Durations
+        #: are positive, so it is 0 exactly when both runqueues are empty.
         self.queued_ticks = 0
         #: Total ticks granted on this CPU (utilization accounting).
         self.busy_ticks = 0
@@ -138,6 +168,7 @@ class SchedDomain:
         "name",
         "count",
         "cpus",
+        "queued",
         "_free",
         "_seq",
         "_waiting",
@@ -158,14 +189,16 @@ class SchedDomain:
         self.kernel = kernel
         self.name = name
         self.count = count
-        prefix = f"{name}." if name else ""
-        self.cpus = [_Cpu(i, f"{prefix}cpu{i}") for i in range(count)]
+        self.cpus = [_Cpu(self, i) for i in range(count)]
+        #: Grants waiting for a CPU (all runqueues of the domain).
+        self.queued = 0
+        #: CPUs with no grant running.
         self._free = count
         self._seq = 0
         #: Single-CPU (strict) domain runqueue: ``(priority, seq,
-        #: duration, action)`` — no ``_Work`` record, CPU pick or class
-        #: choice per grant (module docstring has the measured cost).
-        self._waiting: list[tuple[int, int, int, Callable[[], None]]] = []
+        #: duration, target, then)`` — no ``_Work`` record, CPU pick or
+        #: class choice per grant (module docstring has the measured cost).
+        self._waiting: list[tuple] = []
         self.peak_queue = 0
         self.balance_period = balance_period
         self._balance_cancel: dict | None = None
@@ -177,13 +210,6 @@ class SchedDomain:
         )
 
     # -- shared accounting ----------------------------------------------
-
-    @property
-    def queued(self) -> int:
-        """Grants waiting for a CPU (all runqueues of the domain)."""
-        if self.count == 1:
-            return len(self._waiting)
-        return sum(cpu.queue_len for cpu in self.cpus)
 
     @property
     def busy_ticks(self) -> int:
@@ -199,10 +225,6 @@ class SchedDomain:
         """Gauge callback: utilization over the elapsed virtual time."""
         return round(self.utilization(self.kernel.clock.now), 4)
 
-    def _account(self, cpu: _Cpu, duration: int) -> None:
-        cpu.busy_ticks += duration
-        self.kernel.stats.cpu[cpu.key] = cpu.busy_ticks
-
     # -- submission ------------------------------------------------------
 
     def submit(
@@ -215,161 +237,180 @@ class SchedDomain:
         """Grant ``duration`` ticks of CPU, then call ``action()``."""
         if duration <= 0:
             action()
-            return
-        if self.count == 1:
-            self._submit_strict(priority, duration, action)
         else:
-            self._submit_smp(proc, priority, duration, action)
+            self.grant(proc, priority, duration, None, action)
 
-    # -- single-CPU domain: the strict path ------------------------------
-    #
-    # Pinned call for call by tests/fixtures/smp/trace_e1_cpus1.json:
-    # start if the CPU is free, else queue by (priority, seq); on finish,
-    # free the CPU, start the best queued grant, then run the action.
-
-    def _submit_strict(
-        self, priority: int, duration: int, action: Callable[[], None]
-    ) -> None:
-        if self._free > 0:
-            self._start_strict(duration, action)
-        else:
-            self._seq += 1
-            heapq.heappush(self._waiting, (priority, self._seq, duration, action))
-            self.peak_queue = max(self.peak_queue, len(self._waiting))
-
-    def _start_strict(self, duration: int, action: Callable[[], None]) -> None:
-        self._free -= 1
-        cpu = self.cpus[0]
-        self._account(cpu, duration)
-        end = self.kernel.clock.now + duration
-
-        def finish() -> None:
-            self._free += 1
-            if self._waiting:
-                _prio, _seq, next_duration, next_action = heapq.heappop(self._waiting)
-                self._start_strict(next_duration, next_action)
-            action()
-
-        self.kernel.post(end, finish)
-
-    # -- multi-CPU domain: per-CPU runqueues + classes -------------------
-
-    def _submit_smp(
+    def grant(
         self,
         proc: "Process | None",
         priority: int,
         duration: int,
-        action: Callable[[], None],
+        target: "Process | None",
+        then: Any,
     ) -> None:
-        self._seq += 1
-        work = _Work(proc, priority, duration, action, self._seq)
-        cpu = self._pick_free(proc)
-        if cpu is not None:
-            self._start_smp(cpu, work)
-            return
-        target = min(self.cpus, key=lambda c: (c.queued_ticks, c.index))
-        self._enqueue(target, work)
-        self.peak_queue = max(self.peak_queue, self.queued)
-        self._arm_balancer()
+        """Grant ``proc`` ``duration`` (> 0) ticks of CPU at ``priority``.
 
-    def _pick_free(self, proc: "Process | None") -> _Cpu | None:
-        """The CPU a new grant starts on: last-used if free, else lowest."""
-        if proc is not None and proc.last_cpu is not None:
-            name, index = proc.last_cpu
-            if name == self.name and index < self.count and self.cpus[index].free:
-                return self.cpus[index]
+        The grant ends in one kernel record
+        (:meth:`~repro.kernel.kernel.Kernel.post_release`): the CPU's
+        release, then ``target`` is dispatched if its epoch is still
+        ``then`` (the kernel's form) or, with no ``target``, ``then()``
+        is called (:meth:`submit`).
+        """
+        if self.count == 1:
+            if self._free:
+                self._free = 0
+                self._start_strict(self.cpus[0], duration, target, then)
+            else:
+                self._seq = seq = self._seq + 1
+                heappush(self._waiting, (priority, seq, duration, target, then))
+                self.queued = queued = self.queued + 1
+                if queued > self.peak_queue:
+                    self.peak_queue = queued
+        elif self._free:
+            cpu = self._pick_free(proc)
+            cpu.free = False
+            self._free -= 1
+            self._start_smp(cpu, proc, priority, duration, target, then)
+        else:
+            self._seq = seq = self._seq + 1
+            shallowest = min(self.cpus, key=lambda c: (c.queued_ticks, c.index))
+            self._enqueue(
+                shallowest, _Work(proc, priority, duration, target, then, seq)
+            )
+            if self.queued > self.peak_queue:
+                self.peak_queue = self.queued
+            self._arm_balancer()
+
+    # -- single-CPU domain: the strict path ------------------------------
+    #
+    # Pinned call for call by tests/fixtures/smp/trace_e1_cpus1.json:
+    # start if the CPU is free, else queue by (priority, seq); on release,
+    # start the best queued grant, else free the CPU.
+
+    def _start_strict(
+        self, cpu: _Cpu, duration: int, target: "Process | None", then: Any
+    ) -> None:
+        cpu.busy_ticks = busy = cpu.busy_ticks + duration
+        kernel = self.kernel
+        kernel.stats.cpu[cpu.key] = busy
+        kernel.post_release(kernel.clock._now + duration, cpu.release, target, then)
+
+    def _release_strict(self, cpu: _Cpu) -> None:
+        if self._waiting:
+            _prio, _seq, duration, target, then = heappop(self._waiting)
+            self.queued -= 1
+            self._start_strict(cpu, duration, target, then)
+        else:
+            self._free = 1
+
+    # -- multi-CPU domain: per-CPU runqueues + classes -------------------
+
+    def _pick_free(self, proc: "Process | None") -> _Cpu:
+        """The CPU a new grant starts on: last-used if free, else lowest.
+
+        Called only while ``_free`` says one is.
+        """
+        if proc is not None:
+            last = proc.last_cpu
+            if last is not None and last[0] == self.name:
+                cpu = self.cpus[last[1]]
+                if cpu.free:
+                    return cpu
         for cpu in self.cpus:
             if cpu.free:
                 return cpu
-        return None
-
-    def _fair_key(self, cpu: _Cpu, work: _Work) -> tuple:
-        pid = work.proc.pid if work.proc is not None else 0
-        return (work.vruntime, self.name, cpu.index, pid, work.seq)
+        raise KernelError(f"domain {self.name!r}: {self._free} CPUs free, none found")
 
     def _enqueue(self, cpu: _Cpu, work: _Work) -> None:
         if work.priority < PRIORITY_NORMAL:
-            heapq.heappush(cpu.rt, ((work.priority, work.seq), work))
+            heappush(cpu.rt, ((work.priority, work.seq), work))
         else:
-            base = work.proc.vruntime if work.proc is not None else 0
-            work.vruntime = max(base, cpu.fair_clock)
-            heapq.heappush(cpu.fair, (self._fair_key(cpu, work), work))
+            # Fair key: virtual runtime normalized against the CPU's floor.
+            proc = work.proc
+            vruntime = cpu.fair_clock
+            pid = 0
+            if proc is not None:
+                pid = proc.pid
+                if proc.vruntime > vruntime:
+                    vruntime = proc.vruntime
+            heappush(
+                cpu.fair, ((vruntime, self.name, cpu.index, pid, work.seq), work)
+            )
         cpu.queued_ticks += work.duration
+        self.queued += 1
 
-    def _start_smp(self, cpu: _Cpu, work: _Work) -> None:
-        cpu.free = False
-        self._account(cpu, work.duration)
+    def _start_smp(
+        self,
+        cpu: _Cpu,
+        proc: "Process | None",
+        priority: int,
+        duration: int,
+        target: "Process | None",
+        then: Any,
+    ) -> None:
+        cpu.busy_ticks = busy = cpu.busy_ticks + duration
         kernel = self.kernel
-        proc = work.proc
+        kernel.stats.cpu[cpu.key] = busy
         if proc is not None:
-            here = (self.name, cpu.index)
             prev = proc.last_cpu
-            if prev is not None and prev != here:
-                kernel.stats.migrations += 1
-                if kernel.obs.enabled:
-                    kernel.obs.instant(
-                        "migrate",
-                        process=proc.name,
-                        frm=f"{prev[0] or 'cpu'}/{prev[1]}",
-                        to=f"{self.name or 'cpu'}/{cpu.index}",
-                    )
-            proc.last_cpu = here
-            if work.priority >= PRIORITY_NORMAL:
-                vruntime = max(proc.vruntime, cpu.fair_clock)
+            if prev != cpu.here:
+                if prev is not None:
+                    kernel.stats.migrations += 1
+                    if kernel.obs.enabled:
+                        kernel.obs.instant(
+                            "migrate",
+                            process=proc.name,
+                            frm=f"{prev[0] or 'cpu'}/{prev[1]}",
+                            to=cpu.label,
+                        )
+                proc.last_cpu = cpu.here
+            if priority >= PRIORITY_NORMAL:
+                vruntime = proc.vruntime
+                if cpu.fair_clock > vruntime:
+                    vruntime = cpu.fair_clock
                 cpu.fair_clock = vruntime
                 # Priority scales the charge: background work (priority
                 # 1000) ages 10x faster than normal work, so it yields
                 # the CPU to peers with smaller vruntime.
-                proc.vruntime = (
-                    vruntime + work.duration * work.priority // PRIORITY_NORMAL
-                )
+                proc.vruntime = vruntime + duration * priority // PRIORITY_NORMAL
             if kernel.obs.enabled and proc.span is not None:
-                proc.span.attrs["cpu"] = f"{self.name or 'cpu'}/{cpu.index}"
-        end = kernel.clock.now + work.duration
-        action = work.action
+                proc.span.attrs["cpu"] = cpu.label
+        kernel.post_release(kernel.clock._now + duration, cpu.release, target, then)
 
-        def finish() -> None:
+    def _release_smp(self, cpu: _Cpu) -> None:
+        if not self.queued:
+            # Nothing to run or steal (so no balancer armed either).
             cpu.free = True
-            next_work = self._next_work(cpu)
-            if next_work is not None:
-                self._start_smp(cpu, next_work)
-            if self.queued == 0:
-                # Cancelled events are dropped before the clock advances,
-                # so a drained domain never inflates the simulation end.
-                self._cancel_balancer()
-            action()
-
-        kernel.post(end, finish)
+            self._free += 1
+            return
+        work = self._pop_front(cpu)
+        if work is None:
+            # Steal the front of the sibling with the most queued ticks
+            # (lowest index on a tie); ``cpu`` itself has none.
+            victim, most = cpu, 0
+            for other in self.cpus:
+                if other.queued_ticks > most:
+                    victim, most = other, other.queued_ticks
+            work = self._pop_front(victim)
+            self.kernel.stats.steals += 1
+        self._start_smp(
+            cpu, work.proc, work.priority, work.duration, work.target, work.then
+        )
+        if not self.queued:
+            # Cancelled events are dropped before the clock advances,
+            # so a drained domain never inflates the simulation end.
+            self._cancel_balancer()
 
     def _pop_front(self, cpu: _Cpu) -> _Work | None:
         """Best queued grant of one CPU: strict class first, then fair."""
         if cpu.rt:
-            work = heapq.heappop(cpu.rt)[1]
+            work = heappop(cpu.rt)[1]
         elif cpu.fair:
-            work = heapq.heappop(cpu.fair)[1]
+            work = heappop(cpu.fair)[1]
         else:
             return None
         cpu.queued_ticks -= work.duration
-        return work
-
-    def _next_work(self, cpu: _Cpu) -> _Work | None:
-        """What a freshly freed CPU runs next: own queue, else steal."""
-        work = self._pop_front(cpu)
-        if work is not None:
-            return work
-        victim = None
-        for other in self.cpus:
-            if other is cpu or not other.queue_len:
-                continue
-            if victim is None or (other.queued_ticks, -other.index) > (
-                victim.queued_ticks,
-                -victim.index,
-            ):
-                victim = other
-        if victim is None:
-            return None
-        work = self._pop_front(victim)
-        self.kernel.stats.steals += 1
+        self.queued -= 1
         return work
 
     # -- periodic balancing ----------------------------------------------
@@ -442,7 +483,7 @@ class SmpScheduler:
     def domain_of(self, proc: "Process | None") -> SchedDomain | None:
         """The domain whose CPUs serve ``proc``'s grants."""
         if proc is not None and proc.node is not None:
-            domain = self.domains.get(getattr(proc.node, "name", ""))
+            domain = self.domains.get(proc.node.name)
             if domain is not None:
                 return domain
         return self.default

@@ -51,7 +51,8 @@ class Trace:
         """True when :meth:`record` would keep or forward an event.
 
         Callers check this first when merely *building* an event's detail
-        is costly (rendering guard descriptions on every select).
+        is costly (rendering guard descriptions on every select); the
+        kernel's per-process and per-select sites inline the test.
         """
         return self.enabled or bool(self._listeners)
 

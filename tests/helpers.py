@@ -52,6 +52,32 @@ def assert_index_matches_scan(kernel: Kernel) -> None:
             )
 
 
+def assert_sched_counters_match_scan(kernel: Kernel, *unregistered) -> None:
+    """Every scheduling domain's counters equal a scan of its runqueues.
+
+    ``unregistered`` are domains built outside ``kernel.cpu_scheduler``.
+    """
+    for domain in (*kernel.cpu_scheduler.domains.values(), *unregistered):
+        where = f"domain {domain.name!r} at t={kernel.clock.now}"
+        if domain.count == 1:
+            assert domain.queued == len(domain._waiting), where
+            assert domain._free in (0, 1), where
+        else:
+            assert domain.queued == sum(
+                len(cpu.rt) + len(cpu.fair) for cpu in domain.cpus
+            ), where
+            assert domain._free == sum(cpu.free for cpu in domain.cpus), where
+            for cpu in domain.cpus:
+                assert cpu.queued_ticks == sum(
+                    work.duration for _key, work in (*cpu.rt, *cpu.fair)
+                ), f"{where}, cpu{cpu.index}"
+            # The release hook skips the balancer when nothing is queued.
+            assert domain._balance_cancel is None or domain.queued, where
+        # Work conservation: no CPU idles while a grant waits.
+        assert not (domain._free and domain.queued), where
+        assert domain.peak_queue >= domain.queued, where
+
+
 def step_to_quiescence(
     kernel: Kernel,
     until: int | None = None,
@@ -69,3 +95,11 @@ def step_to_quiescence(
             also()
         events += 1
     return events
+
+
+def run_checking_sched(kernel: Kernel, *unregistered) -> int:
+    """``kernel.run()`` one event at a time, with every scheduling domain's
+    counters compared with a scan of its runqueues after each."""
+    return step_to_quiescence(
+        kernel, also=lambda: assert_sched_counters_match_scan(kernel, *unregistered)
+    )

@@ -21,6 +21,8 @@ from repro.kernel.sched import SchedDomain, SmpScheduler
 from repro.obs import ChromeTraceSink
 from repro.stdlib import BoundedBuffer
 
+from tests.helpers import run_checking_sched
+
 FIXTURES = "tests/fixtures/smp"
 MESSAGES = 200
 
@@ -49,20 +51,21 @@ def _e1_trace_bytes(tmp_path, num_cpus):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _fixture_bytes(name):
+    with open(f"{FIXTURES}/{name}") as fh:
+        return json.dumps(json.load(fh), sort_keys=True, separators=(",", ":"))
+
+
 class TestUpStrictCompatibility:
     """cpus=1 must be bit-for-bit the old PriorityCpuScheduler."""
 
     def test_cpus1_trace_matches_pre_smp_fixture(self, tmp_path):
         produced = _e1_trace_bytes(tmp_path, num_cpus=1)
-        with open(f"{FIXTURES}/trace_e1_cpus1.json") as fh:
-            expected = json.dumps(json.load(fh), sort_keys=True, separators=(",", ":"))
-        assert produced == expected
+        assert produced == _fixture_bytes("trace_e1_cpus1.json")
 
     def test_unbounded_trace_matches_pre_smp_fixture(self, tmp_path):
         produced = _e1_trace_bytes(tmp_path, num_cpus=None)
-        with open(f"{FIXTURES}/trace_e1_unbounded.json") as fh:
-            expected = json.dumps(json.load(fh), sort_keys=True, separators=(",", ":"))
-        assert produced == expected
+        assert produced == _fixture_bytes("trace_e1_unbounded.json")
 
     def test_cpus1_trace_diffs_clean_against_fixture(self, tmp_path):
         from repro.obs.diff import main as diff_main
@@ -74,6 +77,12 @@ class TestUpStrictCompatibility:
 
 
 class TestSmpDeterminism:
+    def test_cpus2_trace_matches_fixture(self, tmp_path):
+        """The multi-CPU path's bytes (CPU picks, the ``migrate`` instant),
+        recorded while a grant's end was still a posted closure."""
+        produced = _e1_trace_bytes(tmp_path, num_cpus=2)
+        assert produced == _fixture_bytes("trace_e1_cpus2.json")
+
     def test_cpus2_run_twice_is_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -167,7 +176,7 @@ class TestIdleSteal:
         domain.submit(None, PRIORITY_NORMAL, 100, mark("w2"))
         domain.submit(None, PRIORITY_NORMAL, 50, mark("w3"))
         domain.submit(None, PRIORITY_NORMAL, 50, mark("w4"))
-        kernel.run()
+        run_checking_sched(kernel)
         assert done == {"w1": 10, "w2": 100, "w3": 60, "w4": 110}
         assert kernel.stats.steals == 1
         # Without the steal, w4 would wait for cpu1: finish at t=150.
@@ -178,7 +187,7 @@ class TestIdleSteal:
         domain = kernel.cpu_scheduler.default
         for _ in range(4):
             domain.submit(None, PRIORITY_NORMAL, 50, lambda: None)
-        kernel.run()
+        run_checking_sched(kernel)
         assert kernel.stats.cpu == {"cpu0": 100, "cpu1": 100}
         assert kernel.stats.snapshot()["cpu.cpu0"] == 100
         assert domain.utilization(kernel.clock.now) == pytest.approx(1.0)
@@ -204,7 +213,7 @@ class TestNodeDomains:
         for i in range(3):
             left.submit(None, PRIORITY_NORMAL, 100, mark(f"l{i}"))
         right.submit(None, PRIORITY_NORMAL, 10, mark("r0"))
-        kernel.run()
+        run_checking_sched(kernel)
         assert done == {"l0": 100, "l1": 200, "l2": 300, "r0": 10}
         assert kernel.stats.steals == 0
         assert kernel.stats.migrations == 0
@@ -223,7 +232,7 @@ class TestNodeDomains:
 
         node.spawn(worker)
         node.spawn(worker)
-        kernel.run()
+        run_checking_sched(kernel)
         # One CPU on the node: the two charges serialize.
         assert kernel.clock.now == 200
         assert kernel.cpu_scheduler.domain("server").busy_ticks == 200
@@ -240,7 +249,7 @@ class TestNodeDomains:
         assert kernel.cpu_scheduler.queue_depth(node) == 1
         assert kernel.cpu_scheduler.queue_depth("server") == 1
         assert kernel.cpu_scheduler.queue_depth() == 0  # default domain
-        kernel.run()
+        run_checking_sched(kernel)
         assert kernel.cpu_scheduler.queue_depth(node) == 0
 
     def test_duplicate_domain_rejected(self):
@@ -262,7 +271,7 @@ class TestBalancer:
         domain.submit(None, PRIORITY_NORMAL, 1000, lambda: ran.append("pin1"))
         for i in range(4):
             domain.submit(None, PRIORITY_NORMAL, 100, lambda i=i: ran.append(i))
-        kernel.run()
+        run_checking_sched(kernel, domain)
         assert kernel.stats.balance_runs > 0
         assert len(ran) == 6
         # Balanced 2+2 behind the pins: everything ends at 1000+200.
@@ -275,8 +284,49 @@ class TestBalancer:
         domain = kernel.cpu_scheduler.default
         for _ in range(3):
             domain.submit(None, PRIORITY_NORMAL, 10, lambda: None)
-        kernel.run()
+        run_checking_sched(kernel, domain)
         assert kernel.clock.now == 20
+
+
+class TestPoolOnSmpNode:
+    def test_shared_pool_of_4_on_a_4_cpu_node(self):
+        """``pool_smp``'s shape (perflab): pool bodies and the manager
+        contend on the node's domain; the clients run unbounded."""
+        from repro.core import PoolConfig
+        from repro.kernel.costs import CostModel
+        from repro.net import Network
+        from repro.stdlib import Dictionary
+
+        kernel = Kernel(
+            costs=CostModel(process_create=300, lwp_create=5, context_switch=1)
+        )
+        node = Network(kernel).add_node("server", cpus=4)
+        entries = {f"w{i}": f"meaning-of-w{i}" for i in range(32)}
+        dictionary = node.place(Dictionary(
+            kernel, name="dict", entries=entries, search_max=16, search_work=30,
+            combining=False, pool=PoolConfig("shared", size=4),
+        ))
+        wrong = []
+
+        def client(c):
+            for i in range(6):
+                word = f"w{(7 * c + 5 * i) % 32}"
+                if (yield dictionary.search(word)) != entries[word]:
+                    wrong.append(word)  # pragma: no cover
+
+        for c in range(8):
+            kernel.spawn(client, c, name=f"client{c}")
+        run_checking_sched(kernel)
+        assert not wrong
+        stats = kernel.stats
+        # Recorded while a grant's end was a posted closure.
+        assert (kernel.clock.now, stats.resumptions) == (463, 345)
+        assert (stats.migrations, stats.steals, stats.stale_events) == (14, 36, 50)
+        assert stats.cpu == {
+            "server.cpu0": 457, "server.cpu1": 453,
+            "server.cpu2": 428, "server.cpu3": 432,
+        }
+        assert kernel.cpu_scheduler.domain("server").peak_queue == 1
 
 
 class TestKernelApi:

@@ -62,6 +62,40 @@ class TestTrace:
         assert kernel.trace.count("spawn") == 2
         assert kernel.trace.count("exit") == 2
 
+    def test_kernel_sites_follow_recording(self):
+        """The kernel tests ``recording`` inline before it builds a spawn,
+        exit, block or wake event: a listener alone gets all four, with
+        the times and details retention would have kept."""
+        from repro.channels import Channel, ReceiveGuard, Send
+        from repro.kernel import Select
+
+        def run(kernel):
+            ch = Channel(name="ch")
+
+            def receiver():
+                yield Select(ReceiveGuard(ch))
+
+            def sender():
+                yield Delay(3)
+                yield Send(ch, "go")
+
+            kernel.spawn(receiver)
+            kernel.spawn(sender)
+            kernel.run()
+
+        retained, streamed, silent = Kernel(trace=True), Kernel(), Kernel()
+        heard = []
+        streamed.trace.subscribe(heard.append)
+        assert retained.trace.recording and streamed.trace.recording
+        assert not silent.trace.recording
+        for kernel in (retained, streamed, silent):
+            run(kernel)
+        kinds = [(e.time, e.kind, e.process) for e in heard]
+        assert kinds == [(e.time, e.kind, e.process) for e in retained.trace]
+        assert {"spawn", "exit", "block", "wake"} <= {kind for _t, kind, _p in kinds}
+        assert [e.detail for e in heard] == [e.detail for e in retained.trace]
+        assert len(streamed.trace) == len(silent.trace) == 0
+
     def test_clear(self):
         trace = Trace(enabled=True)
         trace.record(0, "x", "p")

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from repro.kernel import Charge, Delay, Kernel, Par
 from repro.kernel.costs import FREE
 
+from tests.helpers import run_checking_sched
+
 
 @given(
     delays=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=10)
@@ -92,3 +94,50 @@ def test_deterministic_replay(seed):
         return log, kernel.clock.now, kernel.stats.snapshot()
 
     assert run() == run()
+
+
+@given(
+    grants=st.lists(
+        st.tuples(
+            st.sampled_from([10, 50, 100, 100, 1000]),  # priority
+            st.integers(min_value=1, max_value=40),  # duration
+            st.integers(min_value=0, max_value=15),  # gap since the last arrival
+            st.booleans(),  # a process's Charge, or a bare ``submit``
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    cpus=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_grant_completes_once_and_no_cpu_idles_beside_a_queue(grants, cpus):
+    """Both completion kinds of a grant, on both sides of the ``count``
+    fork, with the domain's counters checked against a scan (and work
+    conservation with them) after every kernel event."""
+    kernel = Kernel(costs=FREE, num_cpus=cpus)
+    domain = kernel.cpu_scheduler.default
+    completed = []
+
+    def charger(index, arrival, duration):
+        yield Delay(arrival)
+        yield Charge(duration)
+        completed.append(index)
+
+    def submitter(index, arrival, priority, duration):
+        yield Delay(arrival)
+        domain.submit(None, priority, duration, lambda: completed.append(index))
+
+    arrival = 0
+    for index, (priority, duration, gap, as_process) in enumerate(grants):
+        arrival += gap
+        if as_process:
+            kernel.spawn(charger, index, arrival, duration, priority=priority)
+        else:
+            kernel.spawn(submitter, index, arrival, priority, duration)
+    run_checking_sched(kernel)
+    assert sorted(completed) == list(range(len(grants)))
+    total = sum(duration for _priority, duration, _gap, _as_process in grants)
+    assert domain.busy_ticks == total == sum(kernel.stats.cpu.values())
+    assert domain.queued == 0 and domain._free == cpus
+    assert -(-total // cpus) <= kernel.clock.now <= arrival + total
+

@@ -115,9 +115,12 @@ class Call:
         self.dispatched_at: int | None = None
         self.body_done_at: int | None = None
         self.finished_at: int | None = None
-        #: Extra network delay to apply when resuming the caller (set by
-        #: the RPC layer for remote calls).
-        self.response_delay = 0
+        #: Ticks the response leg takes, or None while the call has no
+        #: response leg: caller and object share a node.  The request
+        #: leg of a remote call fills it in with its own delay (what the
+        #: spans of a call that fails are drawn with), the response leg
+        #: with what the reply really took.
+        self.response_delay: int | None = None
         #: True once the caller has been resumed or thrown into — exactly
         #: once per call, whichever of completion, failure, timeout expiry
         #: or crash detection happens first wins.

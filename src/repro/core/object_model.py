@@ -309,17 +309,6 @@ class AlpsObject(metaclass=AlpsObjectMeta):
             )
         return runtime
 
-    def _call_latency(self, caller: Process) -> tuple[int, int]:
-        """(request, response) network delay for a call from ``caller``."""
-        node = self.node
-        if node is None:
-            return (0, 0)
-        caller_node = caller.node
-        if caller_node is None or caller_node is node:
-            return (0, 0)
-        latency = node.network.latency(caller_node, node)
-        return (latency, latency)
-
     # -- manager-side conveniences ------------------------------------------
 
     def pending(self, proc_name: str) -> int:

@@ -21,6 +21,7 @@ from ..errors import CallError, ProtocolError
 from ..kernel.process import ProcessState
 from ..kernel.syscalls import Select, Syscall
 from ..kernel.waiting import Guard, Ready, Waitable
+from ..net.wire import send_request
 from .calls import Call, CallState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,35 +139,7 @@ class EntryCall(Syscall):
         call.timeout = self.timeout
         if self.timeout is not None or call.deadline_at is not None:
             runtime.arm_expiry(call)
-        deliver = lambda: runtime.submit(call)
-
-        # When a fault injector is installed it owns routing: crashed
-        # targets, partitions, message loss and jitter all happen there.
-        if kernel.faults is not None:
-            kernel.faults.route_call(call, proc, deliver)
-            return
-
-        # Remote calls (objects placed on another node) acquire network
-        # latency on the request and response paths.
-        request_delay, response_delay = self.obj._call_latency(proc)
-        call.response_delay = response_delay
-        if request_delay:
-            if call.span is not None:
-                call.span.attrs["request_delay"] = request_delay
-                _tag_hop(call, proc)
-            kernel.post(kernel.clock.now + request_delay, deliver)
-        else:
-            deliver()
-
-
-def _tag_hop(call: Call, proc: "Process") -> None:
-    """Label a remote call's root span with the RPC hop's endpoints."""
-    src = proc.node
-    dst = call.obj.node
-    if src is not None:
-        call.span.attrs["src_node"] = src.name
-    if dst is not None:
-        call.span.attrs["dst_node"] = dst.name
+        send_request(kernel, call)
 
 
 def _arity(spec: Any, got: int) -> CallError:

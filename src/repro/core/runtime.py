@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import AdmissionError, DeadlineExceeded, ProtocolError, RemoteCallError
 from ..kernel.waiting import Waitable
+from ..net.wire import send_response
 from ..obs.live.stream import Ewma
 from .calls import Call, CallState
 
@@ -364,40 +365,25 @@ class EntryRuntime:
 
         A caller is resumed at most once: if the call already expired (a
         timed call), or was failed by crash detection, the response is
-        discarded.  With a fault injector installed, the response leg may
-        itself be lost or jittered.
+        discarded.  A remote caller's response crosses the network, which
+        may delay or lose it; a lost one settles nothing — the caller
+        recovers through a timeout (plus retry), never through a silent
+        double-resume.
         """
         if call.caller_resumed:
             return
-        faults = self.kernel.faults
-        if faults is not None and faults.drop_response(call):
-            # Response lost in the network; the caller recovers through a
-            # timeout (plus retry), never through a silent double-resume.
+        returns = self.spec.returns
+        value = None if returns == 0 else results[0] if returns == 1 else tuple(results)
+        kernel = self.kernel
+        if call.response_delay is None:
+            kernel.schedule_resume(call.caller, value)
+        elif not send_response(kernel, call, value):
             return
         call.caller_resumed = True
         if call.expiry_cancel is not None:
             call.expiry_cancel["cancelled"] = True
-        value: Any
-        if self.spec.returns == 0:
-            value = None
-        elif self.spec.returns == 1:
-            value = results[0]
-        else:
-            value = tuple(results)
-        if call.response_delay:
-            kernel = self.kernel
-            # The caller-perceived completion includes the response leg.
-            if call.finished_at is not None:
-                call.finished_at += call.response_delay
-            kernel.post(
-                kernel.clock.now + call.response_delay,
-                lambda: kernel.schedule_resume(call.caller, value),
-                priority=call.caller.priority,
-            )
-        else:
-            self.kernel.schedule_resume(call.caller, value)
-        if self.kernel.obs.enabled:
-            self.kernel.obs.complete_call(call, status="ok")
+        if kernel.obs.enabled:
+            kernel.obs.complete_call(call, status="ok")
 
     def fail(
         self,

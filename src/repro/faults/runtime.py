@@ -1,14 +1,12 @@
 """The fault-injection engine: a :class:`FaultPlan` made live.
 
 :func:`install` hooks a :class:`FaultRuntime` into the kernel and the
-network.  From then on the runtime owns every cross-node interaction:
+network.  From then on the places that move work consult it:
 
-* **entry calls** — ``EntryCall.handle`` delegates to :meth:`route_call`,
-  which applies crash detection, partitions, request loss and jitter; the
-  response leg passes through :meth:`drop_response` from
-  ``EntryRuntime.resume_caller``;
-* **messages** — ``NetSend`` asks :meth:`message_fates` for the delivery
-  schedule of each remote message (zero, one or two deliveries);
+* **messages** — :func:`repro.net.wire.carry`, the one path every entry
+  call leg and ``NetSend`` takes, asks :meth:`fate` what becomes of each
+  message and reports the ones it could not deliver to :meth:`drop`;
+  the request leg first asks :meth:`admit` whether the target is up;
 * **work** — ``Charge`` asks :meth:`scale_work` to dilate ticks on
   degraded nodes;
 * **routing** — the network's Dijkstra cache keys on :attr:`epoch`, which
@@ -35,12 +33,13 @@ reports the hang honestly as a ``DeadlockError`` at quiescence.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.calls import Call, CallState
 from ..errors import NetworkError, RemoteCallError
 from ..kernel.syscalls import Select
 from ..kernel.waiting import Guard, Ready, Waitable
+from ..net.wire import send_request
 from .plan import FaultPlan, NodeCrash, PartitionFault
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,14 +105,17 @@ class FaultRuntime:
             "faults.node_restarts", "Node restart transitions")
         self.c_calls_to_down = m.counter(
             "faults.calls_to_down_target", "Calls issued to a crashed object/node")
-        self.c_dropped_requests = m.counter(
-            "faults.dropped_requests", "Entry-call request legs lost")
-        self.c_dropped_responses = m.counter(
-            "faults.dropped_responses", "Entry-call response legs lost")
+        #: Messages the network lost, by leg (see :meth:`drop`).
+        self._dropped = {
+            "request": m.counter(
+                "faults.dropped_requests", "Entry-call request legs lost"),
+            "response": m.counter(
+                "faults.dropped_responses", "Entry-call response legs lost"),
+            "message": m.counter(
+                "faults.dropped_messages", "NetSend messages lost"),
+        }
         self.c_failed_calls = m.counter(
             "faults.failed_calls", "Calls failed with RemoteCallError")
-        self.c_dropped_messages = m.counter(
-            "faults.dropped_messages", "NetSend messages lost")
         self.c_duplicated_messages = m.counter(
             "faults.duplicated_messages", "NetSend messages delivered twice")
         self.c_requeued_calls = m.counter(
@@ -287,89 +289,32 @@ class FaultRuntime:
                     call,
                     f"call to {obj.alps_name}.{call.entry} interrupted by "
                     f"crash of node {node.name}",
-                    self.plan.detection_delay,
                 )
 
     # ------------------------------------------------------------------
-    # Entry-call routing
+    # What the wire asks (repro.net.wire)
     # ------------------------------------------------------------------
 
-    def route_call(self, call: Call, caller: "Process", deliver: Callable[[], None]) -> None:
-        """Deliver (or lose, or fail) a freshly issued entry call."""
-        kernel = self.kernel
+    def admit(self, call: Call) -> bool:
+        """May ``call`` be sent?  False when its target is down.
+
+        The failure detector then fails the caller after
+        ``detection_delay``.  An admitted call to a placed object is
+        tracked, so that a crash can capture it wherever it is.
+        """
         obj = call.obj
         node = obj.node
-        src = caller.node
-
         if self.is_down(obj):
             self.c_calls_to_down.inc()
             self._fail_later(
                 call,
                 f"{obj.alps_name} is down"
                 + (f" (node {node.name})" if node is not None else ""),
-                self.plan.detection_delay,
             )
-            return
-        if node is None:
-            deliver()  # unplaced objects live outside the failure model
-            return
-        self._track(call)
-        if src is None or src is node:
-            deliver()  # co-located: no network between caller and object
-            return
-
-        latency = self.network.latency_or_none(src, node)
-        now = kernel.clock.now
-        if latency is None:
-            kernel.trace.record(
-                now, "drop", caller.name,
-                leg="request", entry=call.entry, obj=obj.alps_name, reason="no route",
-            )
-            self._fail_later(
-                call,
-                f"no route from {src.name} to {node.name} for call to "
-                f"{obj.alps_name}.{call.entry}",
-                self.plan.detection_delay,
-            )
-            return
-        dropped, _dup, jitter = self._fate(src.name, node.name, allow_duplicate=False)
-        if dropped:
-            self.c_dropped_requests.inc()
-            kernel.trace.record(
-                now, "drop", caller.name,
-                leg="request", entry=call.entry, obj=obj.alps_name, reason="loss",
-            )
-            return  # the caller recovers through its timeout (and retry)
-        call.response_delay = latency
-        fire = self._guarded(call, deliver)
-        when = now + latency + jitter()
-        if call.span is not None:
-            if when > now:
-                call.span.attrs["request_delay"] = when - now
-            call.span.attrs["src_node"] = src.name
-            call.span.attrs["dst_node"] = node.name
-        if when > now:
-            kernel.post(when, fire)
-        else:
-            fire()
-
-    def _guarded(self, call: Call, deliver: Callable[[], None]) -> Callable[[], None]:
-        """Wrap a delivery so crashes between issue and arrival void it."""
-        epoch = call.delivery_epoch
-
-        def fire() -> None:
-            if call.caller_resumed or call.delivery_epoch != epoch:
-                return
-            if self.is_down(call.obj):
-                self.kernel.trace.record(
-                    self.kernel.clock.now, "drop", call.caller.name,
-                    leg="request", entry=call.entry, obj=call.obj.alps_name,
-                    reason="target down",
-                )
-                return
-            deliver()
-
-        return fire
+            return False
+        if node is not None:  # unplaced objects live outside the failure model
+            self._track(call)
+        return True
 
     def _track(self, call: Call) -> None:
         if len(self._inflight) > 64:
@@ -381,43 +326,73 @@ class FaultRuntime:
             ]
         self._inflight.append(call)
 
-    def drop_response(self, call: Call) -> bool:
-        """Decide the response leg's fate; True means the response is lost.
+    def fate(
+        self, leg: str, latency: int, subject: Any, src: "Node", dst: "Node"
+    ) -> list[int]:
+        """Delivery delays of one routed message; empty when it is lost.
 
-        Also refreshes ``call.response_delay`` against the current
-        topology (a route may have lengthened since the request).
+        One draw per matching rule from the seeded RNG, in rule order,
+        then one jitter draw per copy delivered.  Only a ``"message"``
+        (``NetSend``) can be duplicated: a second request would run the
+        body twice and a second response resume the caller twice.
         """
-        obj = call.obj
-        node = obj.node
-        dst = call.caller.node
-        if node is None or dst is None or node is dst:
-            return False
-        if not self.node_up(dst.name):
-            return False  # the caller died with its node; resume is a no-op
-        kernel = self.kernel
-        latency = self.network.latency_or_none(node, dst)
-        if latency is None:
-            self.c_dropped_responses.inc()
-            kernel.trace.record(
-                kernel.clock.now, "drop", call.caller.name,
-                leg="response", entry=call.entry, obj=obj.alps_name, reason="no route",
-            )
-            return True
-        dropped, _dup, jitter = self._fate(node.name, dst.name, allow_duplicate=False)
+        rng = self.rng
+        dropped = duplicated = False
+        jitter = 0
+        for rule in self.plan.rules_for(src.name, dst.name):
+            if rule.drop_rate and rng.random() < rule.drop_rate:
+                dropped = True
+            if (
+                leg == "message"
+                and rule.duplicate_rate
+                and rng.random() < rule.duplicate_rate
+            ):
+                duplicated = True
+            jitter = max(jitter, rule.jitter)
         if dropped:
-            self.c_dropped_responses.inc()
-            kernel.trace.record(
-                kernel.clock.now, "drop", call.caller.name,
-                leg="response", entry=call.entry, obj=obj.alps_name, reason="loss",
-            )
-            return True
-        call.response_delay = latency + jitter()
-        return False
+            return self.drop(leg, "loss", subject, src, dst)
+        delays = [latency + (rng.randint(0, jitter) if jitter else 0)]
+        if duplicated:
+            self.c_duplicated_messages.inc()
+            delays.append(latency + (rng.randint(0, jitter) if jitter else 0))
+        return delays
 
-    def _fail_later(self, call: Call, reason: str, delay: int) -> None:
+    def drop(
+        self, leg: str, reason: str, subject: Any, src: "Node", dst: "Node"
+    ) -> list[int]:
+        """Record a message the network did not deliver; returns no delays.
+
+        ``subject`` is the call of a ``"request"``/``"response"`` leg and
+        the sender of a ``"message"``.  A lost response or message is
+        counted.  A request is counted when it is silently lost; one
+        that finds no route is a partition the failure detector sees,
+        so its caller fails after ``detection_delay``; one whose target
+        went down while it was on the wire belongs to the crash.
+        """
+        kernel = self.kernel
+        if leg == "message":
+            who, detail = subject.name, {"src": src.name, "dst": dst.name}
+        else:
+            who = subject.caller.name
+            detail = {"entry": subject.entry, "obj": subject.obj.alps_name}
+        kernel.trace.record(
+            kernel.clock.now, "drop", who, leg=leg, **detail, reason=reason
+        )
+        if leg != "request" or reason == "loss":
+            self._dropped[leg].inc()
+        elif reason == "no route":
+            self._fail_later(
+                subject,
+                f"no route from {src.name} to {dst.name} for call to "
+                f"{subject.obj.alps_name}.{subject.entry}",
+            )
+        return []
+
+    def _fail_later(self, call: Call, reason: str) -> None:
+        """Fail ``call`` once the failure detector's delay has passed."""
         kernel = self.kernel
         kernel.post(
-            kernel.clock.now + delay,
+            kernel.clock.now + self.plan.detection_delay,
             lambda: self._fail_call(call, reason),
             priority=call.caller.priority,
         )
@@ -431,59 +406,6 @@ class FaultRuntime:
             RemoteCallError(reason, entry=call.entry, obj=call.obj.alps_name),
             "failed",
         )
-
-    # ------------------------------------------------------------------
-    # Message and work fates
-    # ------------------------------------------------------------------
-
-    def _fate(self, src: str, dst: str, allow_duplicate: bool):
-        """Draw this message's fate from the seeded RNG, in rule order."""
-        dropped = False
-        duplicated = False
-        jitter_bound = 0
-        for rule in self.plan.rules_for(src, dst):
-            if rule.drop_rate and self.rng.random() < rule.drop_rate:
-                dropped = True
-            if (
-                allow_duplicate
-                and rule.duplicate_rate
-                and self.rng.random() < rule.duplicate_rate
-            ):
-                duplicated = True
-            jitter_bound = max(jitter_bound, rule.jitter)
-
-        def jitter() -> int:
-            return self.rng.randint(0, jitter_bound) if jitter_bound else 0
-
-        return dropped, duplicated, jitter
-
-    def message_fates(
-        self, proc: "Process", src: "Node", dst: "Node", size: int = 1
-    ) -> list[int]:
-        """Delivery delays for one ``NetSend`` message ([] means lost)."""
-        kernel = self.kernel
-
-        def drop(reason: str) -> list[int]:
-            self.c_dropped_messages.inc()
-            kernel.trace.record(
-                kernel.clock.now, "drop", proc.name,
-                leg="message", src=src.name, dst=dst.name, reason=reason,
-            )
-            return []
-
-        if not self.node_up(dst.name) or not self.node_up(src.name):
-            return drop("node down")
-        latency = self.network.latency_or_none(src, dst, size=size)
-        if latency is None:
-            return drop("no route")
-        dropped, duplicated, jitter = self._fate(src.name, dst.name, allow_duplicate=True)
-        if dropped:
-            return drop("loss")
-        fates = [latency + jitter()]
-        if duplicated:
-            self.c_duplicated_messages.inc()
-            fates.append(latency + jitter())
-        return fates
 
     def scale_work(self, proc: "Process", ticks: int) -> int:
         """Dilate ``Charge``d work on a degraded node."""
@@ -530,7 +452,6 @@ class FaultRuntime:
         if call.caller_resumed or not caller.alive or not call.interrupted:
             return False
         obj = call.obj
-        node = obj.node
         if self.is_down(obj):
             # Crashed again before we could re-queue: hold the call for
             # the next recovery round.
@@ -539,35 +460,15 @@ class FaultRuntime:
 
         call.interrupted = False
         call.delivery_epoch += 1
-        runtime = call.runtime
-        runtime.requeue(call)
-
-        src = caller.node
-        request = 0
-        call.response_delay = 0
-        if node is not None and src is not None and src is not node:
-            latency = self.network.latency_or_none(src, node)
-            if latency is None:
-                self._fail_call(
-                    call,
-                    f"no route from {src.name} to {node.name} to re-queue "
-                    f"call to {obj.alps_name}.{call.entry}",
-                )
-                return False
-            request = latency
-            call.response_delay = latency
+        call.runtime.requeue(call)
         self.c_requeued_calls.inc()
         kernel.trace.record(
             kernel.clock.now, "retry", caller.name,
             entry=call.entry, obj=obj.alps_name, requeued=True,
         )
-        if node is not None:
-            self._track(call)
-        fire = self._guarded(call, lambda: runtime.submit(call))
-        if request:
-            kernel.post(kernel.clock.now + request, fire)
-        else:
-            fire()
+        # A request leg like the first, but the Supervisor owns
+        # redelivery: the message draws no fate.
+        send_request(kernel, call, fate=False)
         return True
 
     def describe(self) -> str:

@@ -2,12 +2,12 @@
 
 Remote *procedure calls* need no special syntax — placing an ALPS object
 on a node (``node.place(obj)``) makes every call from a process on a
-different node pay request/response latency automatically (the hook is
-``AlpsObject._call_latency``).  This module adds the message-passing
-half: ``NetSend`` delivers to a channel homed on another node after the
-network delay, so "a user can further communicate with an executing
-remote procedure using message passing on point-to-point channels" (§1)
-works across the simulated machine.
+different node pay request/response latency automatically (the two legs
+are :func:`repro.net.wire.send_request` and ``send_response``).  This
+module adds the message-passing half: ``NetSend`` delivers to a channel
+homed on another node after the network delay, so "a user can further
+communicate with an executing remote procedure using message passing on
+point-to-point channels" (§1) works across the simulated machine.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..channels.channel import Channel
-from ..errors import ChannelError
+from ..errors import ChannelError, NetworkError
 from ..kernel.syscalls import Syscall
-from .network import Node, node_of
+from .network import Node
+from .wire import carry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -60,41 +61,25 @@ class NetSend(Syscall):
         except ChannelError as exc:
             kernel.schedule_throw(proc, exc)
             return
-        home = getattr(channel, "node", None)
-        sender_node = node_of(proc)
 
         def deliver() -> None:
             channel._enqueue(self.values)
             kernel.notify(channel)
 
-        # One logical send == one sends tick, charged at send time.  Wire
-        # transmissions (including fault-injected duplicates) are counted
-        # separately under rpc.messages; previously each *delivery* bumped
-        # sends, double-counting duplicated messages.
-        kernel.stats.sends += 1
-        remote = home is not None and sender_node is not None and home is not sender_node
-        faults = kernel.faults
-        if remote:
-            rpc_messages = kernel.metrics.counter(
-                "rpc.messages", "Cross-node message transmissions (incl. duplicates)"
-            )
-        if faults is not None and remote:
-            # The injector decides this message's fate: zero, one (possibly
-            # jittered) or two (duplicated) deliveries.
-            fates = faults.message_fates(proc, sender_node, home, self.size)
-            rpc_messages.inc(len(fates))
-            for delay in fates:
-                if delay:
-                    kernel.post(kernel.clock.now + delay, deliver)
-                else:
-                    deliver()
+        src = proc.node
+        home = getattr(channel, "node", None)
+        if src is None or home is None or src is home:
+            deliver()
         else:
-            delay = 0
-            if remote:
-                rpc_messages.inc()
-                delay = home.network.latency(sender_node, home, size=self.size)
-            if delay:
-                kernel.post(kernel.clock.now + delay, deliver)
-            else:
-                deliver()
+            try:
+                sent = carry(kernel, src, home, deliver, "message", proc, size=self.size)
+            except NetworkError as exc:
+                kernel.schedule_throw(proc, exc)
+                return
+            # Wire transmissions, duplicates included, are not sends.
+            kernel.metrics.counter(
+                "rpc.messages", "Cross-node message transmissions (incl. duplicates)"
+            ).inc(len(sent))
+        # One logical send == one sends tick, however many copies arrive.
+        kernel.stats.sends += 1
         kernel.schedule_resume(proc, None, cost=cost + kernel.costs.send)

@@ -94,6 +94,40 @@ class TestNoRoute:
         net.connect("a1", "b0", latency=1)  # invalidates cached routes
         assert net.latency("a0", "b1") == 2 + 1 + 3
 
+    def test_entry_call_across_islands_fails_in_the_caller(self, kernel):
+        # Used to raise out of kernel.run() from inside the syscall
+        # handler, leaving the caller parked with its except unreached.
+        net = self.make_islands(kernel)
+        d = net.node("b1").place(Dictionary(kernel, name="d", entries={"a": 1}))
+        caught = []
+
+        def client():
+            try:
+                yield d.search("a")
+            except NetworkError as exc:
+                caught.append((kernel.clock.now, str(exc)))
+
+        proc = net.node("a0").spawn(client, name="client")
+        kernel.run()
+        assert caught == [(0, "no route from 'a0' to 'b1'")]
+        assert not proc.alive and kernel.stats.calls_issued == 0
+
+    def test_netsend_across_islands_fails_in_the_sender(self, kernel):
+        net = self.make_islands(kernel)
+        inbox = NetChannel(net.node("b1"), name="inbox")
+        caught = []
+
+        def sender():
+            try:
+                yield NetSend(inbox, "x")
+            except NetworkError as exc:
+                caught.append(str(exc))
+
+        net.node("a0").spawn(sender, name="sender")
+        kernel.run()
+        assert caught == ["no route from 'a0' to 'b1'"]
+        assert not inbox._queue and kernel.stats.sends == 0
+
     def test_diameter_ignores_unreachable_pairs(self, kernel):
         net = self.make_islands(kernel)
         assert net.diameter() == 3  # largest *reachable* distance

@@ -100,14 +100,8 @@ def call(plan=None, obj_on="b", caller_on="a", work=0, issue_at=0, timeout=None,
 
     spawn = kernel.spawn if caller_on is None else net.node(caller_on).spawn
     spawn(client, name="client")
-    raised = None
-    try:
-        kernel.run()
-    except NetworkError as exc:  # the parent's no-route bug: out of run()
-        raised = f"{type(exc).__name__}: {exc}"
-    return observe(
-        kernel, net, arrivals=obj.arrivals, resumed=resumed, raised=raised
-    )
+    kernel.run()
+    return observe(kernel, net, arrivals=obj.arrivals, resumed=resumed)
 
 
 def send(plan=None, chan_on="b", sender_on="a", issue_at=0):
@@ -133,12 +127,8 @@ def send(plan=None, chan_on="b", sender_on="a", issue_at=0):
     spawn = kernel.spawn if sender_on is None else net.node(sender_on).spawn
     spawn(sender, name="sender")
     kernel.spawn(receiver, name="receiver", daemon=True)  # unplaced: survives crashes
-    raised = None
-    try:
-        kernel.run()
-    except NetworkError as exc:
-        raised = f"{type(exc).__name__}: {exc}"
-    return observe(kernel, net, arrivals=arrivals, resumed=resumed, raised=raised)
+    kernel.run()
+    return observe(kernel, net, arrivals=arrivals, resumed=resumed)
 
 
 def plan(seed=0):
@@ -159,6 +149,7 @@ assert _rng.random() >= 0.5 > _rng.random()
 
 OK = [(6, "x")]
 RPC = {"request_delay": 3, "src_node": "a", "dst_node": "b"}
+NO_ROUTE = "NetworkError: no route from 'a' to 'c'"
 TIMED_OUT = "RemoteCallError: call to echo.echo timed out after {} ticks"
 CRASH = {"faults.node_crashes": 1}
 RECOVERED = {
@@ -187,7 +178,7 @@ TABLE = [
     row("call", "co-located, plan", lambda: call(plan(), obj_on="a"),
         arrivals=[0], resumed=[(0, "x")]),
     row("call", "remote", lambda: call(),
-        arrivals=[3], resumed=OK, tags=RPC, traffic=3),
+        arrivals=[3], resumed=OK, tags=RPC, traffic=6),
     row("call", "remote, plan", lambda: call(plan()),
         arrivals=[3], resumed=OK, tags=RPC, traffic=6),
     row("call", "duplicate rule (never applies to a call)",
@@ -195,7 +186,7 @@ TABLE = [
         arrivals=[3], resumed=OK, tags=RPC, traffic=6),
     # -- the request leg ------------------------------------------------
     row("request", "no route", lambda: call(obj_on="c"),
-        raised="NetworkError: no route from 'a' to 'c'"),
+        resumed=[(0, NO_ROUTE)]),
     row("request", "no route, plan", lambda: call(plan(), obj_on="c"),
         resumed=[(DETECT, "RemoteCallError: no route from a to c for call to echo.echo")],
         drops=[(0, "request", "no route")],
@@ -223,7 +214,7 @@ TABLE = [
         arrivals=[3], resumed=[(2, TIMED_OUT.format(2))], tags=RPC, traffic=3),
     row("request", "caller times out while it is on the wire, plan",
         lambda: call(plan(), timeout=2),
-        resumed=[(2, TIMED_OUT.format(2))], tags=RPC, traffic=3),
+        arrivals=[3], resumed=[(2, TIMED_OUT.format(2))], tags=RPC, traffic=3),
     # -- the response leg -------------------------------------------------
     row("response", "no route",
         lambda: call(plan().partition(["a"], ["b"], at=4), work=5, timeout=30),
@@ -255,11 +246,10 @@ TABLE = [
         lambda: call(crashed().partition(["a"], ["b"], at=25), work=20,
                      supervised=True),
         arrivals=[3],
-        resumed=[(30, "RemoteCallError: no route from a to b to re-queue "
+        resumed=[(30 + DETECT, "RemoteCallError: no route from a to b for "
                   "call to echo.echo")],
-        counters={"faults.failed_calls": 1, "faults.node_crashes": 1,
-                  "faults.node_restarts": 1},
-        tags=RPC, traffic=3),
+        drops=[(30, "request", "no route")],
+        counters={**RECOVERED, "faults.failed_calls": 1}, tags=RPC, traffic=3),
     row("re-queue", "loss (draws no fate)",
         lambda: call(crashed(SPARE_THEN_TAKE).drop_messages(0.5, dst="b"),
                      work=20, supervised=True),
@@ -268,8 +258,8 @@ TABLE = [
     row("re-queue", "jitter (draws none)",
         lambda: call(crashed(1).delay_jitter(5, dst="b"), work=20,
                      supervised=True),
-        arrivals=[4, 33], resumed=[(56, "x")], counters=RECOVERED,
-        tags={**RPC, "request_delay": 4}, traffic=9),
+        arrivals=[4, 33], resumed=[(56, "x")], counters=RECOVERED, tags=RPC,
+        traffic=9),
     row("re-queue", "target crashes again while it is on the wire",
         lambda: call(crashed().crash_node("b", at=31, restart_at=60), work=20,
                      supervised=True),
@@ -287,8 +277,7 @@ TABLE = [
     row("send", "remote, plan", lambda: send(plan()),
         arrivals=[3], counters={"rpc.messages": 1}, traffic=3),
     row("send", "no route", lambda: send(chan_on="c"),
-        raised="NetworkError: no route from 'a' to 'c'",
-        counters={"rpc.messages": 1}),
+        resumed=[(0, NO_ROUTE)]),
     row("send", "no route, plan", lambda: send(plan(), chan_on="c"),
         drops=[(0, "message", "no route")],
         counters={"faults.dropped_messages": 1}),
@@ -303,7 +292,7 @@ TABLE = [
         arrivals=[4], counters={"rpc.messages": 1}, traffic=3),
     row("send", "target down at issue",
         lambda: send(plan().crash_node("b", at=0), issue_at=5),
-        drops=[(5, "message", "node down")],
+        drops=[(5, "message", "no route")],
         counters={**CRASH, "faults.dropped_messages": 1}),
     row("send", "target crashes while it is on the wire",
         lambda: send(plan().crash_node("b", at=2)),

@@ -1,6 +1,6 @@
 """Simulated distributed substrate: nodes, topologies, remote calls (§1, §4)."""
 
-from .network import Network, Node, node_of
+from .network import Network, Node
 from .placement import choose_nodes, node_load
 from .rpc import NetChannel, NetSend
 from .topologies import full_mesh, hypercube, ring, star, transputer_grid
@@ -8,7 +8,6 @@ from .topologies import full_mesh, hypercube, ring, star, transputer_grid
 __all__ = [
     "Network",
     "Node",
-    "node_of",
     "choose_nodes",
     "node_load",
     "NetChannel",

@@ -43,7 +43,6 @@ class Node:
         """Spawn a process whose home is this node."""
         proc = self.network.kernel.spawn(fn, *args, **kwargs)
         proc.node = self
-        self.network._process_nodes[proc.pid] = self
         return proc
 
     def place(self, obj: Any) -> Any:
@@ -62,11 +61,6 @@ class Node:
         return f"<Node {self.name}>"
 
 
-def node_of(proc: "Process") -> Node | None:
-    """The home node of a process, if it has one."""
-    return proc.node
-
-
 class Network:
     """A weighted graph of :class:`Node` objects with latency queries."""
 
@@ -77,7 +71,6 @@ class Network:
         self._links: dict[str, dict[str, int]] = {}
         self._routes: dict[str, dict[str, int]] | None = None
         self._routes_epoch = -1
-        self._process_nodes: dict[int, Node] = {}
         #: Fault injector, if installed (:func:`repro.faults.install`).
         #: Downed links/nodes are subtracted from the routed topology.
         self.faults: Any = None

@@ -20,7 +20,7 @@ Same seed + same plan ⇒ same faults at the same ticks ⇒ the same
 interleaving — fault scenarios are as replayable as fault-free runs.
 """
 
-from .detect import Beacon, Heartbeat, HeartbeatEventGuard
+from .detect import Beacon, Heartbeat
 from .plan import (
     FaultPlan,
     LinkFault,
@@ -38,7 +38,7 @@ from .retry import (
     retry,
     shared_budget,
 )
-from .runtime import FaultEventGuard, FaultRuntime, install
+from .runtime import FaultRuntime, install
 
 __all__ = [
     "FaultPlan",
@@ -48,7 +48,6 @@ __all__ = [
     "SlowCpu",
     "MessageRule",
     "FaultRuntime",
-    "FaultEventGuard",
     "install",
     "retry",
     "RetryPolicy",
@@ -59,5 +58,4 @@ __all__ = [
     "shared_budget",
     "Beacon",
     "Heartbeat",
-    "HeartbeatEventGuard",
 ]

@@ -21,17 +21,17 @@ within a round is bounded by each target's own ping time, and a round
 lasts ``max`` — not ``sum`` — of the ping times.
 
 Consumers that must *react* to verdicts (the replication view monitor,
-a test) block on :meth:`Heartbeat.wait_for_events` instead of polling.
+a test) block on ``heartbeat.events.beyond(seen)`` instead of polling.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ..core import AlpsObject, entry
 from ..errors import KernelError, RemoteCallError
-from ..kernel.syscalls import Delay, Par, Select
-from ..kernel.waiting import Guard, Ready, Waitable
+from ..kernel.syscalls import Delay, Par
+from ..kernel.waiting import EventCount
 from ..obs.spans import TransitionRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,32 +45,6 @@ class Beacon(AlpsObject):
     @entry(returns=1)
     def ping(self):
         return "ok"
-
-
-class HeartbeatEventGuard(Guard):
-    """Ready when the heartbeat logged transitions beyond ``seen``.
-
-    The heartbeat counterpart of
-    :class:`~repro.faults.runtime.FaultEventGuard`: lets a recovery
-    daemon sleep until a verdict changes instead of polling.
-    """
-
-    def __init__(self, heartbeat: "Heartbeat", seen: int) -> None:
-        self.heartbeat = heartbeat
-        self.seen = seen
-
-    def poll(self, kernel: "Kernel") -> Ready | None:
-        count = self.heartbeat.event_count
-        return Ready(count) if count > self.seen else None
-
-    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
-        return ready.value
-
-    def waitables(self) -> Iterable[Waitable]:
-        return (self.heartbeat.events,)
-
-    def describe(self) -> str:
-        return f"heartbeat-events(>{self.seen})"
 
 
 class Heartbeat:
@@ -109,10 +83,8 @@ class Heartbeat:
         #: the probe span that observed it (None with spans disabled), so
         #: exported failover timelines connect detection to promotion.
         self.transitions: list[tuple[int, str, str]] = []
-        #: Monotone count of status changes, and the waitable recovery
-        #: daemons block on to observe them.
-        self.event_count = 0
-        self.events = Waitable()
+        #: Status changes: recovery daemons block on it to observe them.
+        self.events = EventCount("heartbeat-events")
         self.process: "Process | None" = None
 
     def watch(self, name: str, obj: Any) -> None:
@@ -122,12 +94,6 @@ class Heartbeat:
 
     def is_up(self, name: str) -> bool:
         return self.status.get(name) == "up"
-
-    def wait_for_events(self, seen: int) -> Select:
-        """A blocking select that fires once transitions exceed ``seen``."""
-        select = Select(HeartbeatEventGuard(self, seen))
-        select.unwrap = True
-        return select
 
     def start(self) -> "Process":
         """Spawn the monitor daemon; returns its process.
@@ -168,8 +134,7 @@ class Heartbeat:
         self.kernel.metrics.counter(
             f"heartbeat.{verdict}", f"Heartbeat {verdict} transitions",
         ).inc()
-        self.event_count += 1
-        self.kernel.notify(self.events)
+        self.events.bump(self.kernel)
 
     def _probe(self, name: str):
         """One target's ping for one round; records its own verdict."""

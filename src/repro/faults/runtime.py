@@ -33,12 +33,12 @@ reports the hang honestly as a ``DeadlockError`` at quiescence.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ..core.calls import Call, CallState
 from ..errors import NetworkError, RemoteCallError
 from ..kernel.syscalls import Select
-from ..kernel.waiting import Guard, Ready, Waitable
+from ..kernel.waiting import EventCount
 from ..net.wire import send_request
 from .plan import FaultPlan, NodeCrash, PartitionFault
 
@@ -46,31 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
     from ..kernel.process import Process
     from ..net.network import Network, Node
-
-
-class FaultEventGuard(Guard):
-    """Ready when the fault runtime logged transitions beyond ``seen``.
-
-    Used by supervisors to sleep until a crash or restart happens instead
-    of polling (which would keep the event queue non-empty forever).
-    """
-
-    def __init__(self, faults: "FaultRuntime", seen: int) -> None:
-        self.faults = faults
-        self.seen = seen
-
-    def poll(self, kernel: "Kernel") -> Ready | None:
-        count = self.faults.event_count
-        return Ready(count) if count > self.seen else None
-
-    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
-        return ready.value
-
-    def waitables(self) -> Iterable[Waitable]:
-        return (self.faults.events,)
-
-    def describe(self) -> str:
-        return f"fault-events(>{self.seen})"
 
 
 class FaultRuntime:
@@ -85,10 +60,9 @@ class FaultRuntime:
         #: Bumped on every topology transition; the network's route cache
         #: keys on it.
         self.epoch = 0
-        #: Monotone count of crash/restart/link/partition transitions, and
-        #: the waitable supervisors block on to observe them.
-        self.event_count = 0
-        self.events = Waitable()
+        #: Crash/restart/link/partition transitions: supervisors block on
+        #: it to observe them.
+        self.events = EventCount("fault-events")
         self._down_nodes: set[str] = set()
         self._down_links: set[tuple[str, str]] = set()
         self._partition_cuts: dict[PartitionFault, frozenset] = {}
@@ -153,13 +127,9 @@ class FaultRuntime:
             if part.heal_at is not None:
                 post(max(now, part.heal_at), lambda p=part: self._set_partition(p, active=False))
 
-    def _bump_events(self) -> None:
-        self.event_count += 1
-        self.kernel.notify(self.events)
-
     def wait_for_events(self, seen: int) -> Select:
         """A blocking select that fires once transitions exceed ``seen``."""
-        select = Select(FaultEventGuard(self, seen))
+        select = Select(self.events.beyond(seen))
         select.unwrap = True
         return select
 
@@ -219,7 +189,7 @@ class FaultRuntime:
         for obj in list(node.objects.values()):
             if hasattr(obj, "_runtimes"):
                 self._crash_object(obj, node)
-        self._bump_events()
+        self.events.bump(self.kernel)
 
     def _restart_node(self, fault: NodeCrash) -> None:
         if fault.node not in self._down_nodes:
@@ -230,7 +200,7 @@ class FaultRuntime:
         self.c_node_restarts.inc()
         # Placed objects stay crashed until something (a Supervisor, or
         # the test harness) calls obj.restart().
-        self._bump_events()
+        self.events.bump(self.kernel)
 
     def _set_link(self, a: str, b: str, down: bool) -> None:
         pair = (a, b) if a <= b else (b, a)
@@ -242,7 +212,7 @@ class FaultRuntime:
         self.kernel.trace.record(
             self.kernel.clock.now, "link", f"{pair[0]}--{pair[1]}", down=down
         )
-        self._bump_events()
+        self.events.bump(self.kernel)
 
     def _set_partition(self, fault: PartitionFault, active: bool) -> None:
         if active:
@@ -262,7 +232,7 @@ class FaultRuntime:
             groups=[list(fault.group_a), list(fault.group_b)],
             healed=not active,
         )
-        self._bump_events()
+        self.events.bump(self.kernel)
 
     def _crash_object(self, obj: Any, node: "Node") -> None:
         """Take a placed object down, capturing its interrupted calls."""

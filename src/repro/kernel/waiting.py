@@ -150,3 +150,48 @@ class Guard:
             return (1, 0)
         value = self.pri(ready.value) if callable(self.pri) else self.pri
         return (0, int(value))
+
+
+class EventCount(Waitable):
+    """A monotone count of events, and the waitable to block on for more.
+
+    The owner calls :meth:`bump` per event; a daemon that reacts to them
+    selects on :meth:`beyond` the count it last saw and sleeps until
+    then, instead of polling (which would keep the event queue
+    non-empty forever).
+    """
+
+    __slots__ = ("name", "count")
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        #: What the events are, for ``describe()``: ``fault-events``.
+        self.name = name
+        self.count = 0
+
+    def bump(self, kernel: "Kernel") -> None:
+        self.count += 1
+        self.notify(kernel)
+
+    def beyond(self, seen: int) -> "Guard":
+        """A guard ready once the count exceeds ``seen``; yields the count."""
+        return _Beyond(self, seen)
+
+
+class _Beyond(Guard):
+    def __init__(self, events: EventCount, seen: int) -> None:
+        self.events = events
+        self.seen = seen
+
+    def poll(self, kernel: "Kernel") -> Ready | None:
+        count = self.events.count
+        return Ready(count) if count > self.seen else None
+
+    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
+        return ready.value
+
+    def waitables(self) -> Iterable[Waitable]:
+        return (self.events,)
+
+    def describe(self) -> str:
+        return f"{self.events.name}(>{self.seen})"

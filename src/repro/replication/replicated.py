@@ -55,13 +55,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..channels import Channel, Receive, Send
 from ..errors import RemoteCallError, ReplicationError
-from ..faults.detect import Beacon, Heartbeat, HeartbeatEventGuard
+from ..faults.detect import Beacon, Heartbeat
 from ..faults.retry import FixedBackoff, RetryPolicy, retry
-from ..faults.runtime import FaultEventGuard
 from ..kernel.syscalls import Delay, Select
 from ..net.placement import choose_nodes
 from .log import WriteLog
-from .view import ReplicaView, ViewEventGuard
+from .view import ReplicaView
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.process import Process
@@ -533,19 +532,19 @@ class Replicated:
         view_seen = 0
         while True:
             guards = [
-                HeartbeatEventGuard(self.heartbeat, hb_seen),
+                self.heartbeat.events.beyond(hb_seen),
                 # A failed call marking a replica down wakes us too, so a
                 # false suspicion is repaired (or a real primary death
                 # promoted) without waiting for a ping verdict to change.
-                ViewEventGuard(self.view, view_seen),
+                self.view.changes.beyond(view_seen),
             ]
             if self.faults is not None:
-                guards.append(FaultEventGuard(self.faults, fault_seen))
+                guards.append(self.faults.events.beyond(fault_seen))
             yield Select(*guards)
-            hb_seen = self.heartbeat.event_count
-            view_seen = self.view.change_count
+            hb_seen = self.heartbeat.events.count
+            view_seen = self.view.changes.count
             if self.faults is not None:
-                fault_seen = self.faults.event_count
+                fault_seen = self.faults.events.count
             span = None
             if obs.enabled:
                 # Parent on the probe that raised the latest verdict, so

@@ -23,42 +23,13 @@ winner is guaranteed to hold every acknowledged write.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from ..kernel.waiting import Guard, Ready, Waitable
+from ..kernel.waiting import EventCount
 from ..obs.spans import TransitionRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
-    from ..kernel.process import Process
-
-
-class ViewEventGuard(Guard):
-    """Ready when the view logged transitions beyond ``seen``.
-
-    The monitor daemon selects on this alongside the heartbeat and fault
-    event guards: a replica marked down by a *failed call* (not only by a
-    ping) wakes the monitor immediately, so a false suspicion is repaired
-    — or a real primary death promoted — without waiting for the next
-    heartbeat verdict change.
-    """
-
-    def __init__(self, view: "ReplicaView", seen: int) -> None:
-        self.view = view
-        self.seen = seen
-
-    def poll(self, kernel: "Kernel") -> Ready | None:
-        count = self.view.change_count
-        return Ready(count) if count > self.seen else None
-
-    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
-        return ready.value
-
-    def waitables(self) -> Iterable[Waitable]:
-        return (self.view.changes,)
-
-    def describe(self) -> str:
-        return f"view-events(>{self.seen})"
 
 
 class ReplicaView:
@@ -82,10 +53,9 @@ class ReplicaView:
         #: the change (None with spans disabled), so exported failover
         #: timelines connect detection to promotion and catch-up.
         self.transitions: list[tuple[int, str, str, int]] = []
-        #: Monotone transition count, and the waitable the view monitor
-        #: blocks on to observe changes made by other processes.
-        self.change_count = 0
-        self.changes = Waitable()
+        #: Transitions: the view monitor blocks on it to observe changes
+        #: made by other processes.
+        self.changes = EventCount("view-events")
 
     # -- queries ----------------------------------------------------------
 
@@ -111,8 +81,7 @@ class ReplicaView:
                 span_id=span_id,
             )
         )
-        self.change_count += 1
-        self.kernel.notify(self.changes)
+        self.changes.bump(self.kernel)
 
     def _span_id(self, span) -> int | None:
         return None if span is None else getattr(span, "span_id", span)

@@ -5,7 +5,7 @@ import pytest
 from repro.channels import Channel, ReceiveGuard, Send
 from repro.kernel import Delay, Kernel, Select
 from repro.kernel.costs import FREE
-from repro.kernel.waiting import Guard, Ready, Waitable
+from repro.kernel.waiting import EventCount, Guard, Ready, Waitable
 
 
 class TestWaitable:
@@ -60,6 +60,35 @@ class TestWaitable:
         kernel.run()
         # Commit on a must deregister from b too.
         assert b.waiter_count == 0
+
+
+class TestEventCount:
+    def test_waiter_sleeps_until_the_count_passes_what_it_saw(self):
+        kernel = Kernel(costs=FREE, trace=True)
+        events = EventCount("fault-events")
+        seen = []
+
+        def daemon():
+            count = 0
+            while True:
+                select = Select(events.beyond(count))
+                select.unwrap = True
+                count = yield select
+                seen.append((kernel.clock.now, count))
+
+        def source():
+            yield Delay(5)
+            events.bump(kernel)
+            events.bump(kernel)  # the daemon is already awake: no block
+            yield Delay(5)
+            events.bump(kernel)
+
+        kernel.spawn(daemon, daemon=True)
+        kernel.spawn(source)
+        kernel.run()
+        assert seen == [(5, 1), (5, 2), (10, 3)]
+        blocks = [e.detail["on"] for e in kernel.trace.events("block")]
+        assert blocks == [f"select(fault-events(>{n}))" for n in (0, 2, 3)]
 
 
 class TestGuardDefaults:

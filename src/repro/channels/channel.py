@@ -192,7 +192,6 @@ class Send(Syscall):
                 "channels.blocked_sends", "Sends that blocked on a full channel"
             ).inc()
             proc.state = ProcessState.BLOCKED
-            proc.blocked_on = f"send({channel.name})"
             proc.waiting_for = ("send", channel)
             channel._blocked_senders.append((proc, self.values))
             return

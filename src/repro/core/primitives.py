@@ -115,7 +115,6 @@ class EntryCall(Syscall):
         call = Call(self.obj, spec, tuple(self.args), proc)
         call.runtime = runtime
         proc.state = ProcessState.BLOCKED
-        proc.blocked_on = f"call {self.obj.alps_name}.{self.proc_name}"
         proc.waiting_for = ("call", call)
         # The caller-perceived issue instant — before any network delay.
         call.issued_at = now = kernel.clock.now

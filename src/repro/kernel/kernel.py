@@ -155,10 +155,10 @@ class _SelectPlan:
 class _PendingSelect:
     """Bookkeeping for a process blocked in ``Select``.
 
-    Doubles as the process's ``blocked_on`` description and its
-    ``waiting_for`` guard list: iterating yields the feasible guards and
-    ``str()`` renders ``select(accept get, ...)`` — only when a trace, a
-    deadlock report or a debugger actually reads it.
+    Doubles as the process's ``waiting_for`` payload: iterating yields
+    the feasible guards and ``str()`` renders ``select(accept get, ...)``
+    — only when a trace, a deadlock report or a debugger actually reads
+    it.
     """
 
     __slots__ = ("select", "plan", "poll_count")
@@ -420,7 +420,6 @@ class Kernel:
         proc._resume_value = value
         proc._resume_exception = None
         proc.state = ProcessState.READY
-        proc.blocked_on = None
         proc.waiting_for = None
         proc.epoch += 1
         if cost > 0:
@@ -437,7 +436,6 @@ class Kernel:
             self._cancel_pending_select(proc)
         proc._resume_exception = exc
         proc.state = ProcessState.READY
-        proc.blocked_on = None
         proc.waiting_for = None
         # Also retires a CPU completion still pending for ``proc``: its
         # record carries the epoch it was queued under.
@@ -531,7 +529,7 @@ class Kernel:
                     if b != _RESUME:
                         if b == _WAKE:
                             proc.state = ProcessState.READY
-                            proc.blocked_on = None
+                            proc.waiting_for = None
                             proc.epoch += 1
                         else:
                             # A finite machine's grant: CPU bookkeeping at
@@ -571,7 +569,7 @@ class Kernel:
         if proc.alive:
             raise KernelError(
                 f"run_process: {proc.name!r} did not finish "
-                f"(state={proc.state.value}, blocked_on={str(proc.blocked_on)!r})"
+                f"(state={proc.state.value}, blocked_on={proc.blocked_on!r})"
             )
         return proc.result
 
@@ -698,7 +696,7 @@ class Kernel:
             self.schedule_throw(proc, KernelError("Delay ticks must be >= 0"))
             return
         proc.state = ProcessState.BLOCKED
-        proc.blocked_on = f"delay({syscall.ticks})"
+        proc.waiting_for = ("delay", syscall.ticks)
         proc.epoch += 1
         when = self.clock._now + syscall.ticks + cost
         self._seq = seq = self._seq + 1
@@ -766,7 +764,6 @@ class Kernel:
             return
 
         proc.state = ProcessState.BLOCKED
-        proc.blocked_on = f"join({target.name})"
         proc.waiting_for = ("join", target)
 
         def on_exit(dead: Process) -> None:
@@ -790,7 +787,6 @@ class Kernel:
         remaining = {"count": len(par.thunks), "failed": False}
         children: list[Process] = []
         proc.state = ProcessState.BLOCKED
-        proc.blocked_on = f"par({len(par.thunks)})"
         proc.waiting_for = ("par", children)
 
         def make_watcher(index: int) -> Callable[[Process], None]:
@@ -897,8 +893,7 @@ class Kernel:
             plan.fill_block_lists()
         pending = _PendingSelect(select, plan)
         proc.state = ProcessState.BLOCKED
-        proc.blocked_on = pending  # rendered on demand (``str``)
-        proc.waiting_for = ("select", pending)
+        proc.waiting_for = ("select", pending)  # rendered on demand (``str``)
         self._pending_selects[proc.pid] = pending
         for waitable in plan.waitables:
             waitable.add_waiter(proc)

@@ -65,7 +65,6 @@ class Process:
         "body",
         "result",
         "exception",
-        "blocked_on",
         "waiting_for",
         "_resume_value",
         "_resume_exception",
@@ -107,15 +106,13 @@ class Process:
         self.result: Any = None
         #: Exception that terminated the body, if any.
         self.exception: BaseException | None = None
-        #: Human-readable description of what the process is blocked on:
-        #: a string, or (for a blocked select) an object whose ``str()``
-        #: renders the description when something actually reads it.
-        self.blocked_on: Any = None
-        #: Structured description of the same thing, for the wait-for
-        #: graph (:mod:`repro.kernel.waitgraph`): a ``(kind, payload)``
-        #: tuple — ``("call", call)``, ``("join", target)``,
-        #: ``("par", children)``, ``("select", iterable of guards)``,
-        #: ``("send", channel)`` — or None while runnable.
+        #: What the process is blocked on, as a ``(kind, payload)`` tuple
+        #: — ``("call", call)``, ``("join", target)``, ``("par",
+        #: children)``, ``("select", iterable of guards)``, ``("send",
+        #: channel)``, ``("delay", ticks)``, or an extension syscall's own
+        #: kind — or None while runnable.  The wait-for graph
+        #: (:mod:`repro.kernel.waitgraph`) reads it; :attr:`blocked_on`
+        #: renders it for people.
         self.waiting_for: tuple[str, Any] | None = None
         #: What the next resumption delivers into the body: a value to
         #: ``send`` or, when set, an exception to ``throw``.  Staged by
@@ -170,11 +167,29 @@ class Process:
     def alive(self) -> bool:
         return self.state not in DEAD_STATES
 
+    @property
+    def blocked_on(self) -> str | None:
+        """:attr:`waiting_for` as text — ``call buf.deposit``, ``join(p)``,
+        ``select(accept get, ...)`` — built only when a deadlock report,
+        a trace or a debugger reads it."""
+        if self.waiting_for is None:
+            return None
+        kind, what = self.waiting_for
+        if kind == "call":
+            return f"call {what.obj.alps_name}.{what.entry}"
+        if kind == "select":
+            return str(what)
+        if kind == "par":
+            what = len(what)
+        elif kind in ("join", "send"):
+            what = what.name
+        return kind if what is None else f"{kind}({what})"
+
     def __repr__(self) -> str:
         return (
             f"<Process {self.pid} {self.name!r} prio={self.priority} "
             f"state={self.state.value}"
-            + (f" blocked_on={str(self.blocked_on)!r}" if self.blocked_on else "")
+            + (f" blocked_on={self.blocked_on!r}" if self.waiting_for else "")
             + ">"
         )
 

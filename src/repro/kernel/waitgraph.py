@@ -1,10 +1,10 @@
 """The runtime wait-for graph: who is blocked on whom, and why.
 
 Built on the structured ``Process.waiting_for`` records the kernel (and
-the entry-call machinery in ``repro.core``) maintain alongside the
-human-readable ``blocked_on`` strings.  Each blocked process becomes a
-node; an edge ``P → Q`` means "P cannot make progress until Q acts",
-labelled with the object/entry/slot involved:
+the entry-call machinery in ``repro.core``) maintain (``blocked_on`` is
+their rendering as text).  Each blocked process becomes a node; an edge
+``P → Q`` means "P cannot make progress until Q acts", labelled with the
+object/entry/slot involved:
 
 * a caller blocked in an entry call waits on the target object's
   **manager** while the call is attached/accepted/awaiting ``finish``,

@@ -1,5 +1,7 @@
 """Unit tests for the Process abstraction."""
 
+from types import SimpleNamespace as Namespace
+
 import pytest
 
 from repro.errors import ProcessError
@@ -27,7 +29,7 @@ class _Echo:
         self.seen_by = (proc, proc.state)
         if self.park:
             proc.state = ProcessState.BLOCKED
-            proc.blocked_on = "parked"
+            proc.waiting_for = ("parked", None)
         else:
             kernel.schedule_resume(proc, self.value, cost=cost)
 
@@ -60,6 +62,7 @@ class TestProcess:
         kernel.run(max_events=1)
         assert syscall.seen_by == (proc, ProcessState.RUNNING)
         assert proc.alive and proc.state == ProcessState.BLOCKED
+        assert proc.blocked_on == "parked"  # an extension syscall's own kind
 
     def test_step_to_completion_captures_result(self):
         kernel = Kernel(costs=FREE)
@@ -144,9 +147,28 @@ class TestAsGenerator:
 
 
 class TestFormatBlocked:
+    @pytest.mark.parametrize(
+        "record, text",
+        [
+            (None, None),
+            (("delay", 40), "delay(40)"),
+            (("join", Namespace(name="worker")), "join(worker)"),
+            (("send", Namespace(name="ch")), "send(ch)"),
+            (("par", [object(), object()]), "par(2)"),
+            (
+                ("call", Namespace(obj=Namespace(alps_name="buf"), entry="deposit")),
+                "call buf.deposit",
+            ),
+        ],
+    )
+    def test_blocked_on_renders_waiting_for(self, record, text):
+        proc = Process(pid=3, name="stuck", body=_gen())
+        proc.waiting_for = record
+        assert proc.blocked_on == text
+
     def test_lists_waiters(self):
         proc = Process(pid=3, name="stuck", body=_gen())
-        proc.blocked_on = "receive(ch)"
+        proc.waiting_for = ("receive", "ch")
         text = format_blocked([proc])
         assert "stuck" in text and "receive(ch)" in text
 

@@ -35,17 +35,14 @@ def machines(draw):
     """Node count, tree links (so every pair has a route) and a few more."""
     n = draw(st.integers(min_value=2, max_value=5))
     latency = st.integers(min_value=0, max_value=4)
+    node = st.integers(min_value=0, max_value=n - 1)
     links = [
         (draw(st.integers(min_value=0, max_value=i - 1)), i, draw(latency))
         for i in range(1, n)
     ]
-    extra = st.tuples(
-        st.integers(min_value=0, max_value=n - 1),
-        st.integers(min_value=0, max_value=n - 1),
-        latency,
-    )
+    extra = st.tuples(node, node, latency)
     links += [(a, b, w) for a, b, w in draw(st.lists(extra, max_size=3)) if a != b]
-    home = st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1))
+    home = st.one_of(st.none(), node)
     op = st.one_of(
         st.tuples(st.just("echo"), st.integers(0, 6), st.sampled_from([None, None, 1, 9])),
         st.tuples(st.just("search"), st.sampled_from(["a", "b"]), st.sampled_from([None, 40])),
@@ -53,8 +50,7 @@ def machines(draw):
         st.tuples(st.just("delay"), st.integers(0, 5), st.none()),
     )
     clients = st.lists(st.tuples(home, st.lists(op, max_size=6)), min_size=1, max_size=4)
-    homes = draw(st.tuples(home, home, home.filter(lambda h: h is not None),
-                           home.filter(lambda h: h is not None)))
+    homes = draw(st.tuples(home, home, node, node))  # two objects, two channels
     return n, links, homes, draw(clients)
 
 

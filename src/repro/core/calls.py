@@ -115,11 +115,10 @@ class Call:
         self.dispatched_at: int | None = None
         self.body_done_at: int | None = None
         self.finished_at: int | None = None
-        #: Ticks the response leg takes, or None while the call has no
-        #: response leg: caller and object share a node.  The request
-        #: leg of a remote call fills it in with its own delay (what the
-        #: spans of a call that fails are drawn with), the response leg
-        #: with what the reply really took.
+        #: Ticks the response leg takes; None when there is none (caller
+        #: and object share a node).  The request leg of a remote call
+        #: sets it to its own delay (what a failed call's spans are drawn
+        #: with), the response leg to what the reply really took.
         self.response_delay: int | None = None
         #: True once the caller has been resumed or thrown into — exactly
         #: once per call, whichever of completion, failure, timeout expiry

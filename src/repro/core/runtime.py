@@ -365,10 +365,9 @@ class EntryRuntime:
 
         A caller is resumed at most once: if the call already expired (a
         timed call), or was failed by crash detection, the response is
-        discarded.  A remote caller's response crosses the network, which
-        may delay or lose it; a lost one settles nothing — the caller
-        recovers through a timeout (plus retry), never through a silent
-        double-resume.
+        discarded.  A remote caller's response crosses the network; one
+        lost there settles nothing — the caller recovers through a
+        timeout (plus retry), never through a silent double-resume.
         """
         if call.caller_resumed:
             return

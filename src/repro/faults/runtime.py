@@ -262,16 +262,14 @@ class FaultRuntime:
                 )
 
     # ------------------------------------------------------------------
-    # What the wire asks (repro.net.wire)
+    # What the wire (repro.net.wire) and ``Charge`` ask
     # ------------------------------------------------------------------
 
     def admit(self, call: Call) -> bool:
-        """May ``call`` be sent?  False when its target is down.
-
-        The failure detector then fails the caller after
-        ``detection_delay``.  An admitted call to a placed object is
-        tracked, so that a crash can capture it wherever it is.
-        """
+        """May ``call`` be sent?  Not to a target that is down: the failure
+        detector then fails the caller after ``detection_delay``.  An
+        admitted call to a placed object is tracked, so that a crash can
+        capture it wherever it is."""
         obj = call.obj
         node = obj.node
         if self.is_down(obj):
@@ -283,18 +281,15 @@ class FaultRuntime:
             )
             return False
         if node is not None:  # unplaced objects live outside the failure model
-            self._track(call)
+            if len(self._inflight) > 64:
+                self._inflight = [
+                    c
+                    for c in self._inflight
+                    if not c.caller_resumed
+                    and c.state not in (CallState.DONE, CallState.FAILED)
+                ]
+            self._inflight.append(call)
         return True
-
-    def _track(self, call: Call) -> None:
-        if len(self._inflight) > 64:
-            self._inflight = [
-                c
-                for c in self._inflight
-                if not c.caller_resumed
-                and c.state not in (CallState.DONE, CallState.FAILED)
-            ]
-        self._inflight.append(call)
 
     def fate(
         self, leg: str, latency: int, subject: Any, src: "Node", dst: "Node"
@@ -307,16 +302,13 @@ class FaultRuntime:
         body twice and a second response resume the caller twice.
         """
         rng = self.rng
+        may_duplicate = leg == "message"
         dropped = duplicated = False
         jitter = 0
         for rule in self.plan.rules_for(src.name, dst.name):
             if rule.drop_rate and rng.random() < rule.drop_rate:
                 dropped = True
-            if (
-                leg == "message"
-                and rule.duplicate_rate
-                and rng.random() < rule.duplicate_rate
-            ):
+            if may_duplicate and rule.duplicate_rate and rng.random() < rule.duplicate_rate:
                 duplicated = True
             jitter = max(jitter, rule.jitter)
         if dropped:
@@ -332,12 +324,12 @@ class FaultRuntime:
     ) -> list[int]:
         """Record a message the network did not deliver; returns no delays.
 
-        ``subject`` is the call of a ``"request"``/``"response"`` leg and
-        the sender of a ``"message"``.  A lost response or message is
-        counted.  A request is counted when it is silently lost; one
-        that finds no route is a partition the failure detector sees,
-        so its caller fails after ``detection_delay``; one whose target
-        went down while it was on the wire belongs to the crash.
+        ``subject`` is the call of a ``"request"``/``"response"`` leg, the
+        sender of a ``"message"``.  Lost responses and messages are
+        counted; a request only when it is silently lost: one with no
+        route is a partition the failure detector sees, so its caller
+        fails after ``detection_delay``, and one whose target went down
+        while it was on the wire belongs to the crash.
         """
         kernel = self.kernel
         if leg == "message":
@@ -360,22 +352,15 @@ class FaultRuntime:
 
     def _fail_later(self, call: Call, reason: str) -> None:
         """Fail ``call`` once the failure detector's delay has passed."""
-        kernel = self.kernel
-        kernel.post(
-            kernel.clock.now + self.plan.detection_delay,
-            lambda: self._fail_call(call, reason),
-            priority=call.caller.priority,
-        )
 
-    def _fail_call(self, call: Call, reason: str) -> None:
-        if call.caller_resumed:
-            return
-        self.c_failed_calls.inc()
-        call.runtime.fail(
-            call,
-            RemoteCallError(reason, entry=call.entry, obj=call.obj.alps_name),
-            "failed",
-        )
+        def fail() -> None:
+            if not call.caller_resumed:
+                self.c_failed_calls.inc()
+                error = RemoteCallError(reason, entry=call.entry, obj=call.obj.alps_name)
+                call.runtime.fail(call, error, "failed")
+
+        when = self.kernel.clock.now + self.plan.detection_delay
+        self.kernel.post(when, fail, priority=call.caller.priority)
 
     def scale_work(self, proc: "Process", ticks: int) -> int:
         """Dilate ``Charge``d work on a degraded node."""

@@ -106,13 +106,12 @@ class Process:
         self.result: Any = None
         #: Exception that terminated the body, if any.
         self.exception: BaseException | None = None
-        #: What the process is blocked on, as a ``(kind, payload)`` tuple
-        #: — ``("call", call)``, ``("join", target)``, ``("par",
-        #: children)``, ``("select", iterable of guards)``, ``("send",
-        #: channel)``, ``("delay", ticks)``, or an extension syscall's own
-        #: kind — or None while runnable.  The wait-for graph
-        #: (:mod:`repro.kernel.waitgraph`) reads it; :attr:`blocked_on`
-        #: renders it for people.
+        #: What the process is blocked on, as ``(kind, payload)`` — ``("call",
+        #: call)``, ``("join", target)``, ``("par", children)``, ``("select",
+        #: iterable of guards)``, ``("send", channel)``, ``("delay", ticks)``
+        #: or an extension syscall's own kind — or None while runnable.  The
+        #: wait-for graph (:mod:`repro.kernel.waitgraph`) reads it;
+        #: :attr:`blocked_on` renders it for people.
         self.waiting_for: tuple[str, Any] | None = None
         #: What the next resumption delivers into the body: a value to
         #: ``send`` or, when set, an exception to ``throw``.  Staged by

@@ -155,10 +155,9 @@ class Guard:
 class EventCount(Waitable):
     """A monotone count of events, and the waitable to block on for more.
 
-    The owner calls :meth:`bump` per event; a daemon that reacts to them
-    selects on :meth:`beyond` the count it last saw and sleeps until
-    then, instead of polling (which would keep the event queue
-    non-empty forever).
+    The owner calls :meth:`bump` per event; a daemon that reacts selects
+    on :meth:`beyond` the count it last saw instead of polling (which
+    would keep the event queue non-empty forever).
     """
 
     __slots__ = ("name", "count")

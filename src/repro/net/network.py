@@ -151,8 +151,8 @@ class Network:
     def latency_or_none(self, a: Node | str, b: Node | str, size: int = 1) -> int | None:
         """Like :meth:`latency`, but None instead of raising on no route.
 
-        Used by the fault injector, for which an unreachable destination
-        is a runtime condition (partition), not an API misuse.
+        What the wire asks (:mod:`repro.net.wire`): under a fault injector
+        an unreachable destination is a partition, not an API misuse.
         """
         name_a = a.name if isinstance(a, Node) else a
         name_b = b.name if isinstance(b, Node) else b

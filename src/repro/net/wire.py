@@ -2,18 +2,16 @@
 
 "Calls to the entry procedures of an object are implemented as remote
 procedure calls" (§1) over the links of §4, with channels beside them.
-Every such message — the request of an entry call (first issue or a
+Each such message — the request of an entry call (first issue or a
 ``Supervisor`` re-queue), its response, a ``NetSend`` — is one *leg*,
-and :func:`carry` is the only code that takes a leg across the network:
-it looks the route up, asks the fault injector for the message's fate if
-one is installed, and delivers after the delay.  With no injector the
-substrate is perfect and a leg is its route's latency; the injector
-never routes, it answers: is the target down (``is_down``, ``admit``),
-what becomes of this message (``fate``), what does losing it mean
-(``drop``).
+and :func:`carry` is the only code that takes a leg across the network.
+With no fault injector the substrate is perfect and a leg costs its
+route's latency.  An installed injector never routes; it answers: is the
+target down (``admit``, ``is_down``), what becomes of this message
+(``fate``), what does losing it mean (``drop``).
 
-Two parties have a network between them only when both are placed and
-on different nodes; an unplaced process or object is everywhere.
+Two parties have a network between them only when both are placed, on
+different nodes; an unplaced process or object is everywhere.
 """
 
 from __future__ import annotations
@@ -50,16 +48,13 @@ def carry(
     """Take one message from ``src`` to ``dst``, two distinct nodes.
 
     ``deliver`` runs once per copy that arrives, after that copy's delay
-    (on the spot when it is zero), as a kernel event of ``priority``.
-    Returns the delays: empty when the message was lost, two for a
-    duplicate.  ``leg`` names the kind of message and ``subject`` is the
-    call or the sending process, for the injector's ``drop`` record;
-    ``fate=False`` carries the message at the route's bare latency;
-    ``span`` is tagged with the hop.
-
-    With no injector installed a missing route is a wiring mistake, not
-    a runtime condition, and raises :class:`~repro.errors.NetworkError`
-    for the sender.
+    (on the spot when it is zero) as a kernel event of ``priority``.
+    Returns the delays: none when the message was lost, two for a
+    duplicate.  ``subject`` is the call, or the sending process of a
+    ``"message"`` leg, for the injector's drop record; ``fate=False``
+    carries the message at the route's bare latency; ``span`` is tagged
+    with the hop.  With no injector a missing route is a wiring mistake
+    rather than a partition, and raises ``NetworkError`` for the sender.
     """
     faults = kernel.faults
     latency = src.network.latency_or_none(src, dst, size=size)
@@ -84,10 +79,10 @@ def carry(
 def send_request(kernel: "Kernel", call: "Call", fate: bool = True) -> None:
     """The request leg: hand ``call`` to its object.
 
-    A call the injector does not admit (its target is down) is failed by
-    the failure detector instead.  A request that finds no route fails
-    its caller: at once on a perfect substrate, after the detector's
-    delay under an injector.
+    A call the injector does not admit has a target that is down: the
+    failure detector settles it.  A request with no route fails its
+    caller, at once on a perfect substrate (``carry`` raises) and after
+    the detector's delay under an injector (``drop``).
     """
     faults = kernel.faults
     if faults is not None and not faults.admit(call):
@@ -109,9 +104,7 @@ def send_request(kernel: "Kernel", call: "Call", fate: bool = True) -> None:
         call.runtime.submit(call)
 
     try:
-        delays = carry(
-            kernel, src, dst, arrive, "request", call, fate=fate, span=call.span
-        )
+        delays = carry(kernel, src, dst, arrive, "request", call, fate=fate, span=call.span)
     except NetworkError as exc:
         call.runtime.fail(call, exc, "failed")
         return
@@ -122,24 +115,22 @@ def send_request(kernel: "Kernel", call: "Call", fate: bool = True) -> None:
 def send_response(kernel: "Kernel", call: "Call", value: Any) -> bool:
     """The response leg of a remote call: resume the caller with ``value``.
 
-    Returns False when the response was lost (the caller then recovers
-    through its timeout).  ``call.finished_at`` moves to the tick the
-    caller perceives the completion.
+    False when the response was lost.  ``call.finished_at`` moves to the
+    tick the caller perceives the completion.
     """
     caller = call.caller
-    dst = caller.node
     faults = kernel.faults
 
     def resume() -> None:
         kernel.schedule_resume(caller, value)
 
-    if faults is not None and not faults.node_up(dst.name):
-        # The caller died with its node: nobody is there to resume, so
-        # no route is looked up and no fate drawn.
+    if faults is not None and not faults.node_up(caller.node.name):
+        # The caller died with its node: the reply goes nowhere, so no
+        # route is looked up and no fate drawn for it.
         _after(kernel, call.response_delay, resume, caller.priority)
     else:
         delays = carry(
-            kernel, call.obj.node, dst, resume, "response", call,
+            kernel, call.obj.node, caller.node, resume, "response", call,
             priority=caller.priority,
         )
         if not delays:

@@ -527,24 +527,17 @@ class Replicated:
 
     def _view_monitor(self):
         obs = self.kernel.obs
-        hb_seen = 0
-        fault_seen = 0
-        view_seen = 0
+        # Ping verdicts, and the view itself: a failed call marking a
+        # replica down wakes us too, so a false suspicion is repaired (or
+        # a real primary death promoted) without waiting for a ping
+        # verdict to change.
+        streams = [self.heartbeat.events, self.view.changes]
+        if self.faults is not None:
+            streams.append(self.faults.events)
+        seen = [0] * len(streams)
         while True:
-            guards = [
-                self.heartbeat.events.beyond(hb_seen),
-                # A failed call marking a replica down wakes us too, so a
-                # false suspicion is repaired (or a real primary death
-                # promoted) without waiting for a ping verdict to change.
-                self.view.changes.beyond(view_seen),
-            ]
-            if self.faults is not None:
-                guards.append(self.faults.events.beyond(fault_seen))
-            yield Select(*guards)
-            hb_seen = self.heartbeat.events.count
-            view_seen = self.view.changes.count
-            if self.faults is not None:
-                fault_seen = self.faults.events.count
+            yield Select(*[s.beyond(n) for s, n in zip(streams, seen)])
+            seen = [s.count for s in streams]
             span = None
             if obs.enabled:
                 # Parent on the probe that raised the latest verdict, so

@@ -291,9 +291,7 @@ class FaultRuntime:
             self._inflight.append(call)
         return True
 
-    def fate(
-        self, leg: str, latency: int, subject: Any, src: "Node", dst: "Node"
-    ) -> list[int]:
+    def fate(self, leg: str, latency: int, src: str, dst: str) -> list[int]:
         """Delivery delays of one routed message; empty when it is lost.
 
         One draw per matching rule from the seeded RNG, in rule order,
@@ -305,24 +303,22 @@ class FaultRuntime:
         may_duplicate = leg == "message"
         dropped = duplicated = False
         jitter = 0
-        for rule in self.plan.rules_for(src.name, dst.name):
+        for rule in self.plan.rules_for(src, dst):
             if rule.drop_rate and rng.random() < rule.drop_rate:
                 dropped = True
             if may_duplicate and rule.duplicate_rate and rng.random() < rule.duplicate_rate:
                 duplicated = True
             jitter = max(jitter, rule.jitter)
         if dropped:
-            return self.drop(leg, "loss", subject, src, dst)
+            return []
         delays = [latency + (rng.randint(0, jitter) if jitter else 0)]
         if duplicated:
             self.c_duplicated_messages.inc()
             delays.append(latency + (rng.randint(0, jitter) if jitter else 0))
         return delays
 
-    def drop(
-        self, leg: str, reason: str, subject: Any, src: "Node", dst: "Node"
-    ) -> list[int]:
-        """Record a message the network did not deliver; returns no delays.
+    def drop(self, leg: str, reason: str, subject: Any, src: "Node", dst: "Node") -> None:
+        """Record a message the network did not deliver.
 
         ``subject`` is the call of a ``"request"``/``"response"`` leg, the
         sender of a ``"message"``.  Lost responses and messages are
@@ -348,7 +344,6 @@ class FaultRuntime:
                 f"no route from {src.name} to {dst.name} for call to "
                 f"{subject.obj.alps_name}.{subject.entry}",
             )
-        return []
 
     def _fail_later(self, call: Call, reason: str) -> None:
         """Fail ``call`` once the failure detector's delay has passed."""

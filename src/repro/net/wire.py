@@ -58,15 +58,21 @@ def carry(
     """
     faults = kernel.faults
     latency = src.network.latency_or_none(src, dst, size=size)
+    lost = None
     if latency is None:
         if faults is None:
             raise NetworkError(f"no route from {src.name!r} to {dst.name!r}")
-        delays = faults.drop(leg, "no route", subject, src, dst)
+        lost = "no route"
     elif faults is None or not fate:
         delays = [latency]
     else:
-        delays = faults.fate(leg, latency, subject, src, dst)
-    if span is not None and delays:
+        delays = faults.fate(leg, latency, src.name, dst.name)
+        if not delays:
+            lost = "loss"
+    if lost:
+        faults.drop(leg, lost, subject, src, dst)
+        return []
+    if span is not None:
         if delays[0]:
             span.attrs["request_delay"] = delays[0]
         span.attrs["src_node"] = src.name

@@ -163,24 +163,24 @@ def row(leg, condition, run, **expected):
     return pytest.param(run, expected, id=f"{leg}: {condition}")
 
 
+def either(leg, condition, run, **expected):
+    """Two rows, one expectation: with no plan, and with an empty one."""
+    return (
+        row(leg, condition, lambda: run(None), **expected),
+        row(leg, f"{condition}, empty plan", lambda: run(plan()), **expected),
+    )
+
+
 TABLE = [
     # -- one entry call: its request leg out, its response leg back ------
-    row("call", "unplaced object", lambda: call(obj_on=None),
-        arrivals=[0], resumed=[(0, "x")]),
-    row("call", "unplaced object, plan", lambda: call(plan(), obj_on=None),
-        arrivals=[0], resumed=[(0, "x")]),
-    row("call", "unplaced caller", lambda: call(caller_on=None),
-        arrivals=[0], resumed=[(0, "x")]),
-    row("call", "unplaced caller, plan", lambda: call(plan(), caller_on=None),
-        arrivals=[0], resumed=[(0, "x")]),
-    row("call", "co-located", lambda: call(obj_on="a"),
-        arrivals=[0], resumed=[(0, "x")]),
-    row("call", "co-located, plan", lambda: call(plan(), obj_on="a"),
-        arrivals=[0], resumed=[(0, "x")]),
-    row("call", "remote", lambda: call(),
-        arrivals=[3], resumed=OK, tags=RPC, traffic=6),
-    row("call", "remote, plan", lambda: call(plan()),
-        arrivals=[3], resumed=OK, tags=RPC, traffic=6),
+    *either("call", "unplaced object", lambda p: call(p, obj_on=None),
+            arrivals=[0], resumed=[(0, "x")]),
+    *either("call", "unplaced caller", lambda p: call(p, caller_on=None),
+            arrivals=[0], resumed=[(0, "x")]),
+    *either("call", "co-located", lambda p: call(p, obj_on="a"),
+            arrivals=[0], resumed=[(0, "x")]),
+    *either("call", "remote", call,
+            arrivals=[3], resumed=OK, tags=RPC, traffic=6),
     row("call", "duplicate rule (never applies to a call)",
         lambda: call(plan().duplicate_messages(1.0)),
         arrivals=[3], resumed=OK, tags=RPC, traffic=6),
@@ -209,12 +209,9 @@ TABLE = [
         resumed=[(2 + DETECT, "RemoteCallError: call to echo.echo "
                   "interrupted by crash of node b")],
         counters={**CRASH, "faults.failed_calls": 1}, tags=RPC, traffic=3),
-    row("request", "caller times out while it is on the wire",
-        lambda: call(timeout=2),
-        arrivals=[3], resumed=[(2, TIMED_OUT.format(2))], tags=RPC, traffic=3),
-    row("request", "caller times out while it is on the wire, plan",
-        lambda: call(plan(), timeout=2),
-        arrivals=[3], resumed=[(2, TIMED_OUT.format(2))], tags=RPC, traffic=3),
+    *either("request", "caller times out while it is on the wire",
+            lambda p: call(p, timeout=2),
+            arrivals=[3], resumed=[(2, TIMED_OUT.format(2))], tags=RPC, traffic=3),
     # -- the response leg -------------------------------------------------
     row("response", "no route",
         lambda: call(plan().partition(["a"], ["b"], at=4), work=5, timeout=30),
@@ -266,16 +263,11 @@ TABLE = [
         arrivals=[3, 63], resumed=[(86, "x")],
         counters={name: 2 for name in RECOVERED}, tags=RPC, traffic=12),
     # -- NetSend ----------------------------------------------------------
-    row("send", "unplaced sender", lambda: send(sender_on=None), arrivals=[0]),
-    row("send", "unplaced sender, plan", lambda: send(plan(), sender_on=None),
-        arrivals=[0]),
-    row("send", "co-located", lambda: send(chan_on="a"), arrivals=[0]),
-    row("send", "co-located, plan", lambda: send(plan(), chan_on="a"),
-        arrivals=[0]),
-    row("send", "remote", lambda: send(),
-        arrivals=[3], counters={"rpc.messages": 1}, traffic=3),
-    row("send", "remote, plan", lambda: send(plan()),
-        arrivals=[3], counters={"rpc.messages": 1}, traffic=3),
+    *either("send", "unplaced sender", lambda p: send(p, sender_on=None),
+            arrivals=[0]),
+    *either("send", "co-located", lambda p: send(p, chan_on="a"), arrivals=[0]),
+    *either("send", "remote", send,
+            arrivals=[3], counters={"rpc.messages": 1}, traffic=3),
     row("send", "no route", lambda: send(chan_on="c"),
         resumed=[(0, NO_ROUTE)]),
     row("send", "no route, plan", lambda: send(plan(), chan_on="c"),

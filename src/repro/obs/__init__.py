@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from ..kernel.tracing import TraceEvent
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry
 from .openmetrics import parse_openmetrics, render_openmetrics
 from .sinks import (
@@ -130,7 +131,7 @@ class Observability:
         self.sinks.append(sink)
         self.enable()
         if forward_trace and not self._trace_forwarded:
-            self.kernel.trace.subscribe(self._forward_trace_event)
+            self.kernel.trace.subscribe(self.forward)
             self._trace_forwarded = True
         return sink
 
@@ -196,19 +197,23 @@ class Observability:
 
     def instant(self, kind: str, process: str = "", **detail: Any) -> None:
         """A point annotation delivered straight to the sinks."""
-        now = self.kernel.clock.now
+        self.forward(TraceEvent(self.kernel.clock.now, kind, process, detail))
+
+    def forward(self, event: TraceEvent) -> None:
+        """Deliver one instant to every sink.
+
+        The kernel trace's listener, and the way in for what never
+        enters the kernel's log: annotations (:meth:`instant`) and the
+        live plane's alerts and snapshots.
+        """
         for sink in self.sinks:
-            sink.on_instant(now, kind, process, detail)
+            sink.on_instant(event.time, event.kind, event.process, event.detail)
 
     def _deliver(self, span: Span) -> None:
         if self.keep_spans:
             self.spans.append(span)
         for sink in self.sinks:
             sink.on_span(span)
-
-    def _forward_trace_event(self, event: Any) -> None:
-        for sink in self.sinks:
-            sink.on_instant(event.time, event.kind, event.process, event.detail)
 
     # -- the entry-call hooks --------------------------------------------
 

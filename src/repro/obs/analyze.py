@@ -41,10 +41,10 @@ import argparse
 import io
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .spans import Span
+from .sinks import from_chrome
+from .spans import Recording, Span
 
 #: Canonical phase order of one managed entry call (plus the §2.7
 #: combining short-circuit and the exactness remainder).
@@ -75,97 +75,14 @@ _PHASE_OF = {
 }
 
 
-class SpanRecord:
-    """One finished span, format-independent (loaders normalize to this)."""
-
-    __slots__ = ("id", "parent", "kind", "name", "process", "start", "end",
-                 "call_id", "attrs")
-
-    def __init__(
-        self,
-        id: int,
-        kind: str,
-        name: str,
-        process: str,
-        start: int,
-        end: int,
-        parent: int | None = None,
-        call_id: int | None = None,
-        attrs: dict[str, Any] | None = None,
-    ) -> None:
-        self.id = id
-        self.parent = parent
-        self.kind = kind
-        self.name = name
-        self.process = process
-        self.start = start
-        self.end = end
-        self.call_id = call_id
-        self.attrs = attrs or {}
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SpanRecord #{self.id} {self.kind}:{self.name} {self.start}..{self.end}>"
-
-
-class Recording:
-    """An indexed set of finished spans (plus instant events)."""
-
-    def __init__(
-        self,
-        spans: Iterable[SpanRecord],
-        instants: list[dict[str, Any]] | None = None,
-        source: str = "<memory>",
-    ) -> None:
-        self.spans = sorted(spans, key=lambda s: (s.start, s.id))
-        self.instants = instants or []
-        self.source = source
-        self.by_id = {s.id: s for s in self.spans}
-        self._children: dict[int, list[SpanRecord]] = {}
-        for span in self.spans:
-            if span.parent is not None:
-                self._children.setdefault(span.parent, []).append(span)
-
-    def children(self, span_id: int) -> list[SpanRecord]:
-        return self._children.get(span_id, [])
-
-    def top_level(self) -> list[SpanRecord]:
-        """Spans whose parent is absent from the recording."""
-        return [s for s in self.spans if s.parent not in self.by_id]
-
-    def call_roots(self) -> list[SpanRecord]:
-        """Every ``call`` span that is not nested inside another call."""
-        return [
-            s
-            for s in self.spans
-            if s.kind == "call"
-            and (s.parent not in self.by_id or self.by_id[s.parent].kind != "call")
-        ]
-
-    def align_key(self, span: SpanRecord) -> tuple[str, str, int]:
-        """Schedule-independent identity of a call root (see ``diff``)."""
-        seq = span.attrs.get("seq")
-        if seq is None:
-            seq = span.call_id if span.call_id is not None else span.id
-        return (span.process, span.name, int(seq))
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
 
-_META_KEYS = ("span_id", "parent", "call_id")
-
 
 def from_spans(spans: Iterable[Any], source: str = "<memory>") -> Recording:
     """Build a recording from live ``Span`` objects or sink record dicts."""
-    records: list[SpanRecord] = []
+    finished: list[Span] = []
     instants: list[dict[str, Any]] = []
     for item in spans:
         if isinstance(item, dict):
@@ -174,95 +91,10 @@ def from_spans(spans: Iterable[Any], source: str = "<memory>") -> Recording:
                 continue
             if item.get("type") not in (None, "span"):
                 continue
-            if item.get("end") is None:
-                continue
-            records.append(
-                SpanRecord(
-                    id=item["id"],
-                    parent=item.get("parent"),
-                    kind=item["kind"],
-                    name=item["name"],
-                    process=item.get("process", ""),
-                    start=item["start"],
-                    end=item["end"],
-                    call_id=item.get("call_id"),
-                    attrs=dict(item.get("attrs") or {}),
-                )
-            )
-        else:  # a live Span
-            if item.end is None:
-                continue
-            records.append(
-                SpanRecord(
-                    id=item.span_id,
-                    parent=item.parent_id,
-                    kind=item.kind,
-                    name=item.name,
-                    process=item.process,
-                    start=item.start,
-                    end=item.end,
-                    call_id=item.call_id,
-                    attrs=dict(item.attrs),
-                )
-            )
-    return Recording(records, instants, source=source)
-
-
-def from_chrome(payload: dict[str, Any], source: str = "<chrome>") -> Recording:
-    """Load the Chrome ``trace_event`` format a ``ChromeTraceSink`` wrote."""
-    events = payload.get("traceEvents", [])
-    threads: dict[int, str] = {}
-    begins: dict[tuple, dict[str, Any]] = {}
-    records: list[SpanRecord] = []
-    instants: list[dict[str, Any]] = []
-    for event in events:
-        if not isinstance(event, dict):
-            continue
-        ph = event.get("ph")
-        if ph == "M":
-            if event.get("name") == "thread_name":
-                threads[event.get("tid")] = event.get("args", {}).get("name", "")
-            continue
-        if ph == "i":
-            instants.append(
-                {
-                    "type": "event",
-                    "time": event.get("ts"),
-                    "kind": event.get("name"),
-                    "tid": event.get("tid"),
-                    "detail": dict(event.get("args") or {}),
-                }
-            )
-            continue
-        if ph not in ("b", "e"):
-            continue
-        key = (event.get("cat"), event.get("id"))
-        if ph == "b":
-            begins[key] = event
-            continue
-        start = begins.pop(key, None)
-        if start is None:
-            continue  # unbalanced; the validator reports these
-        args = dict(start.get("args") or {})
-        attrs = {k: v for k, v in args.items() if k not in _META_KEYS}
-        records.append(
-            SpanRecord(
-                id=args.get("span_id", start.get("id")),
-                parent=args.get("parent"),
-                kind=start.get("cat", ""),
-                name=start.get("name", ""),
-                process=threads.get(start.get("tid"), ""),
-                start=start.get("ts", 0),
-                end=event.get("ts", 0),
-                call_id=args.get("call_id"),
-                attrs=attrs,
-            )
-        )
-    # Instant events resolve their process names only after all metadata
-    # has been seen (thread_name records may trail in hand-built files).
-    for instant in instants:
-        instant["process"] = threads.get(instant.pop("tid"), "")
-    return Recording(records, instants, source=source)
+            item = Span.from_record(item)
+        if item.end is not None:
+            finished.append(item)
+    return Recording(finished, instants, source=source)
 
 
 def load(path: str) -> Recording:
@@ -308,7 +140,7 @@ class CallProfile:
     __slots__ = ("key", "call_id", "name", "process", "start", "end",
                  "status", "phases")
 
-    def __init__(self, rec: Recording, root: SpanRecord) -> None:
+    def __init__(self, rec: Recording, root: Span) -> None:
         self.key = rec.align_key(root)
         self.call_id = root.call_id
         self.name = root.name
@@ -318,7 +150,7 @@ class CallProfile:
         self.status = root.attrs.get("status", "ok")
         self.phases: dict[str, int] = {}
         attributed = 0
-        for child in rec.children(root.id):
+        for child in rec.children(root.span_id):
             phase = _phase_key(child)
             if phase is None:
                 continue  # nested calls are their own profiles
@@ -346,7 +178,7 @@ class CallProfile:
         }
 
 
-def _phase_key(span: SpanRecord) -> str | None:
+def _phase_key(span: Span) -> str | None:
     suffix = span.name.rsplit(".", 1)[-1]
     return _PHASE_OF.get((span.kind, suffix))
 
@@ -395,7 +227,7 @@ class ChainLink:
 
     __slots__ = ("span", "self_ticks")
 
-    def __init__(self, span: SpanRecord, self_ticks: int) -> None:
+    def __init__(self, span: Span, self_ticks: int) -> None:
         self.span = span
         self.self_ticks = self_ticks
 
@@ -411,7 +243,7 @@ class ChainLink:
         }
 
 
-def critical_path(rec: Recording, root: SpanRecord | None = None) -> list[ChainLink]:
+def critical_path(rec: Recording, root: Span | None = None) -> list[ChainLink]:
     """The longest blocking chain from ``root`` (default: slowest span).
 
     Descends from the root into the child with the greatest duration at
@@ -427,11 +259,11 @@ def critical_path(rec: Recording, root: SpanRecord | None = None) -> list[ChainL
     chain: list[ChainLink] = []
     node = root
     while True:
-        kids = rec.children(node.id)
+        kids = rec.children(node.span_id)
         if not kids:
             chain.append(ChainLink(node, node.duration))
             return chain
-        pick = max(kids, key=lambda s: (s.duration, -s.start, -s.id))
+        pick = max(kids, key=lambda s: (s.duration, -s.start, -s.span_id))
         chain.append(ChainLink(node, node.duration - pick.duration))
         node = pick
 
@@ -458,9 +290,9 @@ def folded_stacks(rec: Recording) -> list[str]:
     """
     totals: dict[str, int] = {}
 
-    def walk(span: SpanRecord, prefix: tuple[str, ...]) -> None:
+    def walk(span: Span, prefix: tuple[str, ...]) -> None:
         path = prefix + (f"{span.kind}:{span.name}",)
-        kids = rec.children(span.id)
+        kids = rec.children(span.span_id)
         self_ticks = span.duration - sum(k.duration for k in kids)
         if self_ticks != 0 or not kids:
             key = ";".join(path)
@@ -629,7 +461,7 @@ def sequencer_breakdown(rec: Recording) -> dict[str, Any] | None:
     applies = forwards = 0
     for seq in seq_spans:
         primary = seq.attrs.get("primary")
-        for child in rec.children(seq.id):
+        for child in rec.children(seq.span_id):
             if child.kind != "call":
                 continue
             target = child.name.rsplit(".", 1)[0]

@@ -37,14 +37,8 @@ import json
 import sys
 from typing import Any
 
-from .analyze import (
-    PHASES,
-    CallProfile,
-    Recording,
-    SpanRecord,
-    load,
-    profile_calls,
-)
+from .analyze import PHASES, CallProfile, load, profile_calls
+from .spans import Recording, Span
 
 Key = tuple  # (process, name, seq)
 
@@ -175,7 +169,7 @@ def _accept_order(rec: Recording, common: set[Key]) -> dict[str, list[tuple]]:
         key = rec.align_key(root)
         if key not in common:
             continue
-        for child in rec.children(root.id):
+        for child in rec.children(root.span_id):
             if child.kind == "manager" and child.name.endswith(".accept"):
                 obj = root.name.rsplit(".", 1)[0]
                 orders.setdefault(obj, []).append((child.end, child.start, key))
@@ -213,13 +207,13 @@ def _reordered_accepts(
     return out
 
 
-def _write_signature(rec: Recording, root: SpanRecord) -> dict[str, Any]:
+def _write_signature(rec: Recording, root: Span) -> dict[str, Any]:
     """Structure of one replicated write's subtree (failover signature)."""
     sig: dict[str, Any] = {"status": root.attrs.get("status")}
-    for seq in rec.children(root.id):
+    for seq in rec.children(root.span_id):
         if seq.kind != "replication":
             continue
-        calls = [c for c in rec.children(seq.id) if c.kind == "call"]
+        calls = [c for c in rec.children(seq.span_id) if c.kind == "call"]
         sig["primary"] = seq.attrs.get("primary")
         sig["forwards"] = sorted(seq.attrs.get("forwards") or [])
         sig["replica_calls"] = sorted(
@@ -229,10 +223,10 @@ def _write_signature(rec: Recording, root: SpanRecord) -> dict[str, Any]:
     return sig
 
 
-def _replicated_roots(rec: Recording) -> dict[Key, SpanRecord]:
+def _replicated_roots(rec: Recording) -> dict[Key, Span]:
     """``replicated`` write roots keyed by per-(process, name) occurrence."""
     counters: dict[tuple[str, str], int] = {}
-    out: dict[Key, SpanRecord] = {}
+    out: dict[Key, Span] = {}
     for span in rec.spans:  # already in (start, id) order
         if span.kind != "replicated":
             continue

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Callable
 
+from ...kernel.tracing import TraceEvent
 from .burnrate import AlertEvent, BurnRateMonitor
 from .sketch import HotKeyReport, SpaceSaving
 from .stream import (
@@ -208,8 +209,7 @@ class LivePlane:
             self._instant(boundary, "live.snapshot", self.snapshot(boundary))
 
     def _instant(self, time: int, kind: str, detail: dict) -> None:
-        for sink in self.obs.sinks:
-            sink.on_instant(time, kind, "live", detail)
+        self.obs.forward(TraceEvent(time, kind, "live", detail))
 
     # -- declaration (idempotent by name) ---------------------------------
 

@@ -18,22 +18,28 @@ used by tests and the bench harness.
 
 Virtual ticks map 1:1 onto trace-viewer microseconds: one tick renders
 as 1µs, keeping the timeline axis equal to the paper's tick counts.
+
+This module owns the Chrome format in both directions —
+:class:`ChromeTraceSink` writes it, :func:`from_chrome` reads it back
+into a :class:`~repro.obs.spans.Recording`, one begin/end pairing serves
+the reader and :func:`validate_chrome_trace` — and the rule live-plane
+instants obey in either file format (:func:`_live_problems`).  The JSONL
+record itself is :mod:`repro.obs.spans`'.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import TYPE_CHECKING, Any
+from typing import Any, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .spans import Span
+from .spans import Recording, Span, event_record
 
 
 class TraceSink:
     """Base sink: override any of the three hooks."""
 
-    def on_span(self, span: "Span") -> None:
+    def on_span(self, span: Span) -> None:
         """A span finished (``span.end`` is set)."""
 
     def on_instant(
@@ -51,16 +57,13 @@ class MemorySink(TraceSink):
     def __init__(self) -> None:
         self.records: list[dict[str, Any]] = []
 
-    def on_span(self, span: "Span") -> None:
+    def on_span(self, span: Span) -> None:
         self.records.append(span.to_record())
 
     def on_instant(
         self, time: int, kind: str, process: str, detail: dict[str, Any]
     ) -> None:
-        self.records.append(
-            {"type": "event", "time": time, "kind": kind, "process": process,
-             "detail": dict(detail)}
-        )
+        self.records.append(event_record(time, kind, process, detail))
 
     def spans(self) -> list[dict[str, Any]]:
         return [r for r in self.records if r["type"] == "span"]
@@ -93,16 +96,13 @@ class JsonlSink(TraceSink):
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self.lines += 1
 
-    def on_span(self, span: "Span") -> None:
+    def on_span(self, span: Span) -> None:
         self._write(span.to_record())
 
     def on_instant(
         self, time: int, kind: str, process: str, detail: dict[str, Any]
     ) -> None:
-        self._write(
-            {"type": "event", "time": time, "kind": kind, "process": process,
-             "detail": dict(detail)}
-        )
+        self._write(event_record(time, kind, process, detail))
 
     def close(self) -> None:
         if self._fh is not None and self._owns:
@@ -133,7 +133,7 @@ class ChromeTraceSink(TraceSink):
             self._tids[process] = tid
         return tid
 
-    def on_span(self, span: "Span") -> None:
+    def on_span(self, span: Span) -> None:
         tid = self._tid(span.process or "?")
         args: dict[str, Any] = {"span_id": span.span_id}
         if span.parent_id is not None:
@@ -186,110 +186,175 @@ class ChromeTraceSink(TraceSink):
             json.dump(self.payload(), fh)
 
 
+#: ``args`` keys of a span's begin event that are ``Span`` fields, not attrs.
+_META_KEYS = ("span_id", "parent", "call_id")
+
+
+def _pair_spans(events: Iterable[Any]) -> tuple[list[tuple[dict, dict]], list[str]]:
+    """Pair async begin/end events by ``(cat, id)``, in end order.
+
+    Also returns what did not pair, in the validator's words; the loader
+    skips those.
+    """
+    begins: dict[tuple, dict] = {}
+    pairs: list[tuple[dict, dict]] = []
+    unbalanced: list[str] = []
+    for event in events:
+        if not isinstance(event, dict) or event.get("ph") not in ("b", "e"):
+            continue
+        key = (event.get("cat"), event.get("id"))
+        if event["ph"] == "b":
+            if key in begins:
+                unbalanced.append(f"duplicate begin for span {key}")
+            begins[key] = event
+        elif key in begins:
+            pairs.append((begins.pop(key), event))
+        else:
+            unbalanced.append(f"end without begin for span {key}")
+    unbalanced.extend(f"begin without end for span {key}" for key in begins)
+    return pairs, unbalanced
+
+
+def from_chrome(payload: dict[str, Any], source: str = "<chrome>") -> Recording:
+    """Load the Chrome ``trace_event`` format a :class:`ChromeTraceSink` wrote."""
+    events = [e for e in payload.get("traceEvents", []) if isinstance(e, dict)]
+    # Collected first: thread_name records may trail the events they
+    # name in hand-built files.
+    threads = {
+        e.get("tid"): e.get("args", {}).get("name", "")
+        for e in events
+        if e.get("ph") == "M" and e.get("name") == "thread_name"
+    }
+    spans = []
+    for begin, end in _pair_spans(events)[0]:
+        args = begin.get("args") or {}
+        spans.append(Span(
+            args.get("span_id", begin.get("id")),
+            begin.get("cat", ""),
+            begin.get("name", ""),
+            threads.get(begin.get("tid"), ""),
+            begin.get("ts", 0),
+            parent_id=args.get("parent"),
+            call_id=args.get("call_id"),
+            attrs={k: v for k, v in args.items() if k not in _META_KEYS},
+            end=end.get("ts", 0),
+        ))
+    instants = [
+        event_record(
+            e.get("ts"), e.get("name"), threads.get(e.get("tid"), ""),
+            e.get("args") or {},
+        )
+        for e in events
+        if e.get("ph") == "i"
+    ]
+    return Recording(spans, instants, source=source)
+
+
+def _numeric(value: Any) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _live_problems(instants: Iterable[tuple[str, int | float, str, dict]]) -> list[str]:
+    """The live-instant rule over ``(where, time, kind, detail)`` in file order.
+
+    The plane emits at step boundaries, in boundary order, so times never
+    decrease — an inversion means a sink reordered them; a ``live.alert``
+    carries the alert fields and alternates firing/resolved per monitor;
+    a ``live.snapshot`` carries its evaluation time.
+    """
+    problems: list[str] = []
+    last: int | float | None = None
+    states: dict[str, str] = {}
+    for where, time, kind, detail in instants:
+        if last is not None and time < last:
+            problems.append(
+                f"{where}: live instants out of order (time {time} after {last})"
+            )
+        last = time
+        if kind == "live.alert":
+            for field in ("monitor", "state", "fast_burn", "slow_burn"):
+                if field not in detail:
+                    problems.append(f"{where}: live.alert missing {field!r}")
+            monitor = str(detail.get("monitor", "?"))
+            state = detail.get("state")
+            if state not in ("firing", "resolved"):
+                problems.append(
+                    f"{where}: live.alert for {monitor} has bad state {state!r}"
+                )
+                continue
+            prev = states.get(monitor)
+            if state != ("firing" if prev in (None, "resolved") else "resolved"):
+                problems.append(
+                    f"{where}: monitor {monitor}: {state!r} does not alternate "
+                    f"(previous state {prev!r})"
+                )
+            states[monitor] = state
+        elif kind == "live.snapshot" and "time" not in detail:
+            problems.append(f"{where}: live.snapshot missing 'time'")
+    return problems
+
+
 def validate_chrome_trace(payload: Any) -> list[str]:
     """Check a Chrome-trace payload; returns a list of problems.
 
     Used by the CI trace-validation step and the sink tests: the payload
     must be well-formed, non-empty, and every async span begin (``"b"``)
     must pair with exactly one end (``"e"``) of the same id/category at
-    a tick no earlier than its begin.
-
-    Live-plane instants (``cat`` starting with ``live.``) get their own
-    checks: timestamps must be non-decreasing in file order (the plane
-    emits at step boundaries, in boundary order — any inversion means a
-    sink reordered them), ``live.alert`` instants must carry the alert
-    fields and alternate firing/resolved per monitor, and
-    ``live.snapshot`` instants must carry their evaluation time.
+    a tick no earlier than its begin.  Instants whose ``cat`` starts with
+    ``live.`` must also obey the live-instant rule (:func:`_live_problems`).
     """
-    problems: list[str] = []
     if not isinstance(payload, dict) or "traceEvents" not in payload:
         return ["payload is not a dict with a 'traceEvents' key"]
     events = payload["traceEvents"]
     if not isinstance(events, list):
         return ["'traceEvents' is not a list"]
-    spans = [e for e in events if isinstance(e, dict) and e.get("ph") in ("b", "e")]
+    problems: list[str] = []
     if not any(e.get("ph") != "M" for e in events if isinstance(e, dict)):
         problems.append("trace contains no events")
-    begins: dict[tuple, dict] = {}
-    for event in spans:
-        for field in ("name", "id", "ts", "cat"):
-            if field not in event:
-                problems.append(f"span event missing {field!r}: {event!r}")
-        key = (event.get("cat"), event.get("id"))
-        if event.get("ph") == "b":
-            if key in begins:
-                problems.append(f"duplicate begin for span {key}")
-            begins[key] = event
-        else:
-            start = begins.pop(key, None)
-            if start is None:
-                problems.append(f"end without begin for span {key}")
-            elif not isinstance(event.get("ts"), (int, float)) or event["ts"] < start["ts"]:
-                problems.append(f"span {key} ends before it begins")
-    for key in begins:
-        problems.append(f"begin without end for span {key}")
-
-    def unquote(value: Any) -> str:
-        # ChromeTraceSink reprs instant arg values; strip string quotes.
-        text = str(value)
-        if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-            return text[1:-1]
-        return text
-
-    last_ts: int | float | None = None
-    alert_states: dict[str, str] = {}
+    live = []
     for event in events:
-        if not isinstance(event, dict) or event.get("ph") != "i":
+        if not isinstance(event, dict):
             continue
-        cat = str(event.get("cat", ""))
-        if not cat.startswith("live."):
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"live instant missing numeric ts: {event!r}")
-            continue
-        if last_ts is not None and ts < last_ts:
+        if event.get("ph") in ("b", "e"):
+            for field in ("name", "id", "ts", "cat"):
+                if field not in event:
+                    problems.append(f"span event missing {field!r}: {event!r}")
+        elif event.get("ph") == "i" and str(event.get("cat", "")).startswith("live."):
+            ts = event.get("ts")
+            if not _numeric(ts):
+                problems.append(f"live instant missing numeric ts: {event!r}")
+                continue
+            # ChromeTraceSink reprs instant arg values: read them back.
+            args = {k: _unquote(v) for k, v in (event.get("args") or {}).items()}
+            live.append((f"ts {ts}", ts, event["cat"], args))
+    pairs, unbalanced = _pair_spans(events)
+    problems.extend(unbalanced)
+    for begin, end in pairs:
+        if not (_numeric(begin.get("ts")) and _numeric(end.get("ts"))) or (
+            end["ts"] < begin["ts"]
+        ):
             problems.append(
-                f"live instants out of order: ts {ts} after {last_ts}"
+                f"span {(begin.get('cat'), begin.get('id'))} ends before it begins"
             )
-        last_ts = ts
-        args = event.get("args") or {}
-        if cat == "live.alert":
-            for field in ("monitor", "state", "fast_burn", "slow_burn"):
-                if field not in args:
-                    problems.append(f"live.alert at ts {ts} missing {field!r}")
-            monitor = unquote(args.get("monitor", "?"))
-            state = unquote(args.get("state", "?"))
-            if state not in ("firing", "resolved"):
-                problems.append(
-                    f"live.alert for {monitor} has bad state {state!r}"
-                )
-            else:
-                prev = alert_states.get(monitor)
-                expected = "firing" if prev in (None, "resolved") else "resolved"
-                if state != expected:
-                    problems.append(
-                        f"monitor {monitor}: {state!r} at ts {ts} does not "
-                        f"alternate (previous state {prev!r})"
-                    )
-                alert_states[monitor] = state
-        elif cat == "live.snapshot" and "time" not in args:
-            problems.append(f"live.snapshot at ts {ts} missing 'time'")
-    return problems
+    return problems + _live_problems(live)
 
 
-def validate_live_jsonl(lines: Any) -> list[str]:
+def _unquote(value: Any) -> str:
+    text = str(value)
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        return text[1:-1]
+    return text
+
+
+def validate_live_jsonl(lines: Iterable[str]) -> list[str]:
     """Check live-plane instants in a JSONL sink dump; returns problems.
 
-    Same contract as the Chrome-trace checks, applied to the JSONL side:
-    every line must be a JSON object; ``live.*`` event times must be
-    non-decreasing in file order; ``live.alert`` events must carry the
-    alert payload and alternate firing/resolved per monitor;
-    ``live.snapshot`` events must embed their evaluation time.
+    Every line must be a JSON object, and every ``live.*`` event needs a
+    numeric time and a detail dict; those then obey the same
+    live-instant rule as in a Chrome trace (:func:`_live_problems`).
     """
     problems: list[str] = []
-    last_time: int | float | None = None
-    alert_states: dict[str, str] = {}
+    live = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -305,40 +370,10 @@ def validate_live_jsonl(lines: Any) -> list[str]:
         kind = record.get("kind", "")
         if record.get("type") != "event" or not str(kind).startswith("live."):
             continue
-        time = record.get("time")
-        if not isinstance(time, (int, float)):
+        if not _numeric(record.get("time")):
             problems.append(f"line {lineno}: live event missing numeric time")
-            continue
-        if last_time is not None and time < last_time:
-            problems.append(
-                f"line {lineno}: live events out of order "
-                f"(time {time} after {last_time})"
-            )
-        last_time = time
-        detail = record.get("detail")
-        if not isinstance(detail, dict):
+        elif not isinstance(record.get("detail"), dict):
             problems.append(f"line {lineno}: live event missing detail dict")
-            continue
-        if kind == "live.alert":
-            for field in ("monitor", "state", "fast_burn", "slow_burn"):
-                if field not in detail:
-                    problems.append(f"line {lineno}: live.alert missing {field!r}")
-            monitor = str(detail.get("monitor", "?"))
-            state = detail.get("state")
-            if state not in ("firing", "resolved"):
-                problems.append(
-                    f"line {lineno}: live.alert for {monitor} has bad "
-                    f"state {state!r}"
-                )
-            else:
-                prev = alert_states.get(monitor)
-                expected = "firing" if prev in (None, "resolved") else "resolved"
-                if state != expected:
-                    problems.append(
-                        f"line {lineno}: monitor {monitor}: {state!r} does "
-                        f"not alternate (previous state {prev!r})"
-                    )
-                alert_states[monitor] = state
-        elif kind == "live.snapshot" and "time" not in detail:
-            problems.append(f"line {lineno}: live.snapshot missing 'time'")
-    return problems
+        else:
+            live.append((f"line {lineno}", record["time"], kind, record["detail"]))
+    return problems + _live_problems(live)

@@ -27,6 +27,12 @@ is ever allocated on the call path — the phase children above are
 records, at completion time, only when a sink or the in-memory span log
 is active.
 
+This module is the trace model every reader shares: a finished span is
+a :class:`Span` whatever file it came from, a :class:`Recording` indexes
+them, and the JSONL line format is written and read here
+(:meth:`Span.to_record`/:meth:`Span.from_record`, :func:`event_record`).
+The Chrome ``trace_event`` format lives in :mod:`repro.obs.sinks`.
+
 :class:`TransitionRecord` closes the loop for failover timelines: the
 heartbeat and replica view keep their transition logs as plain tuples
 (the determinism contract tests compare them across runs), but each
@@ -36,7 +42,7 @@ trace connects detection → promotion → catch-up.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 
 class Span:
@@ -68,6 +74,7 @@ class Span:
         parent_id: int | None = None,
         call_id: int | None = None,
         attrs: dict[str, Any] | None = None,
+        end: int | None = None,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -75,7 +82,7 @@ class Span:
         self.name = name
         self.process = process
         self.start = start
-        self.end: int | None = None
+        self.end = end
         self.call_id = call_id
         self.attrs = attrs or {}
 
@@ -84,7 +91,7 @@ class Span:
         return None if self.end is None else self.end - self.start
 
     def to_record(self) -> dict[str, Any]:
-        """Flat JSON-safe dict (the JSONL sink's line format)."""
+        """Flat JSON-safe dict (the JSONL line format; see :meth:`from_record`)."""
         record: dict[str, Any] = {
             "type": "span",
             "id": self.span_id,
@@ -101,9 +108,80 @@ class Span:
             record["attrs"] = dict(self.attrs)
         return record
 
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "Span":
+        """Inverse of :meth:`to_record`; ``KeyError`` names a missing field."""
+        return cls(
+            record["id"],
+            record["kind"],
+            record["name"],
+            record.get("process", ""),
+            record["start"],
+            parent_id=record.get("parent"),
+            call_id=record.get("call_id"),
+            attrs=dict(record.get("attrs") or {}),
+            end=record.get("end"),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tail = "open" if self.end is None else f"{self.start}..{self.end}"
         return f"<Span #{self.span_id} {self.kind}:{self.name} {tail}>"
+
+
+def event_record(
+    time: int, kind: str, process: str, detail: dict[str, Any]
+) -> dict[str, Any]:
+    """An instant as a flat JSON-safe dict (the JSONL line format)."""
+    return {"type": "event", "time": time, "kind": kind, "process": process,
+            "detail": dict(detail)}
+
+
+class Recording:
+    """An indexed set of finished spans (plus instant event records)."""
+
+    def __init__(
+        self,
+        spans: Iterable[Span],
+        instants: list[dict[str, Any]] | None = None,
+        source: str = "<memory>",
+    ) -> None:
+        self.spans = sorted(spans, key=lambda s: (s.start, s.span_id))
+        self.instants = instants or []
+        self.source = source
+        self.by_id = {s.span_id: s for s in self.spans}
+        self._children: dict[int, list[Span]] = {}
+        for span in self.spans:
+            if span.parent_id is not None:
+                self._children.setdefault(span.parent_id, []).append(span)
+
+    def children(self, span_id: int) -> list[Span]:
+        return self._children.get(span_id, [])
+
+    def top_level(self) -> list[Span]:
+        """Spans whose parent is absent from the recording."""
+        return [s for s in self.spans if s.parent_id not in self.by_id]
+
+    def call_roots(self) -> list[Span]:
+        """Every ``call`` span that is not nested inside another call."""
+        return [
+            s
+            for s in self.spans
+            if s.kind == "call"
+            and (
+                s.parent_id not in self.by_id
+                or self.by_id[s.parent_id].kind != "call"
+            )
+        ]
+
+    def align_key(self, span: Span) -> tuple[str, str, int]:
+        """Schedule-independent identity of a call root (see ``repro.obs.diff``)."""
+        seq = span.attrs.get("seq")
+        if seq is None:
+            seq = span.call_id if span.call_id is not None else span.span_id
+        return (span.process, span.name, int(seq))
+
+    def __len__(self) -> int:
+        return len(self.spans)
 
 
 class TransitionRecord(tuple):

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..errors import AdmissionError, RemoteCallError
 from ..faults.retry import CircuitBreaker, RetryBudget, RetryPolicy, retry
 from ..kernel.syscalls import Delay, Now, Self, Spawn
+from ..obs.spans import Span
 from .generators import ArrivalProcess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -285,17 +286,10 @@ class TrafficEngine:
         which synchronization mechanism served them.
         """
         return [
-            {
-                "type": "span",
-                "id": req.index + 1,
-                "parent": None,
-                "kind": "call",
-                "name": "offered",
-                "process": f"vc{req.caller}",
-                "start": req.at,
-                "end": req.at,
-                "attrs": {"seq": req.seq, "index": req.index},
-            }
+            Span(
+                req.index + 1, "call", "offered", f"vc{req.caller}", req.at,
+                attrs={"seq": req.seq, "index": req.index}, end=req.at,
+            ).to_record()
             for req in self.schedule
         ]
 

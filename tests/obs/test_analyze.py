@@ -8,9 +8,7 @@ from repro.core import AcceptGuard, AlpsObject, entry, icpt, manager_process
 from repro.kernel import Delay, Kernel, Select
 from repro.obs import ChromeTraceSink, JsonlSink, MemorySink
 from repro.obs.analyze import (
-    Recording,
     critical_path,
-    from_chrome,
     from_spans,
     load,
     main,
@@ -18,6 +16,8 @@ from repro.obs.analyze import (
     render_report,
     report_json,
 )
+from repro.obs.sinks import from_chrome
+from repro.obs.spans import Recording
 
 
 class Echo(AlpsObject):
@@ -95,7 +95,7 @@ class TestExactAttribution:
         assert sum(prof.phases.values()) == prof.total
         # The inner call is still in the recording, as a child subtree.
         inner = [s for s in rec.spans if s.name == "inner.echo"]
-        assert inner and inner[0].parent is not None
+        assert inner and inner[0].parent_id is not None
 
     def test_seq_is_program_order_per_process_and_entry(self):
         _, rec = _echo_recording(calls=4)
@@ -111,7 +111,7 @@ class TestCriticalPath:
         assert sum(link.self_ticks for link in chain) == chain[0].span.duration
         # Each link is a child of the previous one.
         for parent, child in zip(chain, chain[1:]):
-            assert child.span.parent == parent.span.id
+            assert child.span.parent_id == parent.span.span_id
 
     def test_descends_into_longest_child(self):
         rec = from_spans(
@@ -125,7 +125,7 @@ class TestCriticalPath:
             ]
         )
         chain = critical_path(rec)
-        assert [link.span.id for link in chain] == [1, 3]
+        assert [link.span.span_id for link in chain] == [1, 3]
         assert [link.self_ticks for link in chain] == [35, 65]
 
     def test_empty_recording_has_empty_chain(self):

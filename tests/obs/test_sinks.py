@@ -3,13 +3,21 @@
 import io
 import json
 
-from repro.kernel import Kernel
+import pytest
+
+from repro.faults import FaultPlan, install
+from repro.kernel import Delay, Kernel
+from repro.net import ring
 from repro.obs import (
     ChromeTraceSink,
     JsonlSink,
     MemorySink,
+    Span,
     validate_chrome_trace,
 )
+from repro.obs.analyze import from_spans
+from repro.obs.sinks import from_chrome, validate_live_jsonl
+from repro.replication import Replicated
 from repro.stdlib import KVStore
 
 
@@ -95,6 +103,127 @@ class TestChromeTraceSink:
         assert validate_chrome_trace(json.loads(path.read_text())) == []
 
 
+def _fields(span):
+    return {name: getattr(span, name) for name in Span.__slots__}
+
+
+class TestCodecs:
+    """Each file format reads back exactly what it wrote."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        # A replicated KV through a primary crash: nested calls, sequencer
+        # spans with list attrs, failed calls, spans with no call id.
+        kernel = Kernel(seed=3, spans=True)
+        chrome = kernel.obs.add_sink(ChromeTraceSink("unwritten.json"))
+        net = ring(kernel, 6)
+        install(kernel, net, FaultPlan(seed=3, detection_delay=20).crash_node(
+            "n0", at=250, restart_at=900))
+        rep = Replicated(
+            lambda name: KVStore(kernel, name=name), net, 3,
+            writes=("put", "delete"), nodes=["n0", "n2", "n4"],
+            call_timeout=60, heartbeat_interval=40, seed=3,
+        )
+
+        def writer():
+            for i in range(10):
+                try:
+                    yield from rep.put(f"k{i % 3}", i)
+                except Exception:
+                    pass
+                yield Delay(60)
+
+        kernel.spawn(writer, name="writer")
+        kernel.run(until=1200)
+        assert {s.kind for s in kernel.obs.spans} >= {"call", "replication", "body"}
+        return kernel.obs.spans, chrome
+
+    def test_jsonl_record_round_trips_field_for_field(self, recorded):
+        spans, _chrome = recorded
+        for span in spans:
+            # Through text, as a JsonlSink file is read.
+            record = json.loads(json.dumps(span.to_record(), sort_keys=True))
+            assert _fields(Span.from_record(record)) == _fields(span)
+
+    def test_chrome_payload_loads_as_the_live_spans(self, recorded):
+        spans, chrome = recorded
+        live = from_spans(spans)
+        loaded = from_chrome(chrome.payload())
+        assert len(loaded.spans) == len(live.spans) > 100
+        assert [_fields(s) for s in loaded.spans] == [_fields(s) for s in live.spans]
+
+    def test_loader_skips_what_the_validator_reports(self):
+        begin = {"ph": "b", "cat": "c", "name": "n", "id": 1, "ts": 0}
+        end = {"ph": "e", "cat": "c", "name": "n", "id": 1, "ts": 5}
+        stray = {"ph": "e", "cat": "c", "name": "n", "id": 2, "ts": 7}
+        open_ = {"ph": "b", "cat": "c", "name": "n", "id": 3, "ts": 8}
+        payload = {"traceEvents": [begin, end, stray, open_]}
+        assert [(s.span_id, s.start, s.end) for s in from_chrome(payload).spans] == [
+            (1, 0, 5)
+        ]
+        assert validate_chrome_trace(payload) == [
+            "end without begin for span ('c', 2)",
+            "begin without end for span ('c', 3)",
+        ]
+
+
+def _alert(time, state, **overrides):
+    detail = {"time": time, "monitor": "m", "state": state, "fast_burn": 3.0,
+              "slow_burn": 2.1, "bad": 1, "total": 2}
+    detail.update(overrides)
+    return (time, "live.alert", {k: v for k, v in detail.items() if v is not None})
+
+
+#: defect -> (the live instants of one file, what both validators must say)
+LIVE_DEFECTS = {
+    "out of order": (
+        [_alert(100, "firing"), (50, "live.snapshot", {"time": 50})],
+        "out of order",
+    ),
+    "missing alert field": (
+        [_alert(100, "firing", fast_burn=None)], "missing 'fast_burn'",
+    ),
+    "bad state": (
+        [_alert(100, "firing"), _alert(200, "flapping")], "bad state 'flapping'",
+    ),
+    "broken alternation": (
+        [_alert(100, "firing"), _alert(200, "firing")], "does not alternate",
+    ),
+    "snapshot without time": (
+        [(100, "live.snapshot", {"step": 100})], "live.snapshot missing 'time'",
+    ),
+}
+
+
+class TestLiveRule:
+    """One rule for live instants, whichever file format carries them."""
+
+    @staticmethod
+    def _dump(instants):
+        """The instants as both sinks write them: (Chrome payload, JSONL lines)."""
+        buf = io.StringIO()
+        sinks = (ChromeTraceSink("unwritten.json"), JsonlSink(buf))
+        for time, kind, detail in instants:
+            for sink in sinks:
+                sink.on_instant(time, kind, "live", detail)
+        return sinks[0].payload(), buf.getvalue().splitlines()
+
+    def test_well_formed_instants_pass_both(self):
+        payload, lines = self._dump([
+            _alert(100, "firing"), (200, "live.snapshot", {"time": 200}),
+            _alert(200, "resolved"),
+        ])
+        assert validate_chrome_trace(payload) == []
+        assert validate_live_jsonl(lines) == []
+
+    @pytest.mark.parametrize("defect", LIVE_DEFECTS)
+    def test_defect_is_reported_by_both_validators_and_nothing_else(self, defect):
+        instants, says = LIVE_DEFECTS[defect]
+        payload, lines = self._dump(instants)
+        for problems in (validate_chrome_trace(payload), validate_live_jsonl(lines)):
+            assert len(problems) == 1 and says in problems[0], problems
+
+
 class TestValidator:
     def test_rejects_malformed_payloads(self):
         assert validate_chrome_trace(None)
@@ -110,6 +239,9 @@ class TestValidator:
         assert validate_chrome_trace({"traceEvents": [begin, end]}) == []
         backwards = dict(end, ts=-1)
         assert validate_chrome_trace({"traceEvents": [begin, backwards]})
+        # A begin with no tick is a problem, not a KeyError.
+        untimed = {k: v for k, v in begin.items() if k != "ts"}
+        assert validate_chrome_trace({"traceEvents": [untimed, end]})
 
 
 class TestTraceForwarding:
@@ -150,8 +282,6 @@ def _live_run(sink_a, sink_b):
 
 class TestLiveInstantOrdering:
     def test_jsonl_and_chrome_serialize_in_boundary_order(self, tmp_path):
-        from repro.obs.sinks import validate_live_jsonl
-
         buf = io.StringIO()
         chrome_path = tmp_path / "live.json"
         _live_run(JsonlSink(buf), ChromeTraceSink(str(chrome_path)))
@@ -193,8 +323,6 @@ class TestLiveInstantOrdering:
         assert times == [plane.step * i for i in range(1, 24)]
 
     def test_validator_flags_out_of_order_and_bad_alternation(self):
-        from repro.obs.sinks import validate_live_jsonl
-
         record = (
             '{"type": "event", "time": %d, "kind": "live.alert", '
             '"process": "live", "detail": {"monitor": "m", "state": "%s", '

@@ -24,6 +24,7 @@ from repro.faults import ExponentialBackoff, FaultPlan, FixedBackoff, install, r
 from repro.kernel import Delay, Kernel
 from repro.kernel.costs import FREE
 from repro.net import ring
+from repro.obs.live import nearest_rank
 from repro.stdlib import Dictionary
 
 from harness import print_table, write_results
@@ -82,8 +83,6 @@ def drive(loss: float, policy_name: str) -> dict:
 
     total = CLIENTS * OPS_PER_CLIENT
     span = max(1, kernel.clock.now)
-    latencies = sorted(completed)
-    p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else None
     return {
         "loss": loss,
         "policy": policy_name,
@@ -91,7 +90,7 @@ def drive(loss: float, policy_name: str) -> dict:
         "failed": failed[0],
         "completed_frac": round(len(completed) / total, 3),
         "goodput_per_ktick": round(len(completed) * 1000 / span, 1),
-        "p95_response": p95,
+        "p95_response": nearest_rank(completed, 95),
         "retries": kernel.metrics.value("retry.attempts"),
         "virtual_time": kernel.clock.now,
     }

@@ -8,10 +8,10 @@ benchmark harness prints for each experiment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
+from ..obs.live.stream import nearest_rank
 from .calls import Call
 
 
@@ -21,14 +21,14 @@ class LatencySummary:
 
     count: int
     mean: float
-    median: float
-    p95: float
+    median: int  #: nearest-rank, like every percentile in the repo
+    p95: int
     maximum: int
     minimum: int
 
     @staticmethod
     def empty() -> "LatencySummary":
-        return LatencySummary(0, 0.0, 0.0, 0.0, 0, 0)
+        return LatencySummary(0, 0.0, 0, 0, 0, 0)
 
     def row(self) -> dict:
         return {
@@ -40,21 +40,6 @@ class LatencySummary:
         }
 
 
-def percentile(sorted_values: Sequence[int], fraction: float) -> float:
-    """Linear-interpolated percentile of pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    rank = fraction * (len(sorted_values) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return float(sorted_values[low])
-    weight = rank - low
-    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
-
-
 def summarize(durations: Iterable[int]) -> LatencySummary:
     values = sorted(d for d in durations if d is not None)
     if not values:
@@ -62,8 +47,8 @@ def summarize(durations: Iterable[int]) -> LatencySummary:
     return LatencySummary(
         count=len(values),
         mean=sum(values) / len(values),
-        median=percentile(values, 0.5),
-        p95=percentile(values, 0.95),
+        median=nearest_rank(values, 50),
+        p95=nearest_rank(values, 95),
         maximum=values[-1],
         minimum=values[0],
     )

@@ -5,30 +5,11 @@ import pytest
 from repro.core.monitoring import (
     LatencySummary,
     max_overlap,
-    percentile,
     queue_times,
     response_times,
     summarize,
     throughput,
 )
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 0.5) == 0.0
-
-    def test_single(self):
-        assert percentile([7], 0.95) == 7.0
-
-    def test_median_odd(self):
-        assert percentile([1, 2, 3], 0.5) == 2.0
-
-    def test_median_even_interpolates(self):
-        assert percentile([1, 2, 3, 4], 0.5) == 2.5
-
-    def test_p95(self):
-        values = list(range(1, 101))
-        assert percentile(values, 0.95) == pytest.approx(95.05)
 
 
 class TestSummarize:
@@ -42,8 +23,16 @@ class TestSummarize:
         assert summary.count == 3
         assert summary.mean == pytest.approx(20.0)
         assert summary.median == 20
+        assert summary.p95 == 30
         assert summary.maximum == 30
         assert summary.minimum == 10
+
+    def test_percentiles_are_nearest_rank_observations(self):
+        # Never interpolated: every reported percentile is a latency
+        # some call actually had (the repo's one definition).
+        summary = summarize([1, 2, 3, 4])
+        assert (summary.median, summary.p95) == (2, 4)
+        assert summarize(range(1, 101)).p95 == 95
 
     def test_none_values_skipped(self):
         assert summarize([10, None, 30]).count == 2

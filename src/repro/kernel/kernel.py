@@ -28,7 +28,6 @@ guard choice, arbitrary slot attachment) are governed by the
 from __future__ import annotations
 
 import random
-from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable
 
@@ -75,12 +74,6 @@ from .waiting import Guard, Ready, Waitable
 _STEP = 0  # dispatch proc; dropped before the clock moves when stale
 _RESUME = 1  # proc's CPU grant ends (unbounded machine); proc is READY
 _WAKE = 2  # proc's Delay expires; proc is BLOCKED
-
-
-def _release_then(release: Callable[[], None], action: Callable[[], None]) -> None:
-    """What ends a grant that completes in a callable (``post_release``)."""
-    release()
-    action()
 
 
 #: Bucket key of guards with no ``poll_source``: never empty, so a sweep
@@ -368,21 +361,17 @@ class Kernel:
         heappush(self._events, (when, priority, seq, None, callback, cancel))
 
     def post_release(
-        self, when: int, release: Callable[[], None], proc: Process | None, then: Any
+        self, when: int, release: Callable[[], None], proc: Process, epoch: int
     ) -> None:
         """A CPU grant made by :mod:`.sched` ends at ``when``.
 
         One record: ``release()`` runs at kernel priority, ahead of every
         step at that instant, whatever became of ``proc``; then ``proc``
         is dispatched as on the unbounded machine, if its epoch is still
-        ``then``.  With no ``proc``, ``then()`` is called instead.
+        ``epoch``.
         """
         self._seq = seq = self._seq + 1
-        if proc is None:
-            callback = partial(_release_then, release, then)
-            heappush(self._events, (when, 0, seq, None, callback, None))
-        else:
-            heappush(self._events, (when, 0, seq, proc, then, release))
+        heappush(self._events, (when, 0, seq, proc, epoch, release))
 
     def next_event_time(self) -> int | None:
         """Time of the earliest queued event (stale ones included), if any."""

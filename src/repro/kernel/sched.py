@@ -29,20 +29,19 @@ cancel-dict so it never inflates the simulation end time) equalizes
 runqueue depths within a domain.  Load never moves between domains:
 nodes are separate machines.
 
-One grant path, two completion kinds.  :meth:`SchedDomain.grant` is what
-the kernel calls: the grant's end is **one flat kernel record**
+One grant path, one completion kind.  :meth:`SchedDomain.grant` is what
+the kernel calls, always for a paying process and a process to step: the
+grant's end is **one flat kernel record**
 (:meth:`Kernel.post_release <repro.kernel.kernel.Kernel.post_release>`)
 carrying the CPU's pre-built ``release`` hook and the process to step.
 When it surfaces the run loop calls ``release`` — free the CPU or start
 (or steal) the next queued grant, disarm a drained balancer: kernel
 priority, ahead of every step at that instant — and then dispatches the
 process by the same direct-vs-requeue rule as on the unbounded machine
-(DESIGN.md §5.2).  :meth:`SchedDomain.submit` ends a grant in a plain
-callback that runs the same ``release`` and then the caller's action;
-pick, enqueue, release, steal and balance are shared line for line.
-What a domain counts it keeps as counters (``queued``, ``_free``,
-per-CPU ``queued_ticks``), never as a scan of its runqueues;
-``tests/helpers.py`` checks counter == scan after every kernel event.
+(DESIGN.md §5.2).  What a domain counts it keeps as counters
+(``queued``, ``_free``, per-CPU ``queued_ticks``), never as a scan of
+its runqueues; ``tests/helpers.py`` checks counter == scan after every
+kernel event.
 
 Determinism rules (load-bearing — the trace differ and the committed
 fixtures pin them):
@@ -78,30 +77,29 @@ if TYPE_CHECKING:  # pragma: no cover
     from .process import Process
 
 #: How often (virtual ticks) a domain's balancer re-equalizes runqueue
-#: depths while work is queued.  0 disables periodic balancing (idle
-#: steal alone already keeps domains work-conserving).
-DEFAULT_BALANCE_PERIOD = 50
+#: depths while work is queued.
+BALANCE_PERIOD = 50
 
 
 class _Work:
     """One queued CPU grant of a multi-CPU domain (:meth:`SchedDomain.grant`)."""
 
-    __slots__ = ("proc", "priority", "duration", "target", "then", "seq")
+    __slots__ = ("proc", "priority", "duration", "target", "epoch", "seq")
 
     def __init__(
         self,
-        proc: "Process | None",
+        proc: "Process",
         priority: int,
         duration: int,
-        target: "Process | None",
-        then: Any,
+        target: "Process",
+        epoch: int,
         seq: int,
     ) -> None:
         self.proc = proc
         self.priority = priority
         self.duration = duration
         self.target = target
-        self.then = then
+        self.epoch = epoch
         self.seq = seq
 
 
@@ -173,17 +171,10 @@ class SchedDomain:
         "_seq",
         "_waiting",
         "peak_queue",
-        "balance_period",
         "_balance_cancel",
     )
 
-    def __init__(
-        self,
-        kernel: "Kernel",
-        name: str,
-        count: int,
-        balance_period: int = DEFAULT_BALANCE_PERIOD,
-    ) -> None:
+    def __init__(self, kernel: "Kernel", name: str, count: int) -> None:
         if count < 1:
             raise KernelError(f"domain {name!r}: cpu count must be >= 1, got {count}")
         self.kernel = kernel
@@ -196,11 +187,10 @@ class SchedDomain:
         self._free = count
         self._seq = 0
         #: Single-CPU (strict) domain runqueue: ``(priority, seq,
-        #: duration, target, then)`` — no ``_Work`` record, CPU pick or
+        #: duration, target, epoch)`` — no ``_Work`` record, CPU pick or
         #: class choice per grant (module docstring has the measured cost).
         self._waiting: list[tuple] = []
         self.peak_queue = 0
-        self.balance_period = balance_period
         self._balance_cancel: dict | None = None
         util_name = f"cpu.{name}.util" if name else "cpu.util"
         kernel.metrics.gauge(
@@ -227,42 +217,28 @@ class SchedDomain:
 
     # -- submission ------------------------------------------------------
 
-    def submit(
-        self,
-        proc: "Process | None",
-        priority: int,
-        duration: int,
-        action: Callable[[], None],
-    ) -> None:
-        """Grant ``duration`` ticks of CPU, then call ``action()``."""
-        if duration <= 0:
-            action()
-        else:
-            self.grant(proc, priority, duration, None, action)
-
     def grant(
         self,
-        proc: "Process | None",
+        proc: "Process",
         priority: int,
         duration: int,
-        target: "Process | None",
-        then: Any,
+        target: "Process",
+        epoch: int,
     ) -> None:
         """Grant ``proc`` ``duration`` (> 0) ticks of CPU at ``priority``.
 
         The grant ends in one kernel record
         (:meth:`~repro.kernel.kernel.Kernel.post_release`): the CPU's
         release, then ``target`` is dispatched if its epoch is still
-        ``then`` (the kernel's form) or, with no ``target``, ``then()``
-        is called (:meth:`submit`).
+        ``epoch``.
         """
         if self.count == 1:
             if self._free:
                 self._free = 0
-                self._start_strict(self.cpus[0], duration, target, then)
+                self._start_strict(self.cpus[0], duration, target, epoch)
             else:
                 self._seq = seq = self._seq + 1
-                heappush(self._waiting, (priority, seq, duration, target, then))
+                heappush(self._waiting, (priority, seq, duration, target, epoch))
                 self.queued = queued = self.queued + 1
                 if queued > self.peak_queue:
                     self.peak_queue = queued
@@ -270,12 +246,12 @@ class SchedDomain:
             cpu = self._pick_free(proc)
             cpu.free = False
             self._free -= 1
-            self._start_smp(cpu, proc, priority, duration, target, then)
+            self._start_smp(cpu, proc, priority, duration, target, epoch)
         else:
             self._seq = seq = self._seq + 1
             shallowest = min(self.cpus, key=lambda c: (c.queued_ticks, c.index))
             self._enqueue(
-                shallowest, _Work(proc, priority, duration, target, then, seq)
+                shallowest, _Work(proc, priority, duration, target, epoch, seq)
             )
             if self.queued > self.peak_queue:
                 self.peak_queue = self.queued
@@ -288,34 +264,33 @@ class SchedDomain:
     # start the best queued grant, else free the CPU.
 
     def _start_strict(
-        self, cpu: _Cpu, duration: int, target: "Process | None", then: Any
+        self, cpu: _Cpu, duration: int, target: "Process", epoch: int
     ) -> None:
         cpu.busy_ticks = busy = cpu.busy_ticks + duration
         kernel = self.kernel
         kernel.stats.cpu[cpu.key] = busy
-        kernel.post_release(kernel.clock._now + duration, cpu.release, target, then)
+        kernel.post_release(kernel.clock._now + duration, cpu.release, target, epoch)
 
     def _release_strict(self, cpu: _Cpu) -> None:
         if self._waiting:
-            _prio, _seq, duration, target, then = heappop(self._waiting)
+            _prio, _seq, duration, target, epoch = heappop(self._waiting)
             self.queued -= 1
-            self._start_strict(cpu, duration, target, then)
+            self._start_strict(cpu, duration, target, epoch)
         else:
             self._free = 1
 
     # -- multi-CPU domain: per-CPU runqueues + classes -------------------
 
-    def _pick_free(self, proc: "Process | None") -> _Cpu:
+    def _pick_free(self, proc: "Process") -> _Cpu:
         """The CPU a new grant starts on: last-used if free, else lowest.
 
         Called only while ``_free`` says one is.
         """
-        if proc is not None:
-            last = proc.last_cpu
-            if last is not None and last[0] == self.name:
-                cpu = self.cpus[last[1]]
-                if cpu.free:
-                    return cpu
+        last = proc.last_cpu
+        if last is not None and last[0] == self.name:
+            cpu = self.cpus[last[1]]
+            if cpu.free:
+                return cpu
         for cpu in self.cpus:
             if cpu.free:
                 return cpu
@@ -328,13 +303,10 @@ class SchedDomain:
             # Fair key: virtual runtime normalized against the CPU's floor.
             proc = work.proc
             vruntime = cpu.fair_clock
-            pid = 0
-            if proc is not None:
-                pid = proc.pid
-                if proc.vruntime > vruntime:
-                    vruntime = proc.vruntime
+            if proc.vruntime > vruntime:
+                vruntime = proc.vruntime
             heappush(
-                cpu.fair, ((vruntime, self.name, cpu.index, pid, work.seq), work)
+                cpu.fair, ((vruntime, self.name, cpu.index, proc.pid, work.seq), work)
             )
         cpu.queued_ticks += work.duration
         self.queued += 1
@@ -342,40 +314,39 @@ class SchedDomain:
     def _start_smp(
         self,
         cpu: _Cpu,
-        proc: "Process | None",
+        proc: "Process",
         priority: int,
         duration: int,
-        target: "Process | None",
-        then: Any,
+        target: "Process",
+        epoch: int,
     ) -> None:
         cpu.busy_ticks = busy = cpu.busy_ticks + duration
         kernel = self.kernel
         kernel.stats.cpu[cpu.key] = busy
-        if proc is not None:
-            prev = proc.last_cpu
-            if prev != cpu.here:
-                if prev is not None:
-                    kernel.stats.migrations += 1
-                    if kernel.obs.enabled:
-                        kernel.obs.instant(
-                            "migrate",
-                            process=proc.name,
-                            frm=f"{prev[0] or 'cpu'}/{prev[1]}",
-                            to=cpu.label,
-                        )
-                proc.last_cpu = cpu.here
-            if priority >= PRIORITY_NORMAL:
-                vruntime = proc.vruntime
-                if cpu.fair_clock > vruntime:
-                    vruntime = cpu.fair_clock
-                cpu.fair_clock = vruntime
-                # Priority scales the charge: background work (priority
-                # 1000) ages 10x faster than normal work, so it yields
-                # the CPU to peers with smaller vruntime.
-                proc.vruntime = vruntime + duration * priority // PRIORITY_NORMAL
-            if kernel.obs.enabled and proc.span is not None:
-                proc.span.attrs["cpu"] = cpu.label
-        kernel.post_release(kernel.clock._now + duration, cpu.release, target, then)
+        prev = proc.last_cpu
+        if prev != cpu.here:
+            if prev is not None:
+                kernel.stats.migrations += 1
+                if kernel.obs.enabled:
+                    kernel.obs.instant(
+                        "migrate",
+                        process=proc.name,
+                        frm=f"{prev[0] or 'cpu'}/{prev[1]}",
+                        to=cpu.label,
+                    )
+            proc.last_cpu = cpu.here
+        if priority >= PRIORITY_NORMAL:
+            vruntime = proc.vruntime
+            if cpu.fair_clock > vruntime:
+                vruntime = cpu.fair_clock
+            cpu.fair_clock = vruntime
+            # Priority scales the charge: background work (priority
+            # 1000) ages 10x faster than normal work, so it yields
+            # the CPU to peers with smaller vruntime.
+            proc.vruntime = vruntime + duration * priority // PRIORITY_NORMAL
+        if kernel.obs.enabled and proc.span is not None:
+            proc.span.attrs["cpu"] = cpu.label
+        kernel.post_release(kernel.clock._now + duration, cpu.release, target, epoch)
 
     def _release_smp(self, cpu: _Cpu) -> None:
         if not self.queued:
@@ -394,7 +365,7 @@ class SchedDomain:
             work = self._pop_front(victim)
             self.kernel.stats.steals += 1
         self._start_smp(
-            cpu, work.proc, work.priority, work.duration, work.target, work.then
+            cpu, work.proc, work.priority, work.duration, work.target, work.epoch
         )
         if not self.queued:
             # Cancelled events are dropped before the clock advances,
@@ -416,12 +387,12 @@ class SchedDomain:
     # -- periodic balancing ----------------------------------------------
 
     def _arm_balancer(self) -> None:
-        if self.balance_period <= 0 or self._balance_cancel is not None:
+        if self._balance_cancel is not None:
             return
         cancel = {"cancelled": False}
         self._balance_cancel = cancel
         self.kernel.post(
-            self.kernel.clock.now + self.balance_period, self._balance, cancel=cancel
+            self.kernel.clock.now + BALANCE_PERIOD, self._balance, cancel=cancel
         )
 
     def _cancel_balancer(self) -> None:
@@ -457,16 +428,10 @@ class SmpScheduler:
     kernel posts the work's end directly: pure latency, no contention).
     """
 
-    __slots__ = ("kernel", "domains", "default", "balance_period")
+    __slots__ = ("kernel", "domains", "default")
 
-    def __init__(
-        self,
-        kernel: "Kernel",
-        default_cpus: int | None,
-        balance_period: int = DEFAULT_BALANCE_PERIOD,
-    ) -> None:
+    def __init__(self, kernel: "Kernel", default_cpus: int | None) -> None:
         self.kernel = kernel
-        self.balance_period = balance_period
         self.domains: dict[str, SchedDomain] = {}
         self.default: SchedDomain | None = (
             None if default_cpus is None else self.add_domain("", default_cpus)
@@ -476,7 +441,7 @@ class SmpScheduler:
         """Register a scheduling domain (idempotence is an error)."""
         if name in self.domains:
             raise KernelError(f"scheduling domain {name!r} already exists")
-        domain = SchedDomain(self.kernel, name, count, self.balance_period)
+        domain = SchedDomain(self.kernel, name, count)
         self.domains[name] = domain
         return domain
 

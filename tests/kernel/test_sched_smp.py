@@ -15,9 +15,9 @@ import json
 import pytest
 
 from repro.errors import KernelError
-from repro.kernel import Charge, Kernel
+from repro.kernel import FREE, Charge, Delay, Kernel
 from repro.kernel.process import PRIORITY_MANAGER, PRIORITY_NORMAL
-from repro.kernel.sched import SchedDomain, SmpScheduler
+from repro.kernel.sched import SmpScheduler
 from repro.obs import ChromeTraceSink
 from repro.stdlib import BoundedBuffer
 
@@ -25,6 +25,26 @@ from tests.helpers import run_checking_sched
 
 FIXTURES = "tests/fixtures/smp"
 MESSAGES = 200
+
+
+def grants(kernel, done, *specs, spawn=None):
+    """One process per ``(tag, ticks)`` or ``(tag, ticks, priority, at)``.
+
+    Each asks for one grant of ``ticks`` at time ``at`` and records in
+    ``done`` when it ended.  Under ``costs=FREE`` a ``Charge`` is exactly
+    one grant, and processes spawned at one priority ask in spawn order.
+    """
+    def work(tag, ticks, at):
+        if at:
+            yield Delay(at)
+        yield Charge(ticks)
+        done[tag] = kernel.clock.now
+
+    for tag, ticks, *rest in specs:
+        priority, at = rest or (PRIORITY_NORMAL, 0)
+        (spawn or kernel.spawn)(
+            work, tag, ticks, at, name=str(tag), priority=priority
+        )
 
 
 def _e1_trace_bytes(tmp_path, num_cpus):
@@ -116,30 +136,24 @@ class TestSchedulingClasses:
         # One CPU busy until t=100; a fair item then an RT item queue
         # behind it.  The RT item must be granted first despite arriving
         # second.
-        kernel = Kernel(num_cpus=1)
-        domain = kernel.cpu_scheduler.default
-        order = []
-        domain.submit(None, PRIORITY_NORMAL, 100, lambda: order.append("first"))
-        domain.submit(None, PRIORITY_NORMAL, 10, lambda: order.append("fair"))
-        domain.submit(None, PRIORITY_MANAGER, 10, lambda: order.append("rt"))
+        kernel = Kernel(costs=FREE, num_cpus=1)
+        done = {}
+        grants(kernel, done, ("first", 100), ("fair", 10),
+               ("rt", 10, PRIORITY_MANAGER, 1))
         kernel.run()
-        assert order == ["first", "rt", "fair"]
+        assert list(done) == ["first", "rt", "fair"]
 
     def test_rt_class_beats_fair_on_same_runqueue(self):
-        kernel = Kernel(num_cpus=2)
-        domain = kernel.cpu_scheduler.default
-        order = []
+        kernel = Kernel(costs=FREE, num_cpus=2)
+        done = {}
         # Fill both CPUs, steer one fair then one RT grant onto cpu0's
         # runqueue (the 1000-tick decoy keeps cpu1's backlog deeper):
         # when cpu0 frees, the RT class must be granted before the fair
         # item that was enqueued earlier.
-        domain.submit(None, PRIORITY_NORMAL, 100, lambda: order.append("a"))
-        domain.submit(None, PRIORITY_NORMAL, 100, lambda: order.append("b"))
-        domain.submit(None, PRIORITY_NORMAL, 10, lambda: order.append("fair"))
-        domain.submit(None, PRIORITY_NORMAL, 1000, lambda: order.append("decoy"))
-        domain.submit(None, PRIORITY_MANAGER, 10, lambda: order.append("rt"))
+        grants(kernel, done, ("a", 100), ("b", 100), ("fair", 10),
+               ("decoy", 1000), ("rt", 10, PRIORITY_MANAGER, 1))
         kernel.run()
-        assert order.index("rt") < order.index("fair")
+        assert (done["rt"], done["fair"]) == (110, 120)
 
     def test_vruntime_interleaves_fair_processes(self):
         # Two processes repeatedly charging on one fair CPU pair: the
@@ -162,20 +176,12 @@ class TestSchedulingClasses:
 
 class TestIdleSteal:
     def test_freed_cpu_steals_from_loaded_sibling(self):
-        kernel = Kernel(num_cpus=2)
-        domain = kernel.cpu_scheduler.default
+        kernel = Kernel(costs=FREE, num_cpus=2)
         done = {}
-
-        def mark(tag):
-            return lambda: done.setdefault(tag, kernel.clock.now)
-
         # W1=10 starts on cpu0, W2=100 on cpu1; W3=50 queues on cpu0
         # (shorter backlog), W4=50 queues on cpu1.  At t=60 cpu0 is free
         # with an empty queue and steals W4 from cpu1.
-        domain.submit(None, PRIORITY_NORMAL, 10, mark("w1"))
-        domain.submit(None, PRIORITY_NORMAL, 100, mark("w2"))
-        domain.submit(None, PRIORITY_NORMAL, 50, mark("w3"))
-        domain.submit(None, PRIORITY_NORMAL, 50, mark("w4"))
+        grants(kernel, done, ("w1", 10), ("w2", 100), ("w3", 50), ("w4", 50))
         run_checking_sched(kernel)
         assert done == {"w1": 10, "w2": 100, "w3": 60, "w4": 110}
         assert kernel.stats.steals == 1
@@ -183,10 +189,9 @@ class TestIdleSteal:
         assert kernel.clock.now == 110
 
     def test_per_cpu_busy_ticks_accounted(self):
-        kernel = Kernel(num_cpus=2)
+        kernel = Kernel(costs=FREE, num_cpus=2)
         domain = kernel.cpu_scheduler.default
-        for _ in range(4):
-            domain.submit(None, PRIORITY_NORMAL, 50, lambda: None)
+        grants(kernel, {}, *((i, 50) for i in range(4)))
         run_checking_sched(kernel)
         assert kernel.stats.cpu == {"cpu0": 100, "cpu1": 100}
         assert kernel.stats.snapshot()["cpu.cpu0"] == 100
@@ -197,22 +202,16 @@ class TestNodeDomains:
     def test_load_never_balances_across_nodes(self):
         from repro.net import Network
 
-        kernel = Kernel()
+        kernel = Kernel(costs=FREE)
         net = Network(kernel)
-        net.add_node("left", cpus=1)
-        net.add_node("right", cpus=1)
-        left = kernel.cpu_scheduler.domain("left")
-        right = kernel.cpu_scheduler.domain("right")
+        left = net.add_node("left", cpus=1)
+        right = net.add_node("right", cpus=1)
         done = {}
-
-        def mark(tag):
-            return lambda: done.setdefault(tag, kernel.clock.now)
-
         # Pile three grants on `left` while `right` idles: were domains
         # shared, the idle right CPU would absorb the backlog.
-        for i in range(3):
-            left.submit(None, PRIORITY_NORMAL, 100, mark(f"l{i}"))
-        right.submit(None, PRIORITY_NORMAL, 10, mark("r0"))
+        grants(kernel, done, ("l0", 100), ("l1", 100), ("l2", 100),
+               spawn=left.spawn)
+        grants(kernel, done, ("r0", 10), spawn=right.spawn)
         run_checking_sched(kernel)
         assert done == {"l0": 100, "l1": 200, "l2": 300, "r0": 10}
         assert kernel.stats.steals == 0
@@ -240,12 +239,11 @@ class TestNodeDomains:
     def test_queue_depth_reads_node_domain(self):
         from repro.net import Network
 
-        kernel = Kernel()
+        kernel = Kernel(costs=FREE)
         net = Network(kernel)
         node = net.add_node("server", cpus=1)
-        domain = kernel.cpu_scheduler.domain("server")
-        domain.submit(None, PRIORITY_NORMAL, 100, lambda: None)
-        domain.submit(None, PRIORITY_NORMAL, 70, lambda: None)
+        grants(kernel, {}, ("running", 100), ("queued", 70), spawn=node.spawn)
+        kernel.run(until=0)
         assert kernel.cpu_scheduler.queue_depth(node) == 1
         assert kernel.cpu_scheduler.queue_depth("server") == 1
         assert kernel.cpu_scheduler.queue_depth() == 0  # default domain
@@ -261,17 +259,13 @@ class TestNodeDomains:
 
 class TestBalancer:
     def test_balancer_equalizes_uneven_queues(self):
-        # Domain with aggressive balancing: queue 4 long grants while
-        # both CPUs are pinned busy, all landing on the same runqueue
-        # via submit-time choice, then let the balancer run.
-        kernel = Kernel()
-        domain = SchedDomain(kernel, "bal", 2, balance_period=10)
-        ran = []
-        domain.submit(None, PRIORITY_NORMAL, 1000, lambda: ran.append("pin0"))
-        domain.submit(None, PRIORITY_NORMAL, 1000, lambda: ran.append("pin1"))
-        for i in range(4):
-            domain.submit(None, PRIORITY_NORMAL, 100, lambda i=i: ran.append(i))
-        run_checking_sched(kernel, domain)
+        # Queue 4 long grants while both CPUs are pinned busy, then let
+        # the balancer run (every 50 ticks while anything is queued).
+        kernel = Kernel(costs=FREE, num_cpus=2)
+        ran = {}
+        grants(kernel, ran, ("pin0", 1000), ("pin1", 1000),
+               *((i, 100) for i in range(4)))
+        run_checking_sched(kernel)
         assert kernel.stats.balance_runs > 0
         assert len(ran) == 6
         # Balanced 2+2 behind the pins: everything ends at 1000+200.
@@ -280,11 +274,9 @@ class TestBalancer:
     def test_balancer_never_inflates_quiet_runs(self):
         # A run whose queues drain must not leave a pending balance
         # event that drags the clock forward after the last real event.
-        kernel = Kernel(num_cpus=2)
-        domain = kernel.cpu_scheduler.default
-        for _ in range(3):
-            domain.submit(None, PRIORITY_NORMAL, 10, lambda: None)
-        run_checking_sched(kernel, domain)
+        kernel = Kernel(costs=FREE, num_cpus=2)
+        grants(kernel, {}, *((i, 10) for i in range(3)))
+        run_checking_sched(kernel)
         assert kernel.clock.now == 20
 
 
@@ -353,8 +345,7 @@ class TestKernelApi:
         assert kernel.stats.migrations > 0
 
     def test_utilization_gauge_registered(self):
-        kernel = Kernel(num_cpus=2)
-        domain = kernel.cpu_scheduler.default
-        domain.submit(None, PRIORITY_NORMAL, 10, lambda: None)
+        kernel = Kernel(costs=FREE, num_cpus=2)
+        grants(kernel, {}, ("only", 10))
         kernel.run()
         assert kernel.metrics.value("cpu.util") == pytest.approx(0.5)

@@ -102,7 +102,6 @@ def test_deterministic_replay(seed):
             st.sampled_from([10, 50, 100, 100, 1000]),  # priority
             st.integers(min_value=1, max_value=40),  # duration
             st.integers(min_value=0, max_value=15),  # gap since the last arrival
-            st.booleans(),  # a process's Charge, or a bare ``submit``
         ),
         min_size=1,
         max_size=24,
@@ -111,9 +110,9 @@ def test_deterministic_replay(seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_every_grant_completes_once_and_no_cpu_idles_beside_a_queue(grants, cpus):
-    """Both completion kinds of a grant, on both sides of the ``count``
-    fork, with the domain's counters checked against a scan (and work
-    conservation with them) after every kernel event."""
+    """Grants on both sides of the ``count`` fork, with the domain's
+    counters checked against a scan (and work conservation with them)
+    after every kernel event."""
     kernel = Kernel(costs=FREE, num_cpus=cpus)
     domain = kernel.cpu_scheduler.default
     completed = []
@@ -123,20 +122,13 @@ def test_every_grant_completes_once_and_no_cpu_idles_beside_a_queue(grants, cpus
         yield Charge(duration)
         completed.append(index)
 
-    def submitter(index, arrival, priority, duration):
-        yield Delay(arrival)
-        domain.submit(None, priority, duration, lambda: completed.append(index))
-
     arrival = 0
-    for index, (priority, duration, gap, as_process) in enumerate(grants):
+    for index, (priority, duration, gap) in enumerate(grants):
         arrival += gap
-        if as_process:
-            kernel.spawn(charger, index, arrival, duration, priority=priority)
-        else:
-            kernel.spawn(submitter, index, arrival, priority, duration)
+        kernel.spawn(charger, index, arrival, duration, priority=priority)
     run_checking_sched(kernel)
     assert sorted(completed) == list(range(len(grants)))
-    total = sum(duration for _priority, duration, _gap, _as_process in grants)
+    total = sum(duration for _priority, duration, _gap in grants)
     assert domain.busy_ticks == total == sum(kernel.stats.cpu.values())
     assert domain.queued == 0 and domain._free == cpus
     assert -(-total // cpus) <= kernel.clock.now <= arrival + total

@@ -182,58 +182,48 @@ class EntrySpec:
         return f"<EntrySpec {self.signature()}>"
 
 
-def entry(
-    fn: Callable[..., Any] | None = None,
-    *,
-    returns: int = 0,
-    array: int | str | None = None,
-    hidden_params: int = 0,
-    hidden_results: int = 0,
-    work: int = 0,
-    compatible: str | tuple[str, ...] | list[str] | None = None,
-) -> Any:
-    """Declare an exported entry procedure (usable bare or with arguments)."""
+def _declarator(name: str, exported: bool, doc: str) -> Callable[..., Any]:
+    """Build ``@entry`` or ``@local``: they differ in ``exported`` only."""
 
-    def wrap(f: Callable[..., Any]) -> EntrySpec:
-        return EntrySpec(
-            f,
-            returns=returns,
-            array=array,
-            hidden_params=hidden_params,
-            hidden_results=hidden_results,
-            exported=True,
-            work=work,
-            compatible=compatible,
-        )
+    def declare(
+        fn: Callable[..., Any] | None = None,
+        *,
+        returns: int = 0,
+        array: int | str | None = None,
+        hidden_params: int = 0,
+        hidden_results: int = 0,
+        work: int = 0,
+        compatible: str | tuple[str, ...] | list[str] | None = None,
+    ) -> Any:
+        def wrap(f: Callable[..., Any]) -> EntrySpec:
+            return EntrySpec(
+                f,
+                returns=returns,
+                array=array,
+                hidden_params=hidden_params,
+                hidden_results=hidden_results,
+                exported=exported,
+                work=work,
+                compatible=compatible,
+            )
 
-    return wrap(fn) if fn is not None else wrap
+        return wrap(fn) if fn is not None else wrap
+
+    declare.__name__ = declare.__qualname__ = name
+    declare.__doc__ = doc
+    return declare
 
 
-def local(
-    fn: Callable[..., Any] | None = None,
-    *,
-    returns: int = 0,
-    array: int | str | None = None,
-    hidden_params: int = 0,
-    hidden_results: int = 0,
-    work: int = 0,
-    compatible: str | tuple[str, ...] | list[str] | None = None,
-) -> Any:
-    """Declare a local procedure (interceptable but not exported, §2.3)."""
-
-    def wrap(f: Callable[..., Any]) -> EntrySpec:
-        return EntrySpec(
-            f,
-            returns=returns,
-            array=array,
-            hidden_params=hidden_params,
-            hidden_results=hidden_results,
-            exported=False,
-            work=work,
-            compatible=compatible,
-        )
-
-    return wrap(fn) if fn is not None else wrap
+entry = _declarator(
+    "entry",
+    True,
+    "Declare an exported entry procedure (usable bare or with arguments).",
+)
+local = _declarator(
+    "local",
+    False,
+    "Declare a local procedure (interceptable but not exported, §2.3).",
+)
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,6 @@ class AlpsObject(metaclass=AlpsObjectMeta):
         #: Set by :meth:`crash`, cleared by :meth:`restart`.
         self._crashed = False
         self._manager_priority = manager_priority
-        self._record_calls = record_calls
         # Initialization code runs first (§2.3: "its initialization code
         # is first executed and then its manager process is implicitly
         # created and started").

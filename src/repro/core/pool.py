@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import ObjectModelError
 from ..kernel.process import PRIORITY_NORMAL
@@ -62,12 +62,13 @@ DYNAMIC = PoolConfig("dynamic")
 
 
 class ServerPool:
-    """Dispatches body jobs onto server processes according to a strategy.
+    """Dispatches started calls onto server processes according to a strategy.
 
-    ``dispatch(job, call)`` runs ``job`` (a generator function) on some
-    process as soon as a worker is available; ``release(call)`` marks the
-    call's worker free again.  Jobs queue FIFO when all workers are busy,
-    which is exactly the §3 behaviour for the shared pool.
+    ``dispatch(call)`` runs the call's body
+    (:meth:`EntryRuntime.run_body <repro.core.runtime.EntryRuntime.run_body>`)
+    on some process as soon as a worker is available; ``release(call)``
+    marks the call's worker free again.  Calls queue FIFO when all workers
+    are busy, which is exactly the §3 behaviour for the shared pool.
     """
 
     def __init__(self, kernel: "Kernel", name: str, config: PoolConfig, slots: int) -> None:
@@ -83,13 +84,12 @@ class ServerPool:
         else:
             self.capacity = config.size
         self._busy = 0
-        self._backlog: deque[tuple[Callable[[], Any], "Call"]] = deque()
+        self._backlog: deque["Call"] = deque()
         #: Calls currently holding a worker, in dispatch order — the
         #: wait-for graph names them when backlogged callers queue behind
         #: a saturated pool.
         self.active: list["Call"] = []
         #: Lifetime counters for benchmarks.
-        self.dispatched = 0
         self.queued_starts = 0
         self.max_busy = 0
         if self.capacity is not None:
@@ -115,27 +115,27 @@ class ServerPool:
     def backlog(self) -> int:
         return len(self._backlog)
 
-    def dispatch(self, job: Callable[[], Any], call: "Call") -> None:
-        """Run ``job`` for ``call`` now, or queue it until a worker frees."""
+    def dispatch(self, call: "Call") -> None:
+        """Run the body of ``call`` now, or queue it until a worker frees."""
         if self.capacity is not None and self._busy >= self.capacity:
-            self._backlog.append((job, call))
+            self._backlog.append(call)
             self.queued_starts += 1
             return
-        self._run(job, call)
+        self._run(call)
 
-    def _run(self, job: Callable[[], Any], call: "Call") -> None:
+    def _run(self, call: "Call") -> None:
         call.dispatched_at = self.kernel.clock.now
         self.active.append(call)
         self._busy += 1
         self.max_busy = max(self.max_busy, self._busy)
-        self.dispatched += 1
         name = f"{self.name}.{call.entry}[{call.slot}]#{call.call_id}"
         if self.capacity is None:
             # Dynamic creation: the per-start creation cost is charged on
             # the caller's behalf and delays the body's first dispatch
             # (§3: "dynamic process creation is expensive").
             proc = self.kernel.spawn(
-                job,
+                call.runtime.run_body,
+                call,
                 name=name,
                 priority=self.config.priority,
                 lightweight=self.config.lightweight,
@@ -146,7 +146,8 @@ class ServerPool:
             # Preallocated workers were charged at pool construction;
             # dispatching onto one is free of creation cost.
             proc = self.kernel.spawn(
-                job,
+                call.runtime.run_body,
+                call,
                 name=name,
                 priority=self.config.priority,
                 lightweight=True,
@@ -174,12 +175,11 @@ class ServerPool:
         except ValueError:
             pass  # crash recovery may have reset the roster already
         if self._backlog and (self.capacity is None or self._busy < self.capacity):
-            job, queued_call = self._backlog.popleft()
-            self._run(job, queued_call)
+            self._run(self._backlog.popleft())
 
     def queued_calls(self) -> list["Call"]:
         """Calls backlogged behind a saturated pool, FIFO order."""
-        return [call for _job, call in self._backlog]
+        return list(self._backlog)
 
     def reset(self) -> None:
         """Drop all busy/queued state (crash recovery)."""

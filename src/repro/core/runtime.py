@@ -22,6 +22,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import AdmissionError, DeadlineExceeded, ProtocolError, RemoteCallError
+from ..kernel.syscalls import Charge
 from ..kernel.waiting import Waitable
 from ..net.wire import send_response
 from ..obs.live.stream import Ewma
@@ -248,52 +249,51 @@ class EntryRuntime:
         ATTACHED if the entry declares an array) for a non-intercepted
         one, whose body finishes the call itself.
         """
-        runtime = self
-
-        def job():
-            try:
-                if runtime.spec.work:
-                    from ..kernel.syscalls import Charge
-
-                    yield Charge(runtime.spec.work, label=runtime.spec.name)
-                raw = runtime.spec.fn(runtime.obj, *call.args, *call.hidden_args)
-                if hasattr(raw, "send") and hasattr(raw, "throw"):
-                    raw = yield from raw
-                results = runtime.spec.normalize_results(raw)
-            except GeneratorExit:
-                # The server process was killed (node crash): whoever
-                # killed it owns cleanup and caller notification; the
-                # caller must not receive a GeneratorExit.
-                raise
-            except BaseException as exc:
-                # A failing body must not wedge the object: free the slot
-                # and worker, and re-raise the error in the caller.
-                runtime.retire(call)
-                runtime.fail(call, exc)
-                return
-            call.body_results = results
-            call.body_done_at = runtime.kernel.clock.now
-            runtime.observe_service(call)
-            if runtime.managed:
-                call.state = CallState.BODY_DONE
-                if runtime.slots[call.slot] is call:  # not orphaned by reset()
-                    insort(runtime.done_slots, call.slot)
-                runtime.kernel.notify(runtime.completion)
-                # The server process conceptually lives until the manager
-                # executes finish (§2.3: "both the finish P(...) and P
-                # terminate together").  The finish primitive resumes the
-                # caller and releases the worker; this generator ends here
-                # but the pool slot stays occupied until release().
-            else:
-                runtime.finish(call, results[: runtime.spec.returns])
-
         if call.state is CallState.ATTACHED:  # unmanaged: no accept came first
             self.attached_slots.remove(call.slot)
         call.hidden_args = hidden
         call.state = CallState.STARTED
         call.started_at = self.kernel.clock.now
         self.kernel.stats.starts += 1
-        self.pool.dispatch(job, call)
+        self.pool.dispatch(call)
+
+    def run_body(self, call: Call):
+        """What the server process of a started ``call`` runs (→ BODY_DONE,
+        or straight to DONE for a non-intercepted entry)."""
+        spec = self.spec
+        try:
+            if spec.work:
+                yield Charge(spec.work, label=spec.name)
+            raw = spec.fn(self.obj, *call.args, *call.hidden_args)
+            if hasattr(raw, "send") and hasattr(raw, "throw"):
+                raw = yield from raw
+            results = spec.normalize_results(raw)
+        except GeneratorExit:
+            # The server process was killed (node crash): whoever
+            # killed it owns cleanup and caller notification; the
+            # caller must not receive a GeneratorExit.
+            raise
+        except BaseException as exc:
+            # A failing body must not wedge the object: free the slot
+            # and worker, and re-raise the error in the caller.
+            self.retire(call)
+            self.fail(call, exc)
+            return
+        call.body_results = results
+        call.body_done_at = self.kernel.clock.now
+        self.observe_service(call)
+        if self.managed:
+            call.state = CallState.BODY_DONE
+            if self.slots[call.slot] is call:  # not orphaned by reset()
+                insort(self.done_slots, call.slot)
+            self.kernel.notify(self.completion)
+            # The server process conceptually lives until the manager
+            # executes finish (§2.3: "both the finish P(...) and P
+            # terminate together").  The finish primitive resumes the
+            # caller and releases the worker; this generator ends here
+            # but the pool slot stays occupied until release().
+        else:
+            self.finish(call, results[: spec.returns])
 
     def awaited(self, call: Call) -> None:
         """BODY_DONE → AWAITED: the manager received the results."""

@@ -35,8 +35,6 @@ class CostModel:
     lwp_create: int = 1
     #: Charged to the sender for an asynchronous ``send``.
     send: int = 1
-    #: Charged to the receiver when a ``receive`` completes.
-    receive: int = 1
     #: Charged when a manager completes an ``accept`` rendezvous.
     accept: int = 1
     #: Charged when a manager ``start``s an entry body.
@@ -70,7 +68,6 @@ FREE = CostModel(
     process_create=0,
     lwp_create=0,
     send=0,
-    receive=0,
     accept=0,
     start=0,
     await_=0,

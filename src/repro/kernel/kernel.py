@@ -293,15 +293,12 @@ class Kernel:
         body = as_generator(fn, *args, **kwargs)
         pid = self._next_pid
         self._next_pid += 1
-        now = self.clock._now
         proc = Process(
             pid=pid,
             name=name or getattr(fn, "__name__", "proc"),
             body=body,
             priority=priority,
-            lightweight=lightweight,
             daemon=daemon,
-            created_at=now,
         )
         self._processes[pid] = proc
         self.stats.spawns += 1
@@ -318,7 +315,7 @@ class Kernel:
             self._schedule_step(proc)
         trace = self.trace
         if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
-            trace.record(now, "spawn", proc.name, pid=pid, priority=priority)
+            trace.record(self.clock._now, "spawn", proc.name, pid=pid, priority=priority)
         return proc
 
     def process_count(self, alive_only: bool = True) -> int:
@@ -633,11 +630,10 @@ class Kernel:
 
     def _on_exit(self, proc: Process) -> None:
         """Book a termination (any kind) and tell the exit watchers."""
-        proc.finished_at = now = self.clock._now
         self.stats.exits += 1
         trace = self.trace
         if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
-            trace.record(now, "exit", proc.name, state=proc.state.value)
+            trace.record(self.clock._now, "exit", proc.name, state=proc.state.value)
         for watcher in list(proc.exit_watchers):
             watcher(proc)
 

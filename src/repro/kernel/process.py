@@ -69,10 +69,7 @@ class Process:
         "_resume_value",
         "_resume_exception",
         "exit_watchers",
-        "lightweight",
         "daemon",
-        "created_at",
-        "finished_at",
         "resumptions",
         "epoch",
         "node",
@@ -88,9 +85,7 @@ class Process:
         name: str,
         body: ProcessBody,
         priority: int = PRIORITY_NORMAL,
-        lightweight: bool = True,
         daemon: bool = False,
-        created_at: int = 0,
     ) -> None:
         if not hasattr(body, "send") or not hasattr(body, "throw"):
             raise ProcessError(
@@ -122,13 +117,9 @@ class Process:
         #: Callbacks invoked (with this process) when it terminates.
         #: ``Join``, ``Par`` and entry-call plumbing hook in here.
         self.exit_watchers: list[Callable[["Process"], None]] = []
-        #: Lightweight processes are cheap to create (see CostModel).
-        self.lightweight = lightweight
         #: Daemons (e.g. managers) may be blocked forever at quiescence
         #: without the kernel reporting a deadlock.
         self.daemon = daemon
-        self.created_at = created_at
-        self.finished_at: int | None = None
         #: Number of times the scheduler resumed this process.
         self.resumptions = 0
         #: Incremented on every park/unpark; stale scheduled events are

@@ -369,7 +369,7 @@ class TestGuardPollAccounting:
 
         costs = CostModel(
             context_switch=0, process_create=0, lwp_create=0, send=0,
-            receive=0, accept=0, start=0, await_=0, finish=0,
+            accept=0, start=0, await_=0, finish=0,
             guard_poll=5, dispatch=0,
         )
         kernel = Kernel(costs=costs)

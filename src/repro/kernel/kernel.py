@@ -674,6 +674,9 @@ class Kernel:
             charge_to=proc,
             **syscall.kwargs,
         )
+        # A child lives where its creator lives and under its deadline.
+        child.node = proc.node
+        child.deadline_at = proc.deadline_at
         self.schedule_resume(proc, child, cost=cost)
 
     def _do_delay(self, proc: Process, syscall: Delay, cost: int) -> None:
@@ -796,6 +799,8 @@ class Kernel:
                 priority=par.priority,
                 charge_to=proc,
             )
+            child.node = proc.node
+            child.deadline_at = proc.deadline_at
             children.append(child)
             child.exit_watchers.append(make_watcher(index))
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.channels import Receive
-from repro.errors import NetworkError
+from repro.errors import DeadlineExceeded, NetworkError
+from repro.faults import FaultPlan, install
+from repro.kernel import Delay, Join, Par, Self, Spawn
 from repro.net import NetChannel, NetSend, Network, ring
 from repro.stdlib import Dictionary
 
@@ -131,3 +133,76 @@ class TestNoRoute:
     def test_diameter_ignores_unreachable_pairs(self, kernel):
         net = self.make_islands(kernel)
         assert net.diameter() == 3  # largest *reachable* distance
+
+
+def _make_child(how, fn):
+    """``fn`` as a child of the yielding process, by ``Spawn`` or by ``Par``."""
+    if how == "spawn":
+        return Join((yield Spawn(fn, name="child")))
+    return Par(fn)
+
+
+@pytest.mark.parametrize("how", ["spawn", "par"])
+class TestChildrenLiveWhereTheirCreatorLives:
+    """A ``Spawn``/``Par`` child inherits its creator's node and deadline."""
+
+    def test_child_pays_the_latency_to_a_remote_object(self, free_kernel, how):
+        kernel = free_kernel
+        net = ring(kernel, 4, link_latency=5)
+        d = net.node("n2").place(
+            Dictionary(kernel, name="d", entries={"a": 1}, search_work=0)
+        )
+        seen = []
+
+        def child():
+            seen.append((yield Self()).node)
+            yield d.search("a")
+            seen.append(kernel.clock.now)
+
+        def parent():
+            yield (yield from _make_child(how, child))
+
+        home = net.node("n0")
+        home.spawn(parent, name="parent")
+        kernel.run()
+        # Two hops each way; a nodeless child took the local fast path (t=0).
+        assert seen == [home, 20]
+        assert net.traffic == 20
+
+    def test_child_dies_with_its_creators_node(self, free_kernel, how):
+        kernel = free_kernel
+        net = ring(kernel, 4)
+        install(kernel, net, FaultPlan().crash_node("n1", at=50))
+        ticks = []
+
+        def child():
+            while True:
+                yield Delay(20)
+                ticks.append(kernel.clock.now)
+
+        def parent():
+            yield (yield from _make_child(how, child))
+
+        net.node("n1").spawn(parent, name="parent", daemon=True)
+        kernel.run(until=200)
+        assert ticks == [20, 40]  # nothing after the crash at t=50
+        assert not any(p.alive for p in kernel.processes())
+
+    def test_child_calls_under_its_creators_deadline(self, free_kernel, how):
+        kernel = free_kernel
+        d = Dictionary(kernel, name="d", entries={"a": 1}, search_work=50)
+        caught = []
+
+        def child():
+            try:
+                yield d.search("a")
+            except DeadlineExceeded as exc:
+                caught.append((exc.deadline_at, kernel.clock.now))
+
+        def parent():
+            (yield Self()).deadline_at = 30
+            yield (yield from _make_child(how, child))
+
+        kernel.spawn(parent, name="parent")
+        kernel.run()
+        assert caught == [(30, 30)]

@@ -124,8 +124,8 @@ def run_experiment() -> tuple[list[dict], list[dict]]:
     return mechanisms, grid
 
 
-def test_e10_table(benchmark, capsys):
-    mechanisms, grid = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e10_table(capsys):
+    mechanisms, grid = run_experiment()
     with capsys.disabled():
         print_table(
             f"E10a one resource, four mechanisms: {READERS} readers / "
@@ -144,14 +144,6 @@ def test_e10_table(benchmark, capsys):
     means = [row["mean_response"] for row in grid]
     assert means == sorted(means)
     assert grid[0]["hops"] == 0
-
-
-def test_e10_manager_speed(benchmark):
-    benchmark(drive_mechanism, "manager")
-
-
-def test_e10_grid_speed(benchmark):
-    benchmark(drive_grid)
 
 
 if __name__ == "__main__":

@@ -194,10 +194,8 @@ def run_experiment():
     return arbitration, interception, frontend
 
 
-def test_e11_tables(benchmark, capsys):
-    arbitration, interception, frontend = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_e11_tables(capsys):
+    arbitration, interception, frontend = run_experiment()
     with capsys.disabled():
         print_table(
             "E11a arbitrary-choice policy: conservation under any arbitration",
@@ -218,15 +216,6 @@ def test_e11_tables(benchmark, capsys):
     assert max(times) <= 1.2 * min(times)
     # The compiled object is semantically identical: virtual time equal.
     assert frontend[0]["virtual_time"] == frontend[1]["virtual_time"]
-
-
-def test_e11_native_wallclock(benchmark):
-    benchmark(drive_native)
-
-
-def test_e11_compiled_wallclock(benchmark):
-    # Interpreter overhead shows up here (wall time), never in virtual time.
-    benchmark(drive_compiled)
 
 
 if __name__ == "__main__":

@@ -148,8 +148,8 @@ def cell_row(rows: list[dict], replicas: int, plan: str) -> dict:
     )
 
 
-def test_e13_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e13_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             "E13 availability under crashes "
@@ -193,10 +193,6 @@ def test_e13_table(benchmark, capsys):
         cell[(3, "churn")]["goodput_per_ktick"]
         > cell[(1, "churn")]["goodput_per_ktick"]
     )
-
-
-def test_e13_replication_speed(benchmark):
-    benchmark.pedantic(drive, args=(3, "churn"), rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

@@ -202,8 +202,8 @@ def cell_row(rows: list[dict], obj_kind: str, arrival_kind: str, gap: int) -> di
     )
 
 
-def test_e14_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e14_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             f"E14 open-loop traffic ({COUNT} requests/cell, "
@@ -263,11 +263,6 @@ def test_e14_table(benchmark, capsys):
     kv_rows = [r for r in rows if r["object"] == "kv"]
     assert any(r["alerts"] > 0 for r in kv_rows)
     assert any(r["hot_key"] for r in kv_rows)
-
-
-def test_e14_traffic_speed(benchmark):
-    benchmark.pedantic(drive, args=("buffer", "poisson", 3),
-                       rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

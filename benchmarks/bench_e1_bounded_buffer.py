@@ -9,8 +9,6 @@ counts for each mechanism.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import MonitorBuffer, PathBuffer, SemaphoreBuffer
 from repro.kernel import Kernel
 from repro.stdlib import BoundedBuffer
@@ -82,8 +80,8 @@ def run_experiment() -> list[dict]:
     return rows
 
 
-def test_e1_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e1_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             "E1 bounded buffer: manager vs baselines "
@@ -118,19 +116,6 @@ def test_e1_table(benchmark, capsys):
     for size, group in by_size.items():
         fastest = min(r["virtual_time"] for r in group.values())
         assert group["manager"]["virtual_time"] <= 10 * fastest
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_e1_manager_buffer_speed(benchmark, size):
-    benchmark(drive_manager, size)
-
-
-def test_e1_semaphore_buffer_speed(benchmark):
-    benchmark(drive_baseline, SemaphoreBuffer, 4)
-
-
-def test_e1_monitor_buffer_speed(benchmark):
-    benchmark(drive_baseline, MonitorBuffer, 4)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ Also compares against the monitor baseline.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import MonitorReadersWriters
 from repro.core.monitoring import response_times
 from repro.kernel import Delay, Kernel, Par
@@ -98,10 +96,8 @@ def run_experiment() -> tuple[list[dict], list[dict]]:
     return manager_rows, monitor_rows
 
 
-def test_e2_table(benchmark, capsys):
-    manager_rows, monitor_rows = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_e2_table(capsys):
+    manager_rows, monitor_rows = run_experiment()
     with capsys.disabled():
         print_table(
             f"E2 readers-writers (ALPS manager): {READERS} readers / "
@@ -118,20 +114,11 @@ def test_e2_table(benchmark, capsys):
     assert times[-1] <= times[0]
 
 
-def test_e2_starvation_bound(benchmark):
-    def run():
-        row = drive_manager(4)
-        # Starvation freedom: even the p95 writer wait is bounded well
-        # below the whole-run duration.
-        assert row["write_p95_wait"] < row["virtual_time"]
-        return row
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-@pytest.mark.parametrize("read_max", (1, 4, 16))
-def test_e2_manager_speed(benchmark, read_max):
-    benchmark(drive_manager, read_max)
+def test_e2_starvation_bound():
+    row = drive_manager(4)
+    # Starvation freedom: even the p95 writer wait is bounded well
+    # below the whole-run duration.
+    assert row["write_p95_wait"] < row["virtual_time"]
 
 
 if __name__ == "__main__":

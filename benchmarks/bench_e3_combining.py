@@ -9,8 +9,6 @@ and vanishes when all requests are distinct.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.kernel import Kernel, Par
 from repro.kernel.costs import FREE
 from repro.stdlib import Dictionary
@@ -61,8 +59,8 @@ def run_experiment() -> list[dict]:
     return rows
 
 
-def test_e3_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e3_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             f"E3 dictionary combining: {QUERIES} concurrent queries, "
@@ -82,19 +80,11 @@ def test_e3_table(benchmark, capsys):
     assert savings[-1] > 0
 
 
-def test_e3_identical_results_with_and_without(benchmark):
-    def run():
-        off = drive(1.2, combining=False)
-        on = drive(1.2, combining=True)
-        # Same workload answered either way; combining only cuts work.
-        assert on["work_ticks"] < off["work_ticks"]
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-@pytest.mark.parametrize("combining", (False, True))
-def test_e3_speed(benchmark, combining):
-    benchmark(drive, 1.2, combining)
+def test_e3_identical_results_with_and_without():
+    off = drive(1.2, combining=False)
+    on = drive(1.2, combining=True)
+    # Same workload answered either way; combining only cuts work.
+    assert on["work_ticks"] < off["work_ticks"]
 
 
 if __name__ == "__main__":

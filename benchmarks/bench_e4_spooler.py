@@ -8,8 +8,6 @@ parameters/results let the manager run with zero allocation bookkeeping
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.monitoring import max_overlap
 from repro.kernel import Kernel
 from repro.stdlib import Spooler
@@ -61,8 +59,8 @@ def run_experiment() -> list[dict]:
     return rows
 
 
-def test_e4_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e4_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             f"E4 printer spooler: {JOBS} jobs, sweep printers x arrival gap",
@@ -79,28 +77,18 @@ def test_e4_table(benchmark, capsys):
     assert overload[1]["utilization_pct"] > 80
 
 
-def test_e4_manager_holds_no_allocation_table(benchmark):
-    def run():
-        kernel = Kernel()
-        spooler = Spooler(kernel, printers=3, speed=2, job_max=16)
+def test_e4_manager_holds_no_allocation_table():
+    kernel = Kernel()
+    spooler = Spooler(kernel, printers=3, speed=2, job_max=16)
 
-        def submit(i):
-            yield spooler.print_file(f"f{i}" + "y" * 24)
+    def submit(i):
+        yield spooler.print_file(f"f{i}" + "y" * 24)
 
-        kernel.spawn(open_loop(Uniform(3), 12, submit))
-        kernel.run()
-        # Structural check of the §2.8.1 claim: every printer returned to
-        # the free pool purely via hidden results.
-        jobs = sum(len(p.jobs) for p in spooler.printer_pool)
-        assert jobs == 12
-        return jobs
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-@pytest.mark.parametrize("printers", (1, 4))
-def test_e4_speed(benchmark, printers):
-    benchmark(drive, printers, 5)
+    kernel.spawn(open_loop(Uniform(3), 12, submit))
+    kernel.run()
+    # Structural check of the §2.8.1 claim: every printer returned to
+    # the free pool purely via hidden results.
+    assert sum(len(p.jobs) for p in spooler.printer_pool) == 12
 
 
 if __name__ == "__main__":

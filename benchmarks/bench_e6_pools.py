@@ -9,8 +9,6 @@ average queue length is significant" at a modest latency cost.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import PoolConfig
 from repro.core.monitoring import response_times
 from repro.kernel import CostModel, Kernel, Par
@@ -69,8 +67,8 @@ def run_experiment() -> list[dict]:
     ]
 
 
-def test_e6_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e6_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             f"E6 pool strategies: {REQUESTS} bursty requests, "
@@ -144,8 +142,8 @@ def run_smp_experiment() -> list[dict]:
     return [drive_smp(cpus) for cpus in (1, 2, 4, 8)]
 
 
-def test_e6_smp_scaling(benchmark, capsys):
-    rows = benchmark.pedantic(run_smp_experiment, rounds=1, iterations=1)
+def test_e6_smp_scaling(capsys):
+    rows = run_smp_experiment()
     with capsys.disabled():
         print_table(
             "E6SMP shared pool M=4 on one node, cpus_per_node sweep",
@@ -168,14 +166,6 @@ def test_e6_smp_scaling(benchmark, capsys):
     # Past the pool size extra CPUs stop helping (no more runnable
     # bodies than workers) — 8 CPUs is no worse, not magically better.
     assert by_cpus[8]["elapsed"] <= by_cpus[4]["elapsed"]
-
-
-@pytest.mark.parametrize(
-    "mode,size", [("dynamic", None), ("per-slot", None), ("shared", 4)]
-)
-def test_e6_speed(benchmark, mode, size):
-    pool = PoolConfig(mode, size=size, lightweight=(mode != "dynamic"))
-    benchmark(drive, pool, mode)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ being accepted (queueing delay) and overall makespan.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import (
     AcceptGuard,
     AlpsObject,
@@ -86,8 +84,8 @@ def run_experiment() -> list[dict]:
     ]
 
 
-def test_e7_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e7_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             f"E7 manager priority: {CALLERS} callers, 1 CPU, "
@@ -101,13 +99,6 @@ def test_e7_table(benchmark, capsys):
     assert high["mean_accept_wait"] <= equal["mean_accept_wait"]
     assert high["mean_accept_wait"] < low["mean_accept_wait"]
     assert high["p95_accept_wait"] <= low["p95_accept_wait"]
-
-
-@pytest.mark.parametrize(
-    "priority", (PRIORITY_MANAGER, PRIORITY_BACKGROUND)
-)
-def test_e7_speed(benchmark, priority):
-    benchmark(drive, priority, str(priority))
 
 
 if __name__ == "__main__":

@@ -144,8 +144,8 @@ def run_experiment() -> list[dict]:
     return rows
 
 
-def test_e8_table(benchmark, capsys):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_e8_table(capsys):
+    rows = run_experiment()
     with capsys.disabled():
         print_table(
             "E8 nested calls (X.P -> Y.Q -> X.R)",
@@ -157,10 +157,6 @@ def test_e8_table(benchmark, capsys):
             assert row["outcome"] == "completed"
         else:
             assert row["outcome"] == "DEADLOCK"
-
-
-def test_e8_alps_speed(benchmark):
-    benchmark(drive_alps, 4)
 
 
 if __name__ == "__main__":

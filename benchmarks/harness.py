@@ -2,14 +2,13 @@
 
 Each ``bench_e*.py`` module reproduces one experiment from DESIGN.md §4.
 The measured quantity is *virtual-time behaviour* (throughput, latency,
-process counts — the numbers the paper argues about); pytest-benchmark
-additionally times the simulation itself so regressions in the kernel
-show up.
+process counts — the numbers the paper argues about); what the
+simulation costs the host is the perf lab's question (``perflab/``).
 
 Every experiment prints its table via :func:`print_table`, so
-``pytest benchmarks/ --benchmark-only -s`` regenerates the full set of
-results, and each module exposes ``run_experiment()`` so the tables can
-also be produced without pytest.
+``pytest benchmarks/ -s`` regenerates the full set of results, and each
+module exposes ``run_experiment()`` so the tables can also be produced
+without pytest.
 """
 
 from __future__ import annotations

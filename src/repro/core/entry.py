@@ -215,14 +215,10 @@ def _declarator(name: str, exported: bool, doc: str) -> Callable[..., Any]:
 
 
 entry = _declarator(
-    "entry",
-    True,
-    "Declare an exported entry procedure (usable bare or with arguments).",
+    "entry", True, "Declare an exported entry procedure (usable bare or with arguments)."
 )
 local = _declarator(
-    "local",
-    False,
-    "Declare a local procedure (interceptable but not exported, §2.3).",
+    "local", False, "Declare a local procedure (interceptable but not exported, §2.3)."
 )
 
 

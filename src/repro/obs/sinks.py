@@ -68,9 +68,6 @@ class MemorySink(TraceSink):
     def spans(self) -> list[dict[str, Any]]:
         return [r for r in self.records if r["type"] == "span"]
 
-    def close(self) -> None:
-        pass
-
 
 class JsonlSink(TraceSink):
     """One JSON object per line, appended as the run progresses.

@@ -167,10 +167,7 @@ class Recording:
             s
             for s in self.spans
             if s.kind == "call"
-            and (
-                s.parent_id not in self.by_id
-                or self.by_id[s.parent_id].kind != "call"
-            )
+            and (s.parent_id not in self.by_id or self.by_id[s.parent_id].kind != "call")
         ]
 
     def align_key(self, span: Span) -> tuple[str, str, int]:

@@ -187,14 +187,15 @@ class ChromeTraceSink(TraceSink):
 _META_KEYS = ("span_id", "parent", "call_id")
 
 
-def _pair_spans(events: Iterable[Any]) -> tuple[list[tuple[dict, dict]], list[str]]:
-    """Pair async begin/end events by ``(cat, id)``, in end order.
+def _pair_spans(events: Iterable[Any]) -> tuple[list[tuple[tuple, dict, dict]], list[str]]:
+    """Pair async begin/end events by key ``(cat, id)``, in end order:
+    ``(key, begin, end)`` triples.
 
     Also returns what did not pair, in the validator's words; the loader
     skips those.
     """
     begins: dict[tuple, dict] = {}
-    pairs: list[tuple[dict, dict]] = []
+    pairs: list[tuple[tuple, dict, dict]] = []
     unbalanced: list[str] = []
     for event in events:
         if not isinstance(event, dict) or event.get("ph") not in ("b", "e"):
@@ -205,7 +206,7 @@ def _pair_spans(events: Iterable[Any]) -> tuple[list[tuple[dict, dict]], list[st
                 unbalanced.append(f"duplicate begin for span {key}")
             begins[key] = event
         elif key in begins:
-            pairs.append((begins.pop(key), event))
+            pairs.append((key, begins.pop(key), event))
         else:
             unbalanced.append(f"end without begin for span {key}")
     unbalanced.extend(f"begin without end for span {key}" for key in begins)
@@ -223,7 +224,7 @@ def from_chrome(payload: dict[str, Any], source: str = "<chrome>") -> Recording:
         if e.get("ph") == "M" and e.get("name") == "thread_name"
     }
     spans = []
-    for begin, end in _pair_spans(events)[0]:
+    for _key, begin, end in _pair_spans(events)[0]:
         args = begin.get("args") or {}
         spans.append(Span(
             args.get("span_id", begin.get("id")),
@@ -249,6 +250,14 @@ def from_chrome(payload: dict[str, Any], source: str = "<chrome>") -> Recording:
 
 def _numeric(value: Any) -> bool:
     return isinstance(value, (int, float))
+
+
+def _unquote(value: Any) -> str:
+    """A ``ChromeTraceSink`` instant arg (a ``repr``) without its string quotes."""
+    text = str(value)
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        return text[1:-1]
+    return text
 
 
 def _live_problems(instants: Iterable[tuple[str, int | float, str, dict]]) -> list[str]:
@@ -321,26 +330,16 @@ def validate_chrome_trace(payload: Any) -> list[str]:
             if not _numeric(ts):
                 problems.append(f"live instant missing numeric ts: {event!r}")
                 continue
-            # ChromeTraceSink reprs instant arg values: read them back.
             args = {k: _unquote(v) for k, v in (event.get("args") or {}).items()}
             live.append((f"ts {ts}", ts, event["cat"], args))
     pairs, unbalanced = _pair_spans(events)
     problems.extend(unbalanced)
-    for begin, end in pairs:
+    for key, begin, end in pairs:
         if not (_numeric(begin.get("ts")) and _numeric(end.get("ts"))) or (
             end["ts"] < begin["ts"]
         ):
-            problems.append(
-                f"span {(begin.get('cat'), begin.get('id'))} ends before it begins"
-            )
+            problems.append(f"span {key} ends before it begins")
     return problems + _live_problems(live)
-
-
-def _unquote(value: Any) -> str:
-    text = str(value)
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    return text
 
 
 def validate_live_jsonl(lines: Iterable[str]) -> list[str]:

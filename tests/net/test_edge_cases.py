@@ -135,11 +135,13 @@ class TestNoRoute:
         assert net.diameter() == 3  # largest *reachable* distance
 
 
-def _make_child(how, fn):
-    """``fn`` as a child of the yielding process, by ``Spawn`` or by ``Par``."""
+def _parent(how, child, deadline_at=None):
+    """A process that makes ``child`` by ``Spawn`` or by ``Par`` and waits."""
+    (yield Self()).deadline_at = deadline_at
     if how == "spawn":
-        return Join((yield Spawn(fn, name="child")))
-    return Par(fn)
+        yield Join((yield Spawn(child, name="child")))
+    else:
+        yield Par(child)
 
 
 @pytest.mark.parametrize("how", ["spawn", "par"])
@@ -159,11 +161,8 @@ class TestChildrenLiveWhereTheirCreatorLives:
             yield d.search("a")
             seen.append(kernel.clock.now)
 
-        def parent():
-            yield (yield from _make_child(how, child))
-
         home = net.node("n0")
-        home.spawn(parent, name="parent")
+        home.spawn(_parent, how, child, name="parent")
         kernel.run()
         # Two hops each way; a nodeless child took the local fast path (t=0).
         assert seen == [home, 20]
@@ -180,10 +179,7 @@ class TestChildrenLiveWhereTheirCreatorLives:
                 yield Delay(20)
                 ticks.append(kernel.clock.now)
 
-        def parent():
-            yield (yield from _make_child(how, child))
-
-        net.node("n1").spawn(parent, name="parent", daemon=True)
+        net.node("n1").spawn(_parent, how, child, name="parent", daemon=True)
         kernel.run(until=200)
         assert ticks == [20, 40]  # nothing after the crash at t=50
         assert not any(p.alive for p in kernel.processes())
@@ -199,10 +195,6 @@ class TestChildrenLiveWhereTheirCreatorLives:
             except DeadlineExceeded as exc:
                 caught.append((exc.deadline_at, kernel.clock.now))
 
-        def parent():
-            (yield Self()).deadline_at = 30
-            yield (yield from _make_child(how, child))
-
-        kernel.spawn(parent, name="parent")
+        kernel.spawn(_parent, how, child, 30, name="parent")
         kernel.run()
         assert caught == [(30, 30)]

@@ -12,6 +12,29 @@ from repro.core.monitoring import (
 )
 
 
+class TestPercentile:
+    """A summary's percentiles are nearest-rank (``obs.live.nearest_rank``,
+    the repo's one definition): never interpolated, so each is a latency
+    some call actually had."""
+
+    def test_empty(self):
+        summary = summarize([])
+        assert (summary.median, summary.p95) == (0, 0)
+
+    def test_single(self):
+        summary = summarize([7])
+        assert (summary.median, summary.p95) == (7, 7)
+
+    def test_median_odd(self):
+        assert summarize([1, 2, 3]).median == 2
+
+    def test_median_even_is_the_lower_observation(self):
+        assert summarize([1, 2, 3, 4]).median == 2
+
+    def test_p95(self):
+        assert summarize(range(1, 101)).p95 == 95
+
+
 class TestSummarize:
     def test_empty(self):
         summary = summarize([])
@@ -26,13 +49,6 @@ class TestSummarize:
         assert summary.p95 == 30
         assert summary.maximum == 30
         assert summary.minimum == 10
-
-    def test_percentiles_are_nearest_rank_observations(self):
-        # Never interpolated: every reported percentile is a latency
-        # some call actually had (the repo's one definition).
-        summary = summarize([1, 2, 3, 4])
-        assert (summary.median, summary.p95) == (2, 4)
-        assert summarize(range(1, 101)).p95 == 95
 
     def test_none_values_skipped(self):
         assert summarize([10, None, 30]).count == 2

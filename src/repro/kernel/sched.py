@@ -445,9 +445,9 @@ class SmpScheduler:
         self.domains[name] = domain
         return domain
 
-    def domain_of(self, proc: "Process | None") -> SchedDomain | None:
+    def domain_of(self, proc: "Process") -> SchedDomain | None:
         """The domain whose CPUs serve ``proc``'s grants."""
-        if proc is not None and proc.node is not None:
+        if proc.node is not None:
             domain = self.domains.get(proc.node.name)
             if domain is not None:
                 return domain

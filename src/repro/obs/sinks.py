@@ -265,8 +265,8 @@ def _live_problems(instants: Iterable[tuple[str, int | float, str, dict]]) -> li
 
     The plane emits at step boundaries, in boundary order, so times never
     decrease — an inversion means a sink reordered them; a ``live.alert``
-    carries the alert fields and alternates firing/resolved per monitor;
-    a ``live.snapshot`` carries its evaluation time.
+    carries the alert fields, firing and resolved taking turns per
+    monitor; a ``live.snapshot`` carries its evaluation time.
     """
     problems: list[str] = []
     last: int | float | None = None

@@ -282,13 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.whole_program:
             from .wholeprogram import analyze_paths
 
-            # One merged program for the cross-file checks; per-class
-            # checks still run per module (program_checks off to avoid
-            # duplicating ALP120/ALP121 from the single-module pass).
-            graph, wp_findings = analyze_paths(args.paths)
-            findings = lint_paths(args.paths, program_checks=False)
-            findings.extend(wp_findings)
-            findings.sort(key=lambda f: (f.path, f.line, f.code))
+            graph, findings = analyze_paths(args.paths)
         else:
             findings = lint_paths(args.paths)
     except SyntaxError as exc:

@@ -31,8 +31,18 @@ from typing import Any
 from ..kernel.waitgraph import WaitForSnapshot
 
 
-def _quote(text: Any) -> str:
+#: How both graphs (this one and the static call graph) mark a cycle.
+CYCLE_NODE = 'style=filled, fillcolor="#f4cccc", color=red'
+CYCLE_EDGE = ["color=red", "penwidth=2"]
+
+
+def quote(text: Any) -> str:
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def edge_line(src: Any, dst: Any, label: Any, styles: list[str]) -> str:
+    attr = f", {', '.join(styles)}" if styles else ""
+    return f"  {quote(src)} -> {quote(dst)} [label={quote(label)}{attr}];"
 
 
 def _quote_multiline(parts: list[str]) -> str:
@@ -62,25 +72,20 @@ def to_dot(snapshot: "WaitForSnapshot | dict[str, Any]") -> str:
     lines = ["digraph wait_for {"]
     lines.append("  rankdir=LR;")
     lines.append(
-        f"  label={_quote('wait-for graph at t=' + str(data.get('time', '?')))};"
+        f"  label={quote('wait-for graph at t=' + str(data.get('time', '?')))};"
     )
     lines.append("  node [shape=ellipse, fontname=monospace];")
     for name in nodes:
-        attrs = ""
-        if name in cycle_nodes:
-            attrs = ' [style=filled, fillcolor="#f4cccc", color=red]'
-        lines.append(f"  {_quote(name)}{attrs};")
+        attrs = f" [{CYCLE_NODE}]" if name in cycle_nodes else ""
+        lines.append(f"  {quote(name)}{attrs};")
     for edge in edges:
         styles = []
         if (edge["src"], edge["dst"]) in cycle_edges:
-            styles.append("color=red")
-            styles.append("penwidth=2")
+            styles.extend(CYCLE_EDGE)
         if not edge.get("definite", True):
             styles.append("style=dashed")
-        attr = f", {', '.join(styles)}" if styles else ""
         lines.append(
-            f"  {_quote(edge['src'])} -> {_quote(edge['dst'])} "
-            f"[label={_quote(edge.get('label', ''))}{attr}];"
+            edge_line(edge["src"], edge["dst"], edge.get("label", ""), styles)
         )
     for index, pool in enumerate(pools):
         node = f"pool{index}"

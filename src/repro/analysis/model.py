@@ -1,4 +1,4 @@
-"""Pure-AST extraction of ALPS object declarations.
+"""Pure-AST model of ALPS programs: files, objects, manager sites.
 
 The linter never imports the code it checks — examples spawn kernels at
 module scope and fixtures are deliberately broken — so everything it
@@ -6,6 +6,12 @@ knows about an object comes from the syntax tree: ``@entry``/``@local``
 decorators, the ``@manager_process(intercepts=...)`` clause and the
 manager body.  Classes are discovered at any nesting depth (example
 programs define objects inside functions).
+
+Every consumer reads the same three things from here: a run's files,
+each read, parsed and extracted once (:func:`load_paths`); an object's
+declarations (:class:`ObjectInfo`); and its manager body as a list of
+primitive *sites* (:attr:`ObjectInfo.sites`) — what the per-class
+checks cover and what the call graph draws manager-blocking edges from.
 
 The extraction is best-effort by design.  Anything it cannot resolve
 syntactically — a computed intercepts mapping, an ``array=`` bound read
@@ -18,19 +24,36 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from pathlib import Path
+from typing import Any, Iterable
 
 #: Sentinel for values the AST cannot determine.
 UNKNOWN = object()
 
 
-def decorator_name(node: ast.expr) -> str | None:
-    """Final identifier of a decorator: ``entry``, ``core.entry`` → ``entry``."""
+def final_name(node: ast.expr) -> str | None:
+    """Final identifier of a call, decorator or base class.
+
+    ``entry``, ``core.entry`` and ``core.entry(...)`` are all ``entry``:
+    how a name was imported never changes what it names.
+    """
     target = node.func if isinstance(node, ast.Call) else node
     if isinstance(target, ast.Name):
         return target.id
     if isinstance(target, ast.Attribute):
         return target.attr
+    return None
+
+
+def self_attr(node: ast.AST) -> str | None:
+    """``self.x`` → ``"x"``; any other expression → None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
     return None
 
 
@@ -110,8 +133,8 @@ class ObjectInfo:
     path: str = "<source>"
     entries: dict[str, EntryInfo] = field(default_factory=dict)
     manager: ManagerInfo | None = None
-    #: Plain (undecorated) methods — ``setup``, helpers — by name; the
-    #: whole-program analysis inlines these when a body calls them.
+    #: Plain (undecorated) methods — ``setup``, helpers — by name; a
+    #: context that calls one through ``self`` has it inlined.
     methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
 
     def intercepted(self) -> dict[str, EntryInfo]:
@@ -123,13 +146,21 @@ class ObjectInfo:
             if name in self.entries
         }
 
+    @cached_property
+    def sites(self) -> list["Site"]:
+        """The manager body's primitive sites, in source order."""
+        walk = _SiteWalk(self)
+        if self.manager is not None:
+            walk.visit_all(self.manager.fn.body)
+        return walk.sites
+
 
 def _parse_intercept_value(node: ast.expr) -> InterceptInfo:
     """``icpt(1, results=2)`` / ``Intercept(params=1)`` → InterceptInfo."""
     info = InterceptInfo(line=node.lineno)
     if not (
         isinstance(node, ast.Call)
-        and decorator_name(node) in ("icpt", "Intercept")
+        and final_name(node) in ("icpt", "Intercept")
     ):
         info.params = info.results = UNKNOWN
         return info
@@ -214,18 +245,15 @@ def _parse_manager(fn: ast.FunctionDef, deco: ast.expr) -> ManagerInfo:
     return info
 
 
-def extract_objects(
-    tree: ast.Module, path: str = "<source>", managed_only: bool = True
-) -> list[ObjectInfo]:
+def extract_objects(tree: ast.Module, path: str = "<source>") -> list[ObjectInfo]:
     """All ALPS object classes in a module (any nesting depth).
 
-    By default only classes declaring a ``@manager_process`` are returned
-    — they are the per-class lint targets; a managerless object has no
-    protocol to get wrong.  The whole-program analysis passes
-    ``managed_only=False`` to also see unmanaged objects (their bodies
-    participate in cross-object wait cycles through hidden procedure
-    arrays).  Single-module inheritance is resolved by base-class name so
-    fixture hierarchies behave like the metaclass does.
+    A class counts when it declares a ``@manager_process`` or at least
+    one entry.  Only the managed ones are per-class lint targets (a
+    managerless object has no protocol to get wrong), but unmanaged
+    bodies take part in cross-object wait cycles through their hidden
+    procedure arrays.  Single-module inheritance is resolved by
+    base-class name so fixture hierarchies behave like the metaclass does.
     """
     by_name: dict[str, ObjectInfo] = {}
     objects: list[ObjectInfo] = []
@@ -235,7 +263,7 @@ def extract_objects(
         info = ObjectInfo(name=node.name, line=node.lineno, path=path)
         # Same-module inheritance: start from the base's declarations.
         for base in node.bases:
-            base_name = decorator_name(base)
+            base_name = final_name(base)
             parent = by_name.get(base_name or "")
             if parent is not None:
                 info.entries.update(parent.entries)
@@ -246,7 +274,7 @@ def extract_objects(
                 continue
             handled = False
             for deco in stmt.decorator_list:
-                kind = decorator_name(deco)
+                kind = final_name(deco)
                 if kind in ("entry", "local") and isinstance(
                     stmt, ast.FunctionDef
                 ):
@@ -269,7 +297,7 @@ def extract_objects(
                     if name in info.entries:
                         info.entries[name].intercept = icpt_info
             objects.append(info)
-        elif not managed_only and info.entries:
+        elif info.entries:
             objects.append(info)
     return objects
 
@@ -336,3 +364,214 @@ def object_info_from_class(cls: type, path: str, tree: ast.Module) -> ObjectInfo
                     intercepts_line=stmt.lineno,
                 )
     return info
+
+
+# -- the site model: what a manager body does, read once ----------------------
+
+#: The one spelling table: final identifier → site kind.  Receivers are
+#: not consulted, so ``self.accept(...)``, ``accept(self, ...)`` and
+#: ``core.accept(self, ...)`` are three spellings of one primitive.  The
+#: ``*Guard`` classes are arms of a ``Select``; the lower-case accept and
+#: await forms are sugar for a one-guard select that blocks where it stands.
+_KINDS = {
+    "accept": "accept",
+    "AcceptGuard": "accept",
+    "ShedGuard": "accept",
+    "await_": "await",
+    "await_call": "await",
+    "AwaitGuard": "await",
+    "Start": "start",
+    "Finish": "finish",
+    "execute": "execute",
+    "execute_call": "execute",
+    "Select": "select",
+}
+
+
+@dataclass(eq=False)
+class Site:
+    """One protocol operation in a manager body."""
+
+    #: accept | await | start | finish | execute | select | pending | call
+    #: (``call``: the manager invoking an entry of its own object).
+    kind: str
+    #: Candidate entries: the literal name at the site, what the call
+    #: variable was bound from, or every intercepted entry.
+    entries: frozenset[str]
+    node: ast.Call
+    #: False when ``entries`` is the "could be anything" fallback —
+    #: coverage still counts, arity checks stay silent.
+    exact: bool = True
+    #: Extra positional arguments (hidden params for start/execute,
+    #: results for finish); None when starred.
+    arity: int | None = None
+    #: The guards a blocking point waits on: a ``Select``'s accept/await
+    #: arms, the site itself for the accept/await sugar, else nothing.
+    arms: tuple["Site", ...] = ()
+
+
+def _entry_arg(node: ast.Call) -> str | None:
+    """The entry-name argument of a site, if a literal.
+
+    ``self.accept("x")`` puts the name first; ``AcceptGuard(self, "x")``
+    and ``core.accept(self, "x")`` put it after the object.
+    """
+    args = node.args[:1] if self_attr(node.func) else node.args[1:2]
+    value = const_value(args[0]) if args else None
+    return value if isinstance(value, str) else None
+
+
+class _SiteWalk:
+    """Source-order walk of a manager body with the candidate-set environment.
+
+    ``c = yield self.accept("x")`` binds ``c`` to ``{x}``; ``r = yield
+    Select(...)`` binds ``r.value`` to the union of the arms' entries;
+    anything else a ``Start``/``Finish``/``execute`` names means *every
+    intercepted entry*, inexactly.  A plain ``self._helper()`` is inlined
+    once, with an empty environment (its parameters are unknown).
+    """
+
+    def __init__(self, obj: ObjectInfo) -> None:
+        self.obj = obj
+        self.intercepted = frozenset(obj.intercepted())
+        self.sites: list[Site] = []
+        self.by_node: dict[int, Site] = {}
+        #: Variable → ("call" | "select", candidate entries).
+        self.env: dict[str, tuple[str, frozenset[str]]] = {}
+        self.inlined: set[str] = set()
+
+    def visit_all(self, nodes: Iterable[ast.AST]) -> None:
+        for node in nodes:
+            self.visit(node)
+
+    def visit(self, node: ast.AST) -> None:
+        self.visit_all(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            self.classify(node)
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                self.bind(target.id, node.value)
+
+    def bind(self, name: str, value: ast.expr) -> None:
+        if isinstance(value, ast.Yield) and value.value is not None:
+            value = value.value
+        site = self.by_node.get(id(value))
+        if site is not None and site.arms:
+            bound = ("select" if site.kind == "select" else "call", site.entries)
+        else:
+            bound = self.value_of(value)
+        if bound is None:
+            self.env.pop(name, None)
+        else:
+            self.env[name] = bound
+
+    def value_of(self, node: ast.expr) -> tuple[str, frozenset[str]] | None:
+        """What a name, or a select result's ``.value``, currently holds."""
+        if isinstance(node, ast.Name):
+            return self.env.get(node.id)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "value"
+            and isinstance(node.value, ast.Name)
+        ):
+            kind, entries = self.env.get(node.value.id, ("", None))
+            if kind == "select":
+                return ("call", entries)
+        return None
+
+    def named(self, kind: str, node: ast.Call) -> Site:
+        entry = _entry_arg(node)
+        if entry is None:
+            return Site(kind, self.intercepted, node, exact=False)
+        return Site(kind, frozenset({entry}), node)
+
+    def classify(self, node: ast.Call) -> None:
+        name = final_name(node)
+        kind = _KINDS.get(name or "")
+        via_self = self_attr(node.func) is not None
+        if kind in ("accept", "await"):
+            site = self.named(kind, node)
+            if not name.endswith("Guard"):
+                site.arms = (site,)
+        elif kind == "select":
+            arms = tuple(
+                arm
+                for arg in node.args
+                if (arm := self.by_node.get(id(arg))) is not None
+                and arm.kind in ("accept", "await")
+            )
+            exact = bool(arms) and all(arm.exact for arm in arms)
+            entries = frozenset().union(*(arm.entries for arm in arms))
+            site = Site(
+                kind, entries if exact else self.intercepted, node, exact, arms=arms
+            )
+        elif kind is not None:
+            if not node.args:
+                return
+            bound = self.value_of(node.args[0])
+            exact = bound is not None and bound[0] == "call"
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            site = Site(
+                kind,
+                bound[1] if exact else self.intercepted,
+                node,
+                exact,
+                arity=None if starred else len(node.args) - 1,
+            )
+        elif via_self and name in ("pending", "call"):
+            site = self.named(name, node)
+        elif via_self and name in self.obj.entries:
+            site = Site("call", frozenset({name}), node)
+        else:
+            if via_self and name in self.obj.methods and name not in self.inlined:
+                self.inlined.add(name)
+                saved, self.env = self.env, {}
+                self.visit_all(self.obj.methods[name].body)
+                self.env = saved
+            return
+        self.sites.append(site)
+        self.by_node[id(node)] = site
+
+
+# -- the loader: every file of a run read, parsed and extracted once ----------
+
+
+@dataclass
+class Module:
+    """One source file as every pass consumes it."""
+
+    path: str
+    tree: ast.Module
+    objects: list[ObjectInfo]
+
+
+def load_source(source: str, path: str = "<source>") -> Module:
+    """Parse *source* and extract its objects; ``SyntaxError`` propagates."""
+    tree = ast.parse(source, filename=path)
+    return Module(path, tree, extract_objects(tree, path=path))
+
+
+def load_paths(paths: Iterable[str | Path]) -> list[Module]:
+    """Load the given files and every ``.py`` file under the given directories.
+
+    Directories are walked in sorted order, skipping dot-directories and
+    ``__pycache__``.  A file that does not parse raises ``SyntaxError``
+    carrying its filename (the CLI's exit 2).
+    """
+    modules: list[Module] = []
+    for raw in paths:
+        root = Path(raw)
+        files = [root]
+        if root.is_dir():
+            files = [
+                file
+                for file in sorted(root.rglob("*.py"))
+                if not any(
+                    part.startswith(".") or part == "__pycache__"
+                    for part in file.relative_to(root).parts[:-1]
+                )
+            ]
+        for file in files:
+            modules.append(load_source(file.read_text(encoding="utf-8"), str(file)))
+    return modules

@@ -33,15 +33,14 @@ from .findings import Finding
 from .model import (
     UNKNOWN,
     EntryInfo,
+    Module,
     ObjectInfo,
+    Site,
     const_value,
-    extract_objects,
+    final_name,
+    load_paths,
+    load_source,
 )
-
-#: Method/function names recognized as protocol operations.  ``describe``
-#: strings and guard classes follow repro.core naming.
-_ACCEPT_NAMES = {"accept", "AcceptGuard", "ShedGuard"}
-_AWAIT_NAMES = {"await_", "await_call", "AwaitGuard"}
 
 
 def _call_signature(op: str, extra: int) -> str:
@@ -56,30 +55,6 @@ def _call_signature(op: str, extra: int) -> str:
     return f"yield {op}(call{extras})"
 
 
-class _Site:
-    """One protocol operation site inside the manager body."""
-
-    __slots__ = ("kind", "entries", "node", "arity", "exact")
-
-    def __init__(
-        self,
-        kind: str,
-        entries: frozenset[str],
-        node: ast.AST,
-        arity: int | None = None,
-        exact: bool = True,
-    ) -> None:
-        self.kind = kind  # accept | await | start | finish | execute
-        self.entries = entries
-        self.node = node
-        #: Extra positional argument count (hidden params for start,
-        #: results for finish); None when unparsable (starred args).
-        self.arity = arity
-        #: False when the entry set came from the "could be anything"
-        #: fallback — coverage still counts, arity checks stay silent.
-        self.exact = exact
-
-
 class ManagerLinter:
     """Lints one object's manager body against its declarations."""
 
@@ -87,11 +62,7 @@ class ManagerLinter:
         self.obj = obj
         self.manager = obj.manager
         self.findings: list[Finding] = []
-        #: Variable name → candidate entry set (from accept/await sugar).
-        self.env: dict[str, frozenset[str]] = {}
-        #: Variable name → entry set for select results (``var.value``).
-        self.select_env: dict[str, frozenset[str]] = {}
-        self.sites: list[_Site] = []
+        self.sites: list[Site] = obj.sites
         self.intercepted = frozenset(obj.intercepted())
 
     # -- entry points ------------------------------------------------------
@@ -99,7 +70,7 @@ class ManagerLinter:
     def run(self) -> list[Finding]:
         self.check_declarations()
         if self.manager is not None and self.manager.intercepts is not None:
-            self.collect_sites(self.manager.fn)
+            self.check_sites()
             self.check_coverage()
         return self.findings
 
@@ -198,204 +169,35 @@ class ManagerLinter:
                     ),
                 )
 
-    # -- site collection ---------------------------------------------------
-
-    def collect_sites(self, fn: ast.FunctionDef) -> None:
-        for stmt in fn.body:
-            self._visit(stmt)
-
-    def _visit(self, node: ast.AST) -> None:
-        # Track assignments for the candidate-set environment, in source
-        # order; everything else is a straight recursive walk.
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            value = node.value
-            if isinstance(target, ast.Name):
-                bound = self._binding_for(value)
-                if bound is not None:
-                    kind, entries = bound
-                    if kind == "select":
-                        self.select_env[target.id] = entries
-                        self.env.pop(target.id, None)
-                    else:
-                        self.env[target.id] = entries
-                        self.select_env.pop(target.id, None)
-                else:
-                    self.env.pop(target.id, None)
-                    self.select_env.pop(target.id, None)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child)
-        if isinstance(node, ast.Call):
-            self._classify_call(node)
-
-    def _binding_for(self, value: ast.expr) -> tuple[str, frozenset[str]] | None:
-        """What a RHS binds: ('call', entries) or ('select', entries)."""
-        if isinstance(value, ast.Yield) and value.value is not None:
-            return self._binding_for(value.value)
-        if isinstance(value, ast.Call):
-            name = self._call_name(value)
-            if name in ("accept", "await_", "await_call"):
-                entry = self._guard_entry_name(value)
-                if entry is not None:
-                    return ("call", frozenset({entry}))
-                return ("call", self.intercepted)
-            if name == "Select":
-                entries: set[str] = set()
-                exact = True
-                for arg in value.args:
-                    if isinstance(arg, ast.Call):
-                        arg_name = self._call_name(arg)
-                        if arg_name in _ACCEPT_NAMES | _AWAIT_NAMES:
-                            entry = self._guard_entry_name(arg)
-                            if entry is None:
-                                exact = False
-                            else:
-                                entries.add(entry)
-                if not exact or not entries:
-                    return ("select", self.intercepted)
-                return ("select", frozenset(entries))
-        if isinstance(value, ast.Attribute) and value.attr == "value":
-            inner = value.value
-            if isinstance(inner, ast.Name) and inner.id in self.select_env:
-                return ("call", self.select_env[inner.id])
-        if isinstance(value, ast.Name):
-            if value.id in self.env:
-                return ("call", self.env[value.id])
-            if value.id in self.select_env:
-                return ("select", self.select_env[value.id])
-        return None
-
-    @staticmethod
-    def _call_name(node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None
-
-    @staticmethod
-    def _is_self_method(node: ast.Call) -> bool:
-        return (
-            isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-        )
-
-    def _guard_entry_name(self, node: ast.Call) -> str | None:
-        """The entry-name argument of a guard/sugar call, if a literal.
-
-        ``self.accept("x")`` puts the name first; ``AcceptGuard(self, "x")``
-        and ``accept(self, "x")`` put it second.
-        """
-        name = self._call_name(node)
-        args = node.args
-        if self._is_self_method(node):
-            candidates = args[:1]
-        elif name in ("AcceptGuard", "AwaitGuard", "ShedGuard", "accept", "await_call"):
-            candidates = args[1:2]
-        else:
-            candidates = args[:1]
-        for arg in candidates:
-            value = const_value(arg)
-            if isinstance(value, str):
-                return value
-        return None
-
-    def _candidates(self, node: ast.expr) -> tuple[frozenset[str], bool]:
-        """Candidate entries for a call-valued expression; (set, exact)."""
-        if isinstance(node, ast.Name):
-            if node.id in self.env:
-                return self.env[node.id], True
-        if isinstance(node, ast.Attribute) and node.attr == "value":
-            inner = node.value
-            if isinstance(inner, ast.Name) and inner.id in self.select_env:
-                return self.select_env[inner.id], True
-        return self.intercepted, False
-
-    @staticmethod
-    def _extra_arity(node: ast.Call, skip: int) -> int | None:
-        """Count positional args past ``skip``; None when starred."""
-        rest = node.args[skip:]
-        if any(isinstance(a, ast.Starred) for a in node.args):
-            return None
-        return len(rest)
-
-    def _classify_call(self, node: ast.Call) -> None:
-        name = self._call_name(node)
-        if name is None:
-            return
-        is_self = self._is_self_method(node)
-
-        if name in _ACCEPT_NAMES or name in _AWAIT_NAMES:
-            kind = "accept" if name in _ACCEPT_NAMES else "await"
-            entry = self._guard_entry_name(node)
-            if entry is None:
-                self.sites.append(_Site(kind, self.intercepted, node, exact=False))
-            else:
-                self.sites.append(_Site(kind, frozenset({entry}), node))
-                self._check_guard(kind, entry, node)
-            return
-
-        if name == "Start" and node.args:
-            entries, exact = self._candidates(node.args[0])
-            arity = self._extra_arity(node, 1)
-            self.sites.append(_Site("start", entries, node, arity, exact))
-            self._check_start_arity(entries, exact, arity, node)
-            return
-
-        if name == "Finish" and node.args:
-            entries, exact = self._candidates(node.args[0])
-            arity = self._extra_arity(node, 1)
-            self.sites.append(_Site("finish", entries, node, arity, exact))
-            return
-
-        if name in ("execute", "execute_call"):
-            # Both forms put the call first: self.execute(c) / execute_call(c).
-            if not node.args:
-                return
-            entries, exact = self._candidates(node.args[0])
-            arity = self._extra_arity(node, 1)
-            self.sites.append(_Site("execute", entries, node, arity, exact))
-            self._check_start_arity(entries, exact, arity, node)
-            return
-
-        if name == "pending" and is_self:
-            entry = const_value(node.args[0]) if node.args else UNKNOWN
-            if isinstance(entry, str) and entry not in self.obj.entries:
-                self.report(
-                    "ALP112",
-                    f"#pending names {entry!r}, which {self.obj.name} does "
-                    f"not declare",
-                    node=node,
-                    entry=entry,
-                )
-            return
-
-        if name == "call" and is_self:
-            entry = const_value(node.args[0]) if node.args else UNKNOWN
-            if isinstance(entry, str) and entry in self.intercepted:
-                self.report(
-                    "ALP111",
-                    f"manager invokes intercepted entry {entry!r} of its own "
-                    f"object; it would wait for itself to accept",
-                    node=node,
-                    entry=entry,
-                )
-            return
-
-        if is_self and name in self.intercepted:
-            # ``self.deposit(...)`` inside the manager: the bound entry
-            # builds an EntryCall on this very object.
-            self.report(
-                "ALP111",
-                f"manager invokes intercepted entry {name!r} of its own "
-                f"object; it would wait for itself to accept",
-                node=node,
-                entry=name,
-            )
-
     # -- per-site arity / guard checks -------------------------------------
+
+    def check_sites(self) -> None:
+        for site in self.sites:
+            if site.kind in ("start", "execute"):
+                self._check_start_arity(site)
+            elif site.exact and site.kind in ("accept", "await", "pending", "call"):
+                (entry,) = site.entries
+                if site.kind == "pending":
+                    if entry not in self.obj.entries:
+                        self.report(
+                            "ALP112",
+                            f"#pending names {entry!r}, which {self.obj.name} "
+                            f"does not declare",
+                            node=site.node,
+                            entry=entry,
+                        )
+                elif site.kind != "call":
+                    self._check_guard(site.kind, entry, site.node)
+                elif entry in self.intercepted:
+                    # ``self.call("deposit")`` or ``self.deposit(...)``: the
+                    # bound entry builds an EntryCall on this very object.
+                    self.report(
+                        "ALP111",
+                        f"manager invokes intercepted entry {entry!r} of its "
+                        f"own object; it would wait for itself to accept",
+                        node=site.node,
+                        entry=entry,
+                    )
 
     def _entry_or_report(self, kind: str, entry: str, node: ast.Call) -> EntryInfo | None:
         info = self.obj.entries.get(entry)
@@ -479,14 +281,9 @@ class ManagerLinter:
                 ),
             )
 
-    def _check_start_arity(
-        self,
-        entries: frozenset[str],
-        exact: bool,
-        arity: int | None,
-        node: ast.Call,
-    ) -> None:
-        if not exact or arity is None or not entries:
+    def _check_start_arity(self, site: Site) -> None:
+        entries, arity = site.entries, site.arity
+        if not site.exact or arity is None or not entries:
             return
         hidden_counts = set()
         for entry in entries:
@@ -503,7 +300,7 @@ class ManagerLinter:
                 f"start supplies {arity} hidden parameter(s) but "
                 f"{self._entries_label(entries)} declare(s) "
                 f"hidden_params={declared}",
-                node=node,
+                node=site.node,
                 entry=next(iter(entries)) if len(entries) == 1 else None,
                 suggestion=" or ".join(
                     _call_signature("Start", count)
@@ -518,8 +315,8 @@ class ManagerLinter:
 
     # -- whole-body coverage checks ----------------------------------------
 
-    def _coverage(self, kind: str) -> dict[str, list[_Site]]:
-        out: dict[str, list[_Site]] = {name: [] for name in self.intercepted}
+    def _coverage(self, kind: str) -> dict[str, list[Site]]:
+        out: dict[str, list[Site]] = {name: [] for name in self.intercepted}
         kinds = {kind, "execute"} if kind in ("start", "await", "finish") else {kind}
         for site in self.sites:
             if site.kind in kinds:
@@ -645,19 +442,11 @@ def _retry_policy_arg(call: ast.Call) -> ast.expr | None:
     return None
 
 
-def _callable_name(node: ast.Call) -> str | None:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
 def _unbounded_policy_ctor(node: ast.expr | None) -> str | None:
     """Constructor name if *node* is ``Ctor(..., max_attempts=None)``."""
     if not isinstance(node, ast.Call):
         return None
-    ctor = _callable_name(node)
+    ctor = final_name(node)
     if ctor not in _POLICY_CTORS:
         return None
     unbounded = any(
@@ -730,7 +519,7 @@ class _RetryScopeWalker:
 
     def _check_expr(self, node: ast.AST, env: dict[str, str]) -> None:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and _callable_name(sub) == "retry":
+            if isinstance(sub, ast.Call) and final_name(sub) == "retry":
                 self._check_retry_site(sub, env)
 
     def _check_retry_site(self, node: ast.Call, env: dict[str, str]) -> None:
@@ -775,64 +564,37 @@ class _RetryScopeWalker:
 # -- public API -------------------------------------------------------------
 
 
-def lint_tree(
-    tree: ast.Module, path: str = "<source>", program_checks: bool = True
-) -> list[Finding]:
+def check_module(module: Module) -> list[Finding]:
+    """Per-class checks and ALP114 over one loaded module, unsorted."""
     findings: list[Finding] = []
-    for obj in extract_objects(tree, path=path):
-        findings.extend(ManagerLinter(obj).run())
-    findings.extend(lint_retry_sites(tree, path=path))
-    if program_checks:
-        # Single-module whole-program checks (ALP120/ALP121): cycles and
-        # interference confined to one file surface on every lint path;
-        # the --whole-program CLI mode merges files first and disables
-        # the per-module run to avoid duplicate findings.
-        from .wholeprogram import lint_tree_program
-
-        findings.extend(lint_tree_program(tree, path=path))
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
+    for obj in module.objects:
+        if obj.manager is not None:
+            findings.extend(ManagerLinter(obj).run())
+    findings.extend(lint_retry_sites(module.tree, path=module.path))
     return findings
 
 
-def lint_source(
-    source: str, path: str = "<source>", program_checks: bool = True
-) -> list[Finding]:
+def lint_source(source: str, path: str = "<source>") -> list[Finding]:
     """Lint python source text; returns the findings (possibly empty)."""
-    tree = ast.parse(source, filename=path)
-    return lint_tree(tree, path=path, program_checks=program_checks)
+    from .wholeprogram import analyze
+
+    return analyze([[load_source(source, path)]])[1]
 
 
-def lint_file(path: str, program_checks: bool = True) -> list[Finding]:
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=str(path), program_checks=program_checks)
+def lint_file(path: str) -> list[Finding]:
+    return lint_paths([path])
 
 
-def lint_paths(
-    paths: Iterable[str], program_checks: bool = True
-) -> list[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
-    import os
+def lint_paths(paths: Iterable[str]) -> list[Finding]:
+    """Lint every ``.py`` file under the given files/directories.
 
-    findings: list[Finding] = []
-    for root_path in paths:
-        if os.path.isfile(root_path):
-            findings.extend(lint_file(root_path, program_checks=program_checks))
-            continue
-        for dirpath, dirnames, filenames in os.walk(root_path):
-            dirnames[:] = [
-                d for d in dirnames if not d.startswith(".") and d != "__pycache__"
-            ]
-            for filename in sorted(filenames):
-                if filename.endswith(".py"):
-                    findings.extend(
-                        lint_file(
-                            os.path.join(dirpath, filename),
-                            program_checks=program_checks,
-                        )
-                    )
-    findings.sort(key=lambda f: (f.path, f.line, f.code))
-    return findings
+    Each file is its own program: cycles and interference confined to
+    one file (ALP120/ALP121) surface here too; ``--whole-program``
+    merges the files first.
+    """
+    from .wholeprogram import analyze
+
+    return analyze([[module] for module in load_paths(paths)])[1]
 
 
 def lint_class(cls: type) -> list[Finding]:

@@ -13,10 +13,12 @@ at runtime:
   the hidden procedure array, on whoever holds the slots — body-to-body
   edges subsume pool exhaustion);
 * a manager blocks on a body when it ``execute``\\ s the call inline or
-  sits in a **non-receptive** await (an ``await_`` sugar site or a
-  ``Select`` holding no accept guard).  A select that still holds accept
-  guards keeps the manager receptive — the §2.3 asynchrony that makes
-  nested calls safe — and contributes no manager edge.
+  sits in a **non-receptive** await (an await sugar site or a ``Select``
+  holding no accept guard).  A select that still holds accept guards
+  keeps the manager receptive — the §2.3 asynchrony that makes nested
+  calls safe — and contributes no manager edge.  Which calls are such
+  sites is not decided here: :attr:`~..model.ObjectInfo.sites` is the
+  one reading of a manager body, shared with the per-class checks.
 
 Call sites are resolved to target classes by constructor/attribute
 dataflow: ``self.backend = KVStore(kernel)``, constructor keywords
@@ -38,11 +40,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..model import ObjectInfo, const_value, extract_objects
-
-#: Guard constructor names, mirrored from the per-class linter.
-_ACCEPT_GUARDS = {"AcceptGuard", "ShedGuard"}
-_AWAIT_GUARDS = {"AwaitGuard"}
+from ..model import Module, ObjectInfo, Site, const_value, final_name, self_attr
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class Program:
     """Every class, function, and inferred attribute type in a code set."""
 
     def __init__(self) -> None:
-        self.modules: list[tuple[str, ast.Module]] = []
+        self.modules: list[Module] = []
         self.classes: dict[str, ObjectInfo] = {}
         #: Class names defined more than once across modules — resolution
         #: through them would be a guess, so they resolve to unknown.
@@ -168,25 +166,26 @@ class CallGraph:
 _Value = tuple[str, frozenset[str]]  # ("inst" | "coll", class names)
 
 
-def build_program(modules: Iterable[tuple[str, ast.Module]]) -> Program:
-    """Assemble a :class:`Program` from parsed ``(path, tree)`` modules."""
+def build_program(modules: Iterable[Module]) -> Program:
+    """Assemble a :class:`Program` from loaded modules."""
     program = Program()
-    for path, tree in modules:
-        program.modules.append((path, tree))
-        for obj in extract_objects(tree, path=path, managed_only=False):
-            if obj.name in program.classes and program.classes[obj.name] is not obj:
-                existing = program.classes[obj.name]
-                if existing.path != path or existing.line != obj.line:
-                    program.ambiguous.add(obj.name)
+    for module in modules:
+        program.modules.append(module)
+        for obj in module.objects:
+            existing = program.classes.get(obj.name)
+            if existing is not None and (
+                existing.path != obj.path or existing.line != obj.line
+            ):
+                program.ambiguous.add(obj.name)
             program.classes[obj.name] = obj
-        for stmt in tree.body:
+        for stmt in module.tree.body:
             if isinstance(stmt, ast.FunctionDef):
-                program.functions.append((stmt.name, stmt, path))
+                program.functions.append((stmt.name, stmt, module.path))
     # Two passes so constructor keywords resolved in the first pass can
     # type ``self.attr = param`` assignments seen in the second.
     for _ in range(2):
-        for path, tree in program.modules:
-            _DataflowPass(program).scan(tree.body, {}, owner=None)
+        for module in program.modules:
+            _DataflowPass(program).scan(module.tree.body, {}, owner=None)
     return program
 
 
@@ -209,12 +208,7 @@ class _DataflowPass:
             return None
         if isinstance(node, ast.Name):
             return env.get(node.id)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and owner is not None
-        ):
+        if self_attr(node) is not None and owner is not None:
             key = (owner, node.attr)
             classes = self.program.attr_types.get(key)
             if classes:
@@ -241,13 +235,8 @@ class _DataflowPass:
         return None
 
     def _instantiated_class(self, call: ast.Call) -> str | None:
-        func = call.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name is None or name in self.program.ambiguous:
+        name = final_name(call)
+        if name in self.program.ambiguous:
             return None
         return name if name in self.program.classes else None
 
@@ -341,14 +330,12 @@ class _DataflowPass:
             return
         kind, classes = value
         owners: set[str] = set()
-        base = target.value
-        if isinstance(base, ast.Name):
-            if base.id == "self" and owner is not None:
-                owners.add(owner)
-            else:
-                bound = env.get(base.id)
-                if bound is not None and bound[0] == "inst":
-                    owners |= bound[1]
+        if self_attr(target) is not None and owner is not None:
+            owners.add(owner)
+        elif isinstance(target.value, ast.Name):
+            bound = env.get(target.value.id)
+            if bound is not None and bound[0] == "inst":
+                owners |= bound[1]
         for owner_cls in owners:
             key = (owner_cls, target.attr)
             self.program.attr_types.setdefault(key, set()).update(classes)
@@ -369,9 +356,7 @@ def build_call_graph(program: Program) -> CallGraph:
         if obj.manager is not None:
             ctx = Node("manager", cls_name, "manager")
             graph.add_node(ctx)
-            _ContextWalker(program, graph, obj, ctx, manager=True).walk(
-                obj.manager.fn
-            )
+            _ContextWalker(program, graph, obj, ctx).walk(obj.manager.fn)
         for entry_name in sorted(obj.entries):
             info = obj.entries[entry_name]
             if info.fn is None:
@@ -386,13 +371,13 @@ def build_call_graph(program: Program) -> CallGraph:
     return graph
 
 
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
+def _yielded_calls(fn: ast.FunctionDef) -> set[int]:
+    return {
+        id(y.value)
+        for y in ast.walk(fn)
+        if isinstance(y, (ast.Yield, ast.YieldFrom))
+        and isinstance(y.value, ast.Call)
+    }
 
 
 class _ContextWalker:
@@ -411,28 +396,28 @@ class _ContextWalker:
         graph: CallGraph,
         obj: ObjectInfo | None,
         ctx: Node,
-        manager: bool = False,
         path: str | None = None,
     ) -> None:
         self.program = program
         self.graph = graph
         self.obj = obj
         self.ctx = ctx
-        self.manager = manager
         self.path = path if path is not None else (obj.path if obj else "<source>")
         self.env: dict[str, _Value] = {}
         self._flow = _DataflowPass(program)
         self._inlined: set[str] = set()
+        #: A manager's primitive sites by call node — the one reading of
+        #: its body (``ObjectInfo.sites``), consulted where the traversal
+        #: passes each call so edge order follows the source.
+        self._sites: dict[int, Site] = {}
+        if ctx.kind == "manager":
+            assert obj is not None
+            self._sites = {id(site.node): site for site in obj.sites}
 
     # -- traversal ---------------------------------------------------------
 
     def walk(self, fn: ast.FunctionDef) -> None:
-        self._yielded = {
-            id(y.value)
-            for y in ast.walk(fn)
-            if isinstance(y, (ast.Yield, ast.YieldFrom))
-            and isinstance(y.value, ast.Call)
-        }
+        self._yielded = _yielded_calls(fn)
         self._walk_stmts(fn.body)
 
     def _walk_stmts(self, stmts: Iterable[ast.stmt]) -> None:
@@ -455,12 +440,7 @@ class _ContextWalker:
             # Closure bodies (clients built inside drivers) run on the
             # surrounding process: same context, inherited aliases.
             saved = dict(self.env)
-            self._yielded |= {
-                id(y.value)
-                for y in ast.walk(stmt)
-                if isinstance(y, (ast.Yield, ast.YieldFrom))
-                and isinstance(y.value, ast.Call)
-            }
+            self._yielded |= _yielded_calls(stmt)
             self._walk_stmts(stmt.body)
             self.env = saved
             return
@@ -483,23 +463,14 @@ class _ContextWalker:
     # -- call classification -----------------------------------------------
 
     def _classify_call(self, node: ast.Call) -> None:
-        name = _call_name(node)
-        if name is None:
-            return
+        site = self._sites.get(id(node))
+        if site is not None:
+            self._manager_blocks(site)
         func = node.func
-
-        if isinstance(func, ast.Name):
-            if name == "Select" and self.manager:
-                self._select_site(node)
-            elif name == "execute_call" and self.manager:
-                self._execute_site(node)
-            elif name == "await_call" and self.manager:
-                self._await_site(node)
+        if not isinstance(func, ast.Attribute):
             return
-
-        assert isinstance(func, ast.Attribute)
-        recv = func.value
-        if isinstance(recv, ast.Name) and recv.id == "self" and self.obj is not None:
+        name, recv = func.attr, func.value
+        if self_attr(func) is not None and self.obj is not None:
             self._self_site(name, node)
             return
 
@@ -516,9 +487,11 @@ class _ContextWalker:
                 return
             if resolved[1]:
                 return  # known receiver, ordinary method: not an entry call
-        if id(node) in self._yielded:
+        if id(node) in self._yielded and site is None:
             # A yielded call on an unresolvable receiver could be an entry
-            # call to anything: record it rather than staying silent.
+            # call to anything: record it rather than staying silent.  (A
+            # primitive spelled through its module, ``core.await_call``,
+            # is a site, not a call.)
             self.graph.add_edge(
                 Edge(
                     self.ctx,
@@ -540,14 +513,6 @@ class _ContextWalker:
             if isinstance(entry, str) and entry in obj.entries:
                 self._entry_call_edges(obj, entry, node, internal=True)
             return
-        if name == "execute" and self.manager:
-            self._execute_site(node)
-            return
-        if name == "await_" and self.manager:
-            self._await_site(node)
-            return
-        if name in ("accept", "pending"):
-            return
         if name in obj.entries:
             # ``self.deposit(...)``: the bound entry builds an EntryCall.
             self._entry_call_edges(obj, name, node, internal=True)
@@ -558,14 +523,43 @@ class _ContextWalker:
             self._inlined.add(name)
             saved = dict(self.env)
             self.env = {}
-            self._yielded |= {
-                id(y.value)
-                for y in ast.walk(method)
-                if isinstance(y, (ast.Yield, ast.YieldFrom))
-                and isinstance(y.value, ast.Call)
-            }
+            self._yielded |= _yielded_calls(method)
             self._walk_stmts(method.body)
             self.env = saved
+
+    def _manager_blocks(self, site: Site) -> None:
+        """Edges from the manager to the bodies it parks on at *site* (§2.3).
+
+        An inline ``execute`` blocks until the body completes — on every
+        intercepted entry, because a site's candidate set is what the
+        variable was *last* bound from: enough to silence an arity check,
+        not enough to rule out an edge.  A blocking point whose arms are
+        all awaits (the await sugar, a ``Select`` holding no accept
+        guard) is not receptive while it waits; one that still holds an
+        accept guard is, and contributes nothing.
+        """
+        obj = self.obj
+        assert obj is not None
+        if site.kind == "execute":
+            kind, entries, label = "execute", obj.intercepted(), "executes {} inline"
+        elif site.arms and all(arm.kind == "await" for arm in site.arms):
+            kind, entries, label = "await", site.entries, "awaits {} (non-receptive)"
+        else:
+            return
+        for entry in sorted(entries):
+            if entry in obj.entries:
+                self.graph.add_edge(
+                    Edge(
+                        self.ctx,
+                        Node("body", obj.name, entry),
+                        kind,
+                        label.format(f"{obj.name}.{entry}"),
+                        self.path,
+                        site.node.lineno,
+                        obj=obj.name,
+                        entry=entry,
+                    )
+                )
 
     def _entry_call_edges(
         self,
@@ -575,11 +569,7 @@ class _ContextWalker:
         internal: bool = False,
     ) -> None:
         info = target.entries[entry]
-        intercepted = (
-            target.manager is not None
-            and target.manager.intercepts is not None
-            and entry in target.manager.intercepts
-        )
+        intercepted = entry in target.intercepted()
         if intercepted:
             manager_node = Node("manager", target.name, "manager")
             if not (internal and self.ctx == manager_node):
@@ -609,92 +599,3 @@ class _ContextWalker:
                     entry=entry,
                 )
             )
-
-    # -- manager-blocking sites --------------------------------------------
-
-    def _intercepted_entries(self) -> list[str]:
-        obj = self.obj
-        if obj is None or obj.manager is None or obj.manager.intercepts is None:
-            return []
-        return sorted(n for n in obj.manager.intercepts if n in obj.entries)
-
-    def _execute_site(self, node: ast.Call) -> None:
-        # ``yield from self.execute(c)`` runs start; await; finish inline:
-        # the manager blocks until the body completes.  Candidate entries
-        # are over-approximated to every intercepted entry.
-        obj = self.obj
-        assert obj is not None
-        for entry in self._intercepted_entries():
-            self.graph.add_edge(
-                Edge(
-                    self.ctx,
-                    Node("body", obj.name, entry),
-                    "execute",
-                    f"executes {obj.name}.{entry} inline",
-                    self.path,
-                    node.lineno,
-                    obj=obj.name,
-                    entry=entry,
-                )
-            )
-
-    def _await_site(self, node: ast.Call, entries: list[str] | None = None) -> None:
-        # Bare ``await_`` sugar is a one-guard select: the manager is not
-        # receptive while it waits for the body to finish.
-        obj = self.obj
-        assert obj is not None
-        if entries is None:
-            entry = None
-            args = node.args
-            if isinstance(node.func, ast.Attribute):
-                candidates = args[:1]
-            else:  # await_call(self, "e")
-                candidates = args[1:2]
-            for arg in candidates:
-                value = const_value(arg)
-                if isinstance(value, str):
-                    entry = value
-            entries = [entry] if entry is not None else self._intercepted_entries()
-        for entry in entries:
-            if entry not in obj.entries:
-                continue
-            self.graph.add_edge(
-                Edge(
-                    self.ctx,
-                    Node("body", obj.name, entry),
-                    "await",
-                    f"awaits {obj.name}.{entry} (non-receptive)",
-                    self.path,
-                    node.lineno,
-                    obj=obj.name,
-                    entry=entry,
-                )
-            )
-
-    def _select_site(self, node: ast.Call) -> None:
-        # A select holding an accept guard keeps the manager receptive —
-        # no wait edge.  A pure-await select blocks like bare await_.
-        guard_names = []
-        await_entries: list[str] = []
-        exact = True
-        for arg in node.args:
-            if not isinstance(arg, ast.Call):
-                continue
-            guard = _call_name(arg)
-            guard_names.append(guard)
-            if guard in _AWAIT_GUARDS:
-                entry = None
-                for sub in arg.args[1:2]:
-                    value = const_value(sub)
-                    if isinstance(value, str):
-                        entry = value
-                if entry is None:
-                    exact = False
-                else:
-                    await_entries.append(entry)
-        if any(g in _ACCEPT_GUARDS for g in guard_names):
-            return
-        if not any(g in _AWAIT_GUARDS for g in guard_names):
-            return
-        entries = await_entries if exact else None
-        self._await_site(node, entries=entries or self._intercepted_entries())

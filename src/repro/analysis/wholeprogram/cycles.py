@@ -20,17 +20,23 @@ the analysis degrades to visible uncertainty, not to silence.
 
 from __future__ import annotations
 
-from ...kernel.waitgraph import strongly_connected
+from ...kernel.waitgraph import cyclic_components
 from ..findings import Finding
 from .callgraph import CallGraph, Edge, Node
 
 
-def components(graph: CallGraph) -> list[list[Node]]:
-    """SCCs over resolved edges, in deterministic node order."""
+def cycles(graph: CallGraph) -> list[list[Node]]:
+    """Cyclic components over resolved edges, in deterministic node order.
+
+    A manager calling its own intercepted entry is ALP111, already
+    reported per class: that self-loop is left out, so a manager alone
+    is never a cycle here.
+    """
     successors: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
     for edge in graph.resolved_edges():
-        successors[edge.src].append(edge.dst)  # type: ignore[arg-type]
-    return strongly_connected(successors)
+        if edge.src != edge.dst or edge.src.kind != "manager":
+            successors[edge.src].append(edge.dst)  # type: ignore[arg-type]
+    return cyclic_components(successors)
 
 
 def _cycle_edges(graph: CallGraph, component: list[Node]) -> list[Edge]:
@@ -81,26 +87,8 @@ def describe_cycle(edges: list[Edge]) -> str:
 def predict_cycles(graph: CallGraph) -> list[Finding]:
     """All predicted wait cycles, one ALP120 finding per cycle."""
     findings: list[Finding] = []
-    for component in components(graph):
-        if len(component) == 1:
-            node = component[0]
-            self_edges = [
-                e
-                for e in graph.resolved_edges()
-                if e.src == node and e.dst == node
-            ]
-            if not self_edges:
-                continue
-            # A manager calling its own intercepted entry is ALP111,
-            # already reported per-class; only body/func self-loops are
-            # new information here.
-            if node.kind == "manager":
-                continue
-            edges = self_edges[:1]
-        else:
-            edges = _cycle_edges(graph, component)
-            if not edges:
-                continue
+    for component in cycles(graph):
+        edges = _cycle_edges(graph, component)
         anchor = edges[0]
         classes = sorted(
             {n.cls for e in edges for n in (e.src, e.dst) if n and n.cls}
@@ -118,24 +106,10 @@ def predict_cycles(graph: CallGraph) -> list[Finding]:
                 entry=anchor.entry,
             )
         )
-    findings.sort(key=lambda f: (f.path, f.line, f.message))
     return findings
 
 
 def cycle_class_sets(graph: CallGraph) -> list[set[str]]:
     """Class-name participant sets per predicted cycle (soundness gate)."""
-    sets: list[set[str]] = []
-    for component in components(graph):
-        if len(component) == 1:
-            node = component[0]
-            if node.kind == "manager" or not any(
-                e.src == node and e.dst == node for e in graph.resolved_edges()
-            ):
-                continue
-            members = [node]
-        else:
-            members = component
-        classes = {n.cls for n in members if n.cls}
-        if classes:
-            sets.append(classes)
-    return sets
+    sets = [{n.cls for n in component if n.cls} for component in cycles(graph)]
+    return [classes for classes in sets if classes]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..model import ObjectInfo
+from ..model import ObjectInfo, self_attr
 
 #: Attribute methods that observe without mutating; a call to one of
 #: these on ``self.x`` counts as a read of ``x`` only.
@@ -97,12 +97,12 @@ def _collect(
                 else [node.target]
             )
             for target in targets:
-                attr = _self_attr(target)
+                attr = self_attr(target)
                 if attr is not None:
                     effects.writes.add(attr)
                     write_ids.add(id(target))
                 elif isinstance(target, ast.Subscript):
-                    sub_attr = _self_attr(target.value)
+                    sub_attr = self_attr(target.value)
                     if sub_attr is not None:
                         # Mutating an element both reads the container
                         # reference and writes its contents.
@@ -110,40 +110,27 @@ def _collect(
                         effects.writes.add(sub_attr)
         elif isinstance(node, ast.Delete):
             for target in node.targets:
-                attr = _self_attr(target)
+                attr = self_attr(target)
                 if attr is not None:
                     effects.writes.add(attr)
                     write_ids.add(id(target))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            attr = _self_attr(node.func.value)
+            attr = self_attr(node.func.value)
             if attr is not None:
                 effects.reads.add(attr)
                 if node.func.attr not in _PURE_METHODS:
                     effects.writes.add(attr)
                 read_only_call_ids.add(id(node.func))
-            elif (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
+            elif self_attr(node.func) is not None:
                 # self.helper(...) or self.call("helper"): inline effects.
                 _inline(obj, node, effects, visited)
 
     for node in ast.walk(fn):
         if id(node) in write_ids or id(node) in read_only_call_ids:
             continue
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             effects.reads.add(attr)
-
-
-def _self_attr(node: ast.AST) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _inline(

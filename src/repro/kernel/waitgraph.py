@@ -146,16 +146,11 @@ class WaitForSnapshot:
         successors = {
             pid: [e.dst.pid for e in out] for pid, out in adjacency.items()
         }
-        cycles: list[list[WaitEdge]] = []
-        for component in strongly_connected(successors):
-            if len(component) == 1:
-                pid = component[0]
-                if pid not in successors.get(pid, ()):
-                    continue  # trivial SCC without a self-loop
-            cycle = _walk_cycle(set(component), adjacency)
-            if cycle:
-                cycles.append(cycle)
-        return cycles
+        cycles = [
+            _walk_cycle(set(component), adjacency)
+            for component in cyclic_components(successors)
+        ]
+        return [cycle for cycle in cycles if cycle]
 
     # -- rendering ---------------------------------------------------------
 
@@ -285,6 +280,24 @@ def strongly_connected(
     return components
 
 
+def cyclic_components(
+    successors: Mapping[Hashable, Iterable[Hashable]],
+) -> list[list]:
+    """The components that are cycles: several members, or one self-loop.
+
+    The one definition of "is this a circular wait", for the runtime
+    graph here and the static call graph (``repro.analysis``, ALP120).
+    """
+    return [
+        component
+        for component in strongly_connected(successors)
+        if not (
+            len(component) == 1
+            and component[0] not in successors.get(component[0], ())
+        )
+    ]
+
+
 def _walk_cycle(
     component: set[int], adjacency: dict[int, list[WaitEdge]]
 ) -> list[WaitEdge]:
@@ -311,11 +324,11 @@ def _call_target_edges(proc: Process, call: Any) -> Iterable[WaitEdge]:
     from ..core.calls import CallState  # local import: kernel < core layering
 
     obj = call.obj
-    obj_name = getattr(obj, "alps_name", str(obj))
+    obj_name = obj.alps_name
     slot_txt = f"[{call.slot}]" if call.slot is not None else ""
     label = f"call {obj_name}.{call.entry}{slot_txt}"
     definite = call.timeout is None
-    manager = getattr(obj, "manager_process", None)
+    manager = obj.manager_process
 
     if call.state == CallState.STARTED:
         body = call.body_process
@@ -359,10 +372,7 @@ def _call_target_edges(proc: Process, call: Any) -> Iterable[WaitEdge]:
         )
     if call.slot is None:
         # Pool exhaustion: also wait on whoever holds the slots.
-        runtime = getattr(obj, "_entry_runtime", lambda _n: None)(call.entry)
-        if runtime is None:
-            return
-        for held in runtime.slots:
+        for held in obj._entry_runtime(call.entry).slots:
             if held is None or held is call:
                 continue
             holder = None
@@ -387,8 +397,8 @@ def _pool_backlog_edges(
     proc: Process, call: Any, label: str, definite: bool, obj_name: str
 ) -> Iterable[WaitEdge]:
     """Edges for a call whose body job queues behind a saturated pool."""
-    pool = getattr(call.obj, "_pool", None)
-    if pool is None or not any(c is call for c in pool.queued_calls()):
+    pool = call.obj._pool
+    if not any(c is call for c in pool.queued_calls()):
         return
     for held in pool.active:
         body = held.body_process
@@ -434,16 +444,10 @@ def build_wait_graph(kernel: "Kernel") -> WaitForSnapshot:
                 isinstance(g, Timeout) and not g._consumed for g in payload
             )
             for guard in payload:
-                targets = getattr(guard, "wait_targets", None)
-                if targets is None:
+                if guard.wait_targets is None:
                     continue
-                obj_name = getattr(
-                    getattr(guard, "runtime", None), "obj", None
-                )
-                obj_name = getattr(obj_name, "alps_name", None)
-                entry = getattr(getattr(guard, "runtime", None), "spec", None)
-                entry = getattr(entry, "name", None)
-                for target in targets(kernel):
+                runtime = guard.runtime
+                for target in guard.wait_targets(kernel):
                     if target is not None and target.alive:
                         edges.append(
                             WaitEdge(
@@ -451,19 +455,16 @@ def build_wait_graph(kernel: "Kernel") -> WaitForSnapshot:
                                 target,
                                 guard.describe() + f" (body {target.name})",
                                 definite,
-                                obj=obj_name,
-                                entry=entry,
+                                obj=runtime.obj.alps_name,
+                                entry=runtime.spec.name,
                             )
                         )
         # "send" and unknown kinds contribute no edges: a blocked channel
         # sender can be released by any future receiver.
 
     pools: list[PoolReport] = []
-    for obj in getattr(kernel, "_alps_objects", ()):  # registered AlpsObjects
-        runtimes = getattr(obj, "_runtimes", None)
-        if not runtimes:
-            continue
-        for runtime in runtimes.values():
+    for obj in kernel._alps_objects:  # registered AlpsObjects
+        for runtime in obj._runtimes.values():
             if not runtime.waiting:
                 continue
             if any(slot is None for slot in runtime.slots):

@@ -121,6 +121,9 @@ class Guard:
     #: guard blocks and when that blocked select is resolved or cancelled.
     on_block = None
     on_unblock = None
+    #: Optional ``(kernel) -> processes`` this guard cannot fire without
+    #: (an await's started bodies); read by the wait-for graph.
+    wait_targets = None
     #: :meth:`feasible` is not overridden (set per subclass below), so a
     #: reused ``Select`` need not ask again.
     always_feasible = True

@@ -6,9 +6,9 @@ unknown-target edge — *never* as silence that would fake ALP120
 cleanliness.
 """
 
-import ast
 import textwrap
 
+from repro.analysis import lint_source
 from repro.analysis.wholeprogram import (
     analyze_paths,
     build_call_graph,
@@ -16,15 +16,13 @@ from repro.analysis.wholeprogram import (
     callgraph_to_dot,
     check_interference,
     entry_effects,
-    lint_module,
     predict_cycles,
 )
-from repro.analysis.model import extract_objects
+from repro.analysis.model import load_source
 
 
 def graph_of(source: str, path: str = "<source>"):
-    tree = ast.parse(textwrap.dedent(source))
-    program = build_program([(path, tree)])
+    program = build_program([load_source(textwrap.dedent(source), path)])
     return build_call_graph(program)
 
 
@@ -65,7 +63,7 @@ MUTUAL = """
 
 class TestCycles:
     def test_mutual_execute_cycle_predicted(self):
-        findings = lint_module(textwrap.dedent(MUTUAL))
+        findings = lint_source(textwrap.dedent(MUTUAL))
         assert codes(findings) == {"ALP120"}
         assert "predicted wait-for cycle" in findings[0].message
         # Full cycle in DeadlockError notation, naming both classes.
@@ -73,7 +71,7 @@ class TestCycles:
         assert "A" in findings[0].message and "B" in findings[0].message
 
     def test_one_way_chain_clean(self):
-        findings = lint_module(
+        findings = lint_source(
             textwrap.dedent(
                 """
                 class Up:
@@ -98,7 +96,7 @@ class TestCycles:
         # stay receptive (§2.3 asynchrony) — a call into them creates no
         # manager-blocking edge, so the X<->Y body chain below, which is
         # acyclic at the body level, must not be flagged.
-        findings = lint_module(
+        findings = lint_source(
             textwrap.dedent(
                 """
                 class X:
@@ -147,7 +145,7 @@ class TestCycles:
         # A bare await_ (one-guard select, no accepts) makes the manager
         # non-receptive: manager -> body edge, closing the cycle through
         # the body's outbound call.
-        findings = lint_module(
+        findings = lint_source(
             textwrap.dedent(
                 """
                 class Gate:
@@ -271,39 +269,35 @@ class TestResolution:
         # Two classes with the same name in different modules: resolving
         # through the name would be a guess, so the call goes unknown.
         modules = [
-            (
+            load_source(
+                textwrap.dedent(
+                    """
+                    class Dup:
+                        @entry
+                        def op(self):
+                            pass
+                    """
+                ),
                 "m1.py",
-                ast.parse(
-                    textwrap.dedent(
-                        """
-                        class Dup:
-                            @entry
-                            def op(self):
-                                pass
-                        """
-                    )
-                ),
             ),
-            (
-                "m2.py",
-                ast.parse(
-                    textwrap.dedent(
-                        """
-                        class Dup:
-                            @entry
-                            def op(self):
-                                yield None
+            load_source(
+                textwrap.dedent(
+                    """
+                    class Dup:
+                        @entry
+                        def op(self):
+                            yield None
 
-                        class User:
-                            @entry
-                            def go(self):
-                                yield self.dup.op()
+                    class User:
+                        @entry
+                        def go(self):
+                            yield self.dup.op()
 
-                        def build(kernel):
-                            u = User(kernel, dup=Dup(kernel))
-                        """
-                    )
+                    def build(kernel):
+                        u = User(kernel, dup=Dup(kernel))
+                    """
                 ),
+                "m2.py",
             ),
         ]
         program = build_program(modules)
@@ -336,8 +330,7 @@ class TestResolution:
 
 class TestEffects:
     def obj_of(self, source: str):
-        tree = ast.parse(textwrap.dedent(source))
-        return extract_objects(tree, managed_only=False)[0]
+        return load_source(textwrap.dedent(source)).objects[0]
 
     def test_reads_and_writes_separated(self):
         obj = self.obj_of(
@@ -399,9 +392,7 @@ class TestEffects:
 
 class TestInterference:
     def check(self, source: str):
-        tree = ast.parse(textwrap.dedent(source))
-        obj = extract_objects(tree, managed_only=False)[0]
-        return check_interference(obj)
+        return check_interference(load_source(textwrap.dedent(source)).objects[0])
 
     def test_overlapping_writes_flagged(self):
         findings = self.check(
@@ -529,7 +520,7 @@ class TestAnalyzePaths:
             encoding="utf-8",
         )
         for single in ("a.py", "b.py"):
-            findings = lint_module(
+            findings = lint_source(
                 (tmp_path / single).read_text(), path=single
             )
             assert findings == [], single

@@ -1,10 +1,11 @@
 """Graphviz DOT export of the runtime wait-for graph.
 
-ROADMAP's analysis follow-on: the structured snapshot that
-``DeadlockError.wait_for`` (and the live detector) already carries,
-rendered for ``dot``/Graphviz so a blocked run can be *seen* — and laid
-side by side with the Chrome trace / critical-path report of the same
-run (``python -m repro.obs.analyze TRACE.json --waitgraph snap.json``).
+The structured snapshot that ``DeadlockError.wait_for`` (and the live
+detector) carries, rendered for ``dot``/Graphviz so a blocked run can be
+*seen* — and laid side by side with the Chrome trace / critical-path
+report of the same run (``python -m repro.obs.analyze TRACE.json
+--waitgraph snap.json``) or with the static call graph, which marks its
+predicted cycles the same way (:data:`CYCLE_NODE`, :data:`CYCLE_EDGE`).
 
 Rendering rules:
 
@@ -14,8 +15,7 @@ Rendering rules:
   edges a pending timer could dissolve (timed calls, selects holding a
   feasible ``Timeout`` guard) are dashed, cycle edges are bold red;
 * exhausted hidden procedure arrays (§2.5 overflow with every slot
-  held) are grey boxes listing the holders, with edges from the queued
-  callers when known.
+  held) are grey boxes listing the holders.
 
 Input is either a live :class:`~repro.kernel.waitgraph.WaitForSnapshot`
 or its ``to_json()`` dict (the CLI reads the latter from a file)::
@@ -30,8 +30,6 @@ from typing import Any
 
 from ..kernel.waitgraph import WaitForSnapshot
 
-
-#: How both graphs (this one and the static call graph) mark a cycle.
 CYCLE_NODE = 'style=filled, fillcolor="#f4cccc", color=red'
 CYCLE_EDGE = ["color=red", "penwidth=2"]
 
@@ -47,18 +45,13 @@ def edge_line(src: Any, dst: Any, label: Any, styles: list[str]) -> str:
 
 def _quote_multiline(parts: list[str]) -> str:
     # DOT line breaks are a literal backslash-n inside the quoted label.
-    escaped = (str(p).replace("\\", "\\\\").replace('"', '\\"') for p in parts)
-    return '"' + "\\n".join(escaped) + '"'
+    return '"' + "\\n".join(quote(p)[1:-1] for p in parts) + '"'
 
 
 def to_dot(snapshot: "WaitForSnapshot | dict[str, Any]") -> str:
     """Render a wait-for snapshot (live or ``to_json()`` form) as DOT."""
-    if isinstance(snapshot, WaitForSnapshot):
-        data = snapshot.to_json()
-    else:
-        data = snapshot
+    data = snapshot.to_json() if isinstance(snapshot, WaitForSnapshot) else snapshot
     edges = data.get("edges", [])
-    pools = data.get("pools", [])
     cycle_edges = {
         (src, dst) for cycle in data.get("cycles", []) for src, dst in cycle
     }
@@ -87,8 +80,7 @@ def to_dot(snapshot: "WaitForSnapshot | dict[str, Any]") -> str:
         lines.append(
             edge_line(edge["src"], edge["dst"], edge.get("label", ""), styles)
         )
-    for index, pool in enumerate(pools):
-        node = f"pool{index}"
+    for index, pool in enumerate(data.get("pools", [])):
         label = _quote_multiline(
             [
                 f"{pool['obj']}.{pool['entry']}[1..{pool['array_size']}] exhausted",
@@ -97,7 +89,7 @@ def to_dot(snapshot: "WaitForSnapshot | dict[str, Any]") -> str:
             ]
         )
         lines.append(
-            f"  {node} [shape=box, style=filled, fillcolor=lightgrey, "
+            f"  pool{index} [shape=box, style=filled, fillcolor=lightgrey, "
             f"label={label}];"
         )
     lines.append("}")

@@ -23,6 +23,7 @@ offers the reflective mode for exact specs).
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -370,9 +371,7 @@ def object_info_from_class(cls: type, path: str, tree: ast.Module) -> ObjectInfo
 
 #: The one spelling table: final identifier → site kind.  Receivers are
 #: not consulted, so ``self.accept(...)``, ``accept(self, ...)`` and
-#: ``core.accept(self, ...)`` are three spellings of one primitive.  The
-#: ``*Guard`` classes are arms of a ``Select``; the lower-case accept and
-#: await forms are sugar for a one-guard select that blocks where it stands.
+#: ``core.accept(self, ...)`` are three spellings of one primitive.
 _KINDS = {
     "accept": "accept",
     "AcceptGuard": "accept",
@@ -386,6 +385,9 @@ _KINDS = {
     "execute_call": "execute",
     "Select": "select",
 }
+#: The accept/await forms that are not guard objects (arms for a
+#: ``Select``) but sugar for a one-guard select that blocks where it stands.
+_SUGAR = {"accept", "await_", "await_call"}
 
 
 @dataclass(eq=False)
@@ -410,7 +412,7 @@ class Site:
     arms: tuple["Site", ...] = ()
 
 
-def _entry_arg(node: ast.Call) -> str | None:
+def entry_arg(node: ast.Call) -> str | None:
     """The entry-name argument of a site, if a literal.
 
     ``self.accept("x")`` puts the name first; ``AcceptGuard(self, "x")``
@@ -457,8 +459,10 @@ class _SiteWalk:
         if isinstance(value, ast.Yield) and value.value is not None:
             value = value.value
         site = self.by_node.get(id(value))
-        if site is not None and site.arms:
-            bound = ("select" if site.kind == "select" else "call", site.entries)
+        if site is not None and site.kind == "select":
+            bound = ("select", site.entries)
+        elif site is not None and site.arms:  # the sugar: yields the call
+            bound = ("call", site.entries)
         else:
             bound = self.value_of(value)
         if bound is None:
@@ -481,18 +485,18 @@ class _SiteWalk:
         return None
 
     def named(self, kind: str, node: ast.Call) -> Site:
-        entry = _entry_arg(node)
+        entry = entry_arg(node)
         if entry is None:
             return Site(kind, self.intercepted, node, exact=False)
         return Site(kind, frozenset({entry}), node)
 
     def classify(self, node: ast.Call) -> None:
         name = final_name(node)
-        kind = _KINDS.get(name or "")
+        kind = _KINDS.get(name)
         via_self = self_attr(node.func) is not None
         if kind in ("accept", "await"):
             site = self.named(kind, node)
-            if not name.endswith("Guard"):
+            if name in _SUGAR:
                 site.arms = (site,)
         elif kind == "select":
             arms = tuple(
@@ -525,6 +529,8 @@ class _SiteWalk:
             site = Site("call", frozenset({name}), node)
         else:
             if via_self and name in self.obj.methods and name not in self.inlined:
+                # A plain helper runs on the manager's process: its sites
+                # are the manager's, its parameters unknown.
                 self.inlined.add(name)
                 saved, self.env = self.env, {}
                 self.visit_all(self.obj.methods[name].body)
@@ -555,8 +561,8 @@ def load_source(source: str, path: str = "<source>") -> Module:
 def load_paths(paths: Iterable[str | Path]) -> list[Module]:
     """Load the given files and every ``.py`` file under the given directories.
 
-    Directories are walked in sorted order, skipping dot-directories and
-    ``__pycache__``.  A file that does not parse raises ``SyntaxError``
+    A directory's files come in sorted path order; dot-directories and
+    ``__pycache__`` are not entered.  A file that does not parse raises ``SyntaxError``
     carrying its filename (the CLI's exit 2).
     """
     modules: list[Module] = []
@@ -564,14 +570,13 @@ def load_paths(paths: Iterable[str | Path]) -> list[Module]:
         root = Path(raw)
         files = [root]
         if root.is_dir():
-            files = [
-                file
-                for file in sorted(root.rglob("*.py"))
-                if not any(
-                    part.startswith(".") or part == "__pycache__"
-                    for part in file.relative_to(root).parts[:-1]
-                )
-            ]
+            files = []
+            for dirpath, dirnames, names in os.walk(root):
+                dirnames[:] = [
+                    d for d in dirnames if not d.startswith(".") and d != "__pycache__"
+                ]
+                files += [Path(dirpath, n) for n in names if n.endswith(".py")]
+            files.sort()
         for file in files:
             modules.append(load_source(file.read_text(encoding="utf-8"), str(file)))
     return modules

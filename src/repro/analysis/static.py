@@ -9,11 +9,12 @@ is checkable is coverage: for each intercepted entry, does *any* site in
 the body accept it / start it / await it / finish it, and are the
 arities at those sites consistent with the declarations?
 
-Values flow through a small environment: ``c = yield self.accept("x")``
-binds ``c`` to the candidate set ``{x}``; ``r = yield Select(guards)``
-binds ``r.value`` to the union of the guards' entries; anything the
-analysis cannot resolve (subscripts, queue pops, helper returns) means
-*all intercepted entries*.  A site contributes coverage to every
+The sites come from :attr:`repro.analysis.model.ObjectInfo.sites`, the
+one reading of a manager body (the call graph draws its manager-blocking
+edges from the same list); this module holds only the checks.  A site
+carries a candidate entry set — what its call variable was bound from,
+or *all intercepted entries* when that cannot be resolved (subscripts,
+queue pops, helper returns).  It contributes coverage to every
 candidate, and an arity site is accepted if **any** candidate
 interpretation is consistent — the conservative direction: unresolved
 dynamism silences checks instead of fabricating findings, so the linter
@@ -175,29 +176,31 @@ class ManagerLinter:
         for site in self.sites:
             if site.kind in ("start", "execute"):
                 self._check_start_arity(site)
-            elif site.exact and site.kind in ("accept", "await", "pending", "call"):
-                (entry,) = site.entries
-                if site.kind == "pending":
-                    if entry not in self.obj.entries:
-                        self.report(
-                            "ALP112",
-                            f"#pending names {entry!r}, which {self.obj.name} "
-                            f"does not declare",
-                            node=site.node,
-                            entry=entry,
-                        )
-                elif site.kind != "call":
-                    self._check_guard(site.kind, entry, site.node)
-                elif entry in self.intercepted:
-                    # ``self.call("deposit")`` or ``self.deposit(...)``: the
-                    # bound entry builds an EntryCall on this very object.
+            if not site.exact or site.kind not in ("accept", "await", "pending", "call"):
+                continue
+            (entry,) = site.entries  # the literal name written at the site
+            if site.kind == "pending":
+                if entry not in self.obj.entries:
                     self.report(
-                        "ALP111",
-                        f"manager invokes intercepted entry {entry!r} of its "
-                        f"own object; it would wait for itself to accept",
+                        "ALP112",
+                        f"#pending names {entry!r}, which {self.obj.name} does "
+                        f"not declare",
                         node=site.node,
                         entry=entry,
                     )
+            elif site.kind == "call":
+                # ``self.call("deposit")`` or ``self.deposit(...)``: the
+                # bound entry builds an EntryCall on this very object.
+                if entry in self.intercepted:
+                    self.report(
+                        "ALP111",
+                        f"manager invokes intercepted entry {entry!r} of its own "
+                        f"object; it would wait for itself to accept",
+                        node=site.node,
+                        entry=entry,
+                    )
+            else:
+                self._check_guard(site.kind, entry, site.node)
 
     def _entry_or_report(self, kind: str, entry: str, node: ast.Call) -> EntryInfo | None:
         info = self.obj.entries.get(entry)

@@ -61,32 +61,33 @@ __all__ = [
 
 def analyze(
     programs: Iterable[list[Module]],
-) -> tuple[CallGraph | None, list[Finding]]:
-    """Every finding of a run, sorted, with the last program's call graph.
+) -> tuple[list[CallGraph], list[Finding]]:
+    """Every finding of a run, sorted, and each program's call graph.
 
     A *program* is a list of loaded modules whose objects may call each
     other.  Per module: the per-class checks and ALP114; per program:
     ALP120 over its call graph (cycle prediction sees calls that span
     its files) and ALP121 per object (effect sets do not cross objects).
     """
-    graph = None
+    graphs: list[CallGraph] = []
     findings: list[Finding] = []
     for modules in programs:
-        graph = build_call_graph(build_program(modules))
-        findings.extend(predict_cycles(graph))
+        graphs.append(build_call_graph(build_program(modules)))
+        findings.extend(predict_cycles(graphs[-1]))
         for module in modules:
             findings.extend(check_module(module))
             for obj in module.objects:
                 findings.extend(check_interference(obj))
     findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
-    return graph, findings
+    return graphs, findings
 
 
 def analyze_paths(
     paths: Iterable[str | Path],
 ) -> tuple[CallGraph, list[Finding]]:
     """Merge every module under *paths* into one program and analyse it."""
-    return analyze([load_paths(paths)])  # type: ignore[return-value]
+    (graph,), findings = analyze([load_paths(paths)])
+    return graph, findings
 
 
 def callgraph_to_dot(graph: CallGraph) -> str:

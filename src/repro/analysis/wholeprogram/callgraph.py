@@ -17,8 +17,8 @@ at runtime:
   holding no accept guard).  A select that still holds accept guards
   keeps the manager receptive — the §2.3 asynchrony that makes nested
   calls safe — and contributes no manager edge.  Which calls are such
-  sites is not decided here: :attr:`~..model.ObjectInfo.sites` is the
-  one reading of a manager body, shared with the per-class checks.
+  sites is not decided here: ``ObjectInfo.sites`` (:mod:`..model`) is
+  the one reading of a manager body, shared with the per-class checks.
 
 Call sites are resolved to target classes by constructor/attribute
 dataflow: ``self.backend = KVStore(kernel)``, constructor keywords
@@ -40,7 +40,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..model import Module, ObjectInfo, Site, const_value, final_name, self_attr
+from ..model import Module, ObjectInfo, Site, entry_arg, final_name, self_attr
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,6 @@ class Program:
     """Every class, function, and inferred attribute type in a code set."""
 
     def __init__(self) -> None:
-        self.modules: list[Module] = []
         self.classes: dict[str, ObjectInfo] = {}
         #: Class names defined more than once across modules — resolution
         #: through them would be a guess, so they resolve to unknown.
@@ -169,8 +168,8 @@ _Value = tuple[str, frozenset[str]]  # ("inst" | "coll", class names)
 def build_program(modules: Iterable[Module]) -> Program:
     """Assemble a :class:`Program` from loaded modules."""
     program = Program()
+    modules = list(modules)
     for module in modules:
-        program.modules.append(module)
         for obj in module.objects:
             existing = program.classes.get(obj.name)
             if existing is not None and (
@@ -184,7 +183,7 @@ def build_program(modules: Iterable[Module]) -> Program:
     # Two passes so constructor keywords resolved in the first pass can
     # type ``self.attr = param`` assignments seen in the second.
     for _ in range(2):
-        for module in program.modules:
+        for module in modules:
             _DataflowPass(program).scan(module.tree.body, {}, owner=None)
     return program
 
@@ -509,8 +508,8 @@ class _ContextWalker:
         obj = self.obj
         assert obj is not None
         if name == "call" and node.args:
-            entry = const_value(node.args[0])
-            if isinstance(entry, str) and entry in obj.entries:
+            entry = entry_arg(node)
+            if entry in obj.entries:
                 self._entry_call_edges(obj, entry, node, internal=True)
             return
         if name in obj.entries:

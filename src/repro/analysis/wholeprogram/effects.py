@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..model import ObjectInfo, self_attr
+from ..model import ObjectInfo, entry_arg, final_name, self_attr
 
 #: Attribute methods that observe without mutating; a call to one of
 #: these on ``self.x`` counts as a read of ``x`` only.
@@ -136,12 +136,9 @@ def _collect(
 def _inline(
     obj: ObjectInfo, call: ast.Call, effects: EffectSet, visited: set[str]
 ) -> None:
-    assert isinstance(call.func, ast.Attribute)
-    name = call.func.attr
-    if name == "call" and call.args:
-        first = call.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            name = first.value
+    name = final_name(call)
+    if name == "call":
+        name = entry_arg(call) or name
     if name in visited:
         return
     target = None

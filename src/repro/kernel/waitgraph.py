@@ -17,7 +17,7 @@ object/entry/slot involved:
 
 A cycle of such edges is a deadlock: every participant needs another
 participant to move first.  :meth:`WaitForSnapshot.cycles` finds them
-(:func:`strongly_connected`), and the kernel attaches the whole snapshot to
+(:func:`cyclic_components`), and the kernel attaches the whole snapshot to
 :class:`~repro.errors.DeadlockError` as ``.wait_for`` so tests and the
 faults runtime can assert on the cycle structurally instead of parsing
 the exception text.  The opt-in *live* detector

@@ -177,6 +177,24 @@ class TestWholeProgram:
         assert main(["--whole-program", "--ignore", "ALP120", str(cyclic_tree)]) == 0
         capsys.readouterr()
 
+    def test_syntax_error_is_input_error(self, cyclic_tree, capsys):
+        # The same contract as a plain run: exit 2 (not the "findings"
+        # code 1), reported on stderr, never a SystemExit out of main().
+        (cyclic_tree / "broken.py").write_text("def f(:\n", encoding="utf-8")
+        assert main(["--whole-program", str(cyclic_tree)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    def test_dot_directories_are_skipped_in_both_modes(self, tmp_path, capsys):
+        # One directory rule: a vendored tree under .venv/ is nobody's
+        # program, whichever mode walks the directory.
+        (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
+        hidden = tmp_path / ".venv" / "lib"
+        hidden.mkdir(parents=True)
+        (hidden / "cyc.py").write_text(CYCLIC_SOURCE, encoding="utf-8")
+        assert main([str(tmp_path)]) == 0
+        assert main(["--whole-program", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestSarif:
     def test_sarif_written_alongside_text(self, bad_file, tmp_path, capsys):

@@ -55,7 +55,7 @@ def runtime_cycle_sets(path: str) -> list[set[str]]:
 
 class TestSoundnessGate:
     def test_corpus_is_not_vacuous(self):
-        assert len(corpus_files()) >= 4
+        assert len(corpus_files()) >= 5
 
     @pytest.mark.parametrize(
         "path", corpus_files(), ids=[os.path.basename(p) for p in corpus_files()]

@@ -8,6 +8,8 @@ cleanliness.
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_source
 from repro.analysis.wholeprogram import (
     analyze_paths,
@@ -485,6 +487,161 @@ class TestInterference:
             """
         )
         assert findings == []
+
+
+# One table: primitive × spelling.  A row is a manager with a hole where
+# one primitive goes, the per-class verdict that only comes out right if
+# the hole is read as that primitive, and the edges the manager must get
+# for parking there; a column is one way of writing the primitive.  A
+# primitive has no ``self.`` column when the runtime has no such sugar.
+SPELLINGS = {
+    "accept": (
+        """
+            call = yield {hole}
+            yield from self.execute(call)
+        """,
+        set(),  # unread: ALP101
+        {"executes Obj.op inline"},
+        ['self.accept("op")', 'accept(self, "op")', 'core.accept(self, "op")'],
+    ),
+    "await": (
+        """
+            call = yield self.accept("op")
+            yield Start(call)
+            done = yield {hole}
+            yield Finish(done)
+        """,
+        set(),  # unread: ALP104
+        {"awaits Obj.op (non-receptive)"},
+        [
+            'self.await_("op", call=call)',
+            'await_call(self, "op", call=call)',
+            'core.await_call(self, "op", call=call)',
+        ],
+    ),
+    "start": (
+        """
+            call = yield self.accept("op")
+            yield {hole}
+            done = yield self.await_("op", call=call)
+            yield Finish(done)
+        """,
+        set(),  # unread: ALP102
+        {"awaits Obj.op (non-receptive)"},
+        [None, "Start(call)", "core.Start(call)"],
+    ),
+    "finish": (
+        """
+            call = yield self.accept("op")
+            yield {hole}
+        """,
+        {"ALP107"},  # returns=1, three results supplied; unread: clean
+        set(),
+        [None, "Finish(call, 1, 2, 3)", "core.Finish(call, 1, 2, 3)"],
+    ),
+    "execute": (
+        """
+            call = yield self.accept("op")
+            yield from {hole}
+        """,
+        {"ALP108"},  # hidden_params=1, none supplied; unread: clean
+        {"executes Obj.op inline"},
+        ["self.execute(call)", "execute_call(call)", "core.execute_call(call)"],
+    ),
+    "select-of-awaits": (
+        """
+            call = yield self.accept("op")
+            yield Start(call)
+            result = yield {hole}
+            yield Finish(result.value)
+        """,
+        set(),  # unread: ALP104
+        {"awaits Obj.op (non-receptive)"},
+        [
+            None,
+            'Select(AwaitGuard(self, "op"))',
+            'kernel.Select(core.AwaitGuard(self, "op"))',
+        ],
+    ),
+    "select-with-accept": (
+        """
+            result = yield {hole}
+            if result.index == 0:
+                yield Start(result.value)
+            else:
+                yield Finish(result.value)
+        """,
+        set(),  # unread: ALP101
+        set(),  # receptive while it waits (§2.3): no edge
+        [
+            None,
+            'Select(AcceptGuard(self, "op"), AwaitGuard(self, "op"))',
+            'repro.Select(core.AcceptGuard(self, "op"), core.AwaitGuard(self, "op"))',
+        ],
+    ),
+}
+
+SPELLING_CELLS = [
+    pytest.param(row, hole, id=f"{row}-{column}")
+    for row, (_, _, _, holes) in SPELLINGS.items()
+    for column, hole in zip(("self", "bare", "qualified"), holes)
+    if hole is not None
+]
+
+
+class TestSpellings:
+    @pytest.mark.parametrize("row, hole", SPELLING_CELLS)
+    def test_every_spelling_is_the_same_site_to_both_consumers(self, row, hole):
+        body, verdict, blocks, _ = SPELLINGS[row]
+        hidden = "hidden_params=1, " if row == "execute" else ""
+        source = (
+            "class Obj(AlpsObject):\n"
+            f"    @entry({hidden}returns=1)\n"
+            "    def op(self, device=None):\n"
+            "        return 0\n"
+            "\n"
+            '    @manager_process(intercepts=["op"])\n'
+            "    def mgr(self):\n"
+            "        while True:"
+            + textwrap.indent(textwrap.dedent(body.format(hole=hole)), " " * 12)
+        )
+        assert codes(lint_source(source)) == verdict
+        graph = graph_of(source)
+        (manager,) = [n for n in graph.nodes if n.kind == "manager"]
+        assert {e.label for e in graph.edges_from(manager)} == blocks
+        assert not graph.unknown_edges()
+
+    def test_self_helpers_are_inlined_for_both_consumers(self):
+        # The one inlining rule: a plain ``self`` helper's sites are the
+        # manager's, with candidates unknown (its parameters are).  Read
+        # without inlining, this manager "never accepts" (ALP101) and
+        # parks nowhere.
+        source = textwrap.dedent(
+            """
+            class Obj(AlpsObject):
+                @entry(hidden_params=1)
+                def op(self, device):
+                    pass
+
+                @manager_process(intercepts=["op"])
+                def mgr(self):
+                    while True:
+                        yield from self._serve()
+
+                def _serve(self):
+                    call = yield self.accept("op")
+                    yield from self._run(call)
+
+                def _run(self, call):
+                    yield from self.execute(call)  # arity unjudged: call unknown
+            """
+        )
+        assert lint_source(source) == []
+        graph = graph_of(source)
+        (manager,) = [n for n in graph.nodes if n.kind == "manager"]
+        assert {e.label for e in graph.edges_from(manager)} == {
+            "executes Obj.op inline"
+        }
 
 
 class TestAnalyzePaths:

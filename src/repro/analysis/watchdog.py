@@ -83,11 +83,7 @@ class LiveDeadlockDetector:
             # keeping the event queue alive — either the workload is done
             # (let the run end) or it is fully blocked (let the kernel's
             # quiescence check produce the canonical DeadlockError).
-            workload = [
-                p
-                for p in self.kernel.processes()
-                if p.alive and not p.daemon
-            ]
+            workload = [p for p in self.kernel.processes() if not p.daemon]
             if not workload:
                 return
             if all(

@@ -62,8 +62,9 @@ class Channel(Waitable):
         Channel._counter += 1
         self.name = name or f"chan{Channel._counter}"
         self._queue: deque[tuple] = deque()
-        #: Senders blocked on a full bounded channel: (process, message).
-        self._blocked_senders: deque[tuple["Process", tuple]] = deque()
+        #: Senders blocked on a full bounded channel: (process, message,
+        #: the ``waiting_for`` record the process parked under).
+        self._blocked_senders: deque[tuple["Process", tuple, tuple]] = deque()
         self._closed = False
         #: Lifetime counters.
         self.total_sent = 0
@@ -146,9 +147,15 @@ class Channel(Waitable):
         return None
 
     def _admit_blocked_sender(self, kernel: "Kernel") -> None:
-        """After a receive, move one blocked sender's message into the buffer."""
-        if self._blocked_senders and not self.full:
-            sender, message = self._blocked_senders.popleft()
+        """After a receive, move one blocked sender's message into the buffer.
+
+        A sender thrown into or killed while blocked is skipped and its
+        message dropped: a ``Send`` that raised did not send.
+        """
+        while self._blocked_senders and not self.full:
+            sender, message, record = self._blocked_senders.popleft()
+            if sender.waiting_for is not record:
+                continue
             self._enqueue(message)
             kernel.stats.sends += 1
             kernel.schedule_resume(sender, None, cost=kernel.costs.send)
@@ -192,8 +199,8 @@ class Send(Syscall):
                 "channels.blocked_sends", "Sends that blocked on a full channel"
             ).inc()
             proc.state = ProcessState.BLOCKED
-            proc.waiting_for = ("send", channel)
-            channel._blocked_senders.append((proc, self.values))
+            proc.waiting_for = record = ("send", channel)
+            channel._blocked_senders.append((proc, self.values, record))
             return
         channel._enqueue(self.values)
         kernel.stats.sends += 1

@@ -179,7 +179,7 @@ class FaultRuntime:
         self.epoch += 1
         killed = 0
         for proc in kernel.processes():
-            if proc.alive and proc.node is node:
+            if proc.node is node:
                 kernel.kill_process(proc)
                 killed += 1
         kernel.trace.record(

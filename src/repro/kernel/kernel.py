@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
+from types import GeneratorType
 from typing import Any, Callable
 
 from ..errors import DeadlockError, GuardExhaustedError, KernelError, ProcessError
@@ -286,26 +287,30 @@ class Kernel:
         """Create a process running ``fn(*args, **kwargs)``.
 
         ``fn`` may be a generator function (the normal case) or a plain
-        function (run atomically at first dispatch).  The new process is
-        scheduled immediately at the current time; it actually runs when
-        its event reaches the front of the queue.
+        function (called here; the process returns its result).  The new
+        process is scheduled immediately at the current time; it actually
+        runs when its event reaches the front of the queue.
         """
-        body = as_generator(fn, *args, **kwargs)
+        body = fn(*args, **kwargs)
+        if type(body) is not GeneratorType:  # duck-typed, or a plain result
+            body = as_generator(lambda: body)
         pid = self._next_pid
-        self._next_pid += 1
-        proc = Process(
-            pid=pid,
-            name=name or getattr(fn, "__name__", "proc"),
-            body=body,
-            priority=priority,
-            daemon=daemon,
+        self._next_pid = pid + 1
+        self._processes[pid] = proc = Process(
+            pid,
+            name or getattr(fn, "__name__", "proc"),
+            body,
+            priority,
+            daemon,
+            ProcessState.READY,
         )
-        self._processes[pid] = proc
-        self.stats.spawns += 1
+        stats = self.stats
+        stats.spawns += 1
         if lightweight:
-            self.stats.lwp_spawns += 1
-        cost = self.costs.lwp_create if lightweight else self.costs.process_create
-        proc.state = ProcessState.READY
+            stats.lwp_spawns += 1
+            cost = self.costs.lwp_create
+        else:
+            cost = self.costs.process_create
         if cost and charge_to is not None:
             # Creation cost delays the new process's first dispatch; the
             # work is queued at the *creator's* priority on the
@@ -319,13 +324,14 @@ class Kernel:
         return proc
 
     def process_count(self, alive_only: bool = True) -> int:
-        """Number of processes known to the kernel."""
-        if not alive_only:
-            return len(self._processes)
-        return sum(1 for p in self._processes.values() if p.alive)
+        """Number of live processes: the table's size whatever ``alive_only``
+        says, since a process leaves the table as it exits."""
+        return len(self._processes)
 
     def processes(self) -> list[Process]:
-        """Snapshot of all processes (alive and dead)."""
+        """Snapshot of the live processes (NEW/READY/RUNNING/BLOCKED), in
+        pid order.  A dead process is reachable only through the handles
+        its users kept."""
         return list(self._processes.values())
 
     # ------------------------------------------------------------------
@@ -563,7 +569,7 @@ class Kernel:
         blocked = [
             p
             for p in self._processes.values()
-            if p.alive and not p.daemon and p.state == ProcessState.BLOCKED
+            if not p.daemon and p.state == ProcessState.BLOCKED
         ]
         if blocked:
             from .waitgraph import build_wait_graph
@@ -629,13 +635,20 @@ class Kernel:
         self._on_exit(proc)
 
     def _on_exit(self, proc: Process) -> None:
-        """Book a termination (any kind) and tell the exit watchers."""
+        """Book a termination (any kind), tell the exit watchers, and drop
+        ``proc`` from the table: whoever names it now holds the handle."""
         self.stats.exits += 1
         trace = self.trace
         if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
             trace.record(self.clock._now, "exit", proc.name, state=proc.state.value)
-        for watcher in list(proc.exit_watchers):
-            watcher(proc)
+        watchers = proc.exit_watchers
+        if watchers is not None:
+            # A watcher holds its waiter's record, which names ``proc``:
+            # a cycle unless the list goes.
+            proc.exit_watchers = None
+            for watcher in watchers:
+                watcher(proc)
+        del self._processes[proc.pid]
 
     def _learn_syscall(self, syscall: Any) -> Callable[..., None] | None:
         """First sight of a syscall type: find its handler and memoise it.
@@ -752,9 +765,11 @@ class Kernel:
             return
 
         proc.state = ProcessState.BLOCKED
-        proc.waiting_for = ("join", target)
+        proc.waiting_for = record = ("join", target)
 
         def on_exit(dead: Process) -> None:
+            if proc.waiting_for is not record:
+                return  # thrown out of this join meanwhile
             if dead.state == ProcessState.FAILED and dead.exception is not None:
                 self.schedule_throw(proc, dead.exception)
             elif dead.state == ProcessState.KILLED:
@@ -764,7 +779,10 @@ class Kernel:
             else:
                 self.schedule_resume(proc, dead.result)
 
-        target.exit_watchers.append(on_exit)
+        if target.exit_watchers is None:
+            target.exit_watchers = [on_exit]
+        else:
+            target.exit_watchers.append(on_exit)
 
     def _do_par(self, proc: Process, par: Par, cost: int) -> None:
         """§2.1.1 ``par``: run all thunks, wait for all, return results."""
@@ -772,23 +790,27 @@ class Kernel:
             self.schedule_resume(proc, [], cost=cost)
             return
         results: list[Any] = [None] * len(par.thunks)
-        remaining = {"count": len(par.thunks), "failed": False}
+        remaining = len(par.thunks)
         children: list[Process] = []
         proc.state = ProcessState.BLOCKED
-        proc.waiting_for = ("par", children)
+        proc.waiting_for = record = ("par", children)
 
         def make_watcher(index: int) -> Callable[[Process], None]:
             def on_exit(child: Process) -> None:
-                if remaining["failed"]:
-                    return
+                nonlocal remaining
+                if proc.waiting_for is not record:
+                    return  # the par is over: a child failed, or a throw
                 if child.state == ProcessState.FAILED and child.exception is not None:
-                    remaining["failed"] = True
                     self.schedule_throw(proc, child.exception)
-                    return
-                results[index] = child.result
-                remaining["count"] -= 1
-                if remaining["count"] == 0:
-                    self.schedule_resume(proc, results)
+                elif child.state == ProcessState.KILLED:
+                    self.schedule_throw(
+                        proc, ProcessError(f"par: {child.name!r} was killed")
+                    )
+                else:
+                    results[index] = child.result
+                    remaining -= 1
+                    if remaining == 0:
+                        self.schedule_resume(proc, results)
 
             return on_exit
 
@@ -802,7 +824,7 @@ class Kernel:
             child.node = proc.node
             child.deadline_at = proc.deadline_at
             children.append(child)
-            child.exit_watchers.append(make_watcher(index))
+            child.exit_watchers = [make_watcher(index)]
 
     # ------------------------------------------------------------------
     # Select machinery

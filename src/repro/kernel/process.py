@@ -17,6 +17,7 @@ the only interaction points between processes).
 from __future__ import annotations
 
 import enum
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable
 
 from ..errors import ProcessError
@@ -86,8 +87,11 @@ class Process:
         body: ProcessBody,
         priority: int = PRIORITY_NORMAL,
         daemon: bool = False,
+        state: ProcessState = ProcessState.NEW,
     ) -> None:
-        if not hasattr(body, "send") or not hasattr(body, "throw"):
+        if type(body) is not GeneratorType and not (
+            hasattr(body, "send") and hasattr(body, "throw")
+        ):
             raise ProcessError(
                 f"process body for {name!r} must be a generator "
                 f"(got {type(body).__name__}); write the body with 'yield'"
@@ -95,7 +99,7 @@ class Process:
         self.pid = pid
         self.name = name
         self.priority = priority
-        self.state = ProcessState.NEW
+        self.state = state
         self.body = body
         #: Value returned by the body (StopIteration value).
         self.result: Any = None
@@ -114,9 +118,10 @@ class Process:
         #: kernel's step.
         self._resume_value: Any = None
         self._resume_exception: BaseException | None = None
-        #: Callbacks invoked (with this process) when it terminates.
-        #: ``Join``, ``Par`` and entry-call plumbing hook in here.
-        self.exit_watchers: list[Callable[["Process"], None]] = []
+        #: Callbacks invoked (with this process) when it terminates, or
+        #: None: the list is made by the first ``Join``/``Par`` to append
+        #: to it (nothing else does), and dropped once it has run.
+        self.exit_watchers: list[Callable[["Process"], None]] | None = None
         #: Daemons (e.g. managers) may be blocked forever at quiescence
         #: without the kernel reporting a deadlock.
         self.daemon = daemon
@@ -150,6 +155,7 @@ class Process:
             return
         self.body.close()
         self.state = ProcessState.KILLED
+        self.waiting_for = None
 
     # -- introspection ---------------------------------------------------
 

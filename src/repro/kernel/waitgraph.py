@@ -416,11 +416,7 @@ def _pool_backlog_edges(
 
 def build_wait_graph(kernel: "Kernel") -> WaitForSnapshot:
     """Snapshot the wait-for graph of every blocked process on ``kernel``."""
-    blocked = [
-        p
-        for p in kernel.processes()
-        if p.alive and p.state == ProcessState.BLOCKED
-    ]
+    blocked = [p for p in kernel.processes() if p.state == ProcessState.BLOCKED]
     edges: list[WaitEdge] = []
     for proc in blocked:
         record = proc.waiting_for

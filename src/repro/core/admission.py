@@ -80,9 +80,11 @@ class ShedGuard(AcceptGuard):
     An :class:`~repro.core.primitives.AcceptGuard` whose acceptance
     condition is the queue-cap predicate; the manager recognizes the
     chosen arm by type and yields ``Reject`` instead of ``Start``.  The
-    guard sheds in attachment order (oldest queued call first), which
-    bounds the latency of the calls that *are* served: the backlog never
-    silently ages.
+    guard sheds in *element* order — the call in the lowest attached
+    element, which need not be the oldest: ``attach`` reuses the lowest
+    free element first, so under sustained overload low elements turn
+    over while a call in a high one ages (bug nine, pinned by a strict
+    ``xfail`` in ``tests/core/test_admission.py``; DESIGN.md §11.2).
 
     ``reason`` is the machine-readable shed reason the manager forwards
     to ``Reject(call, reason=guard.reason)``; subclasses override it so
@@ -104,11 +106,11 @@ class ShedGuard(AcceptGuard):
         super().__init__(obj, proc_name, pri=pri)
         self.cap = cap
 
-    def choose(self, kernel: Any, calls: list) -> Any:
-        # ``when #P > cap`` reads no parameters: test it once, not per call.
-        if self.runtime.pending_count() <= self.cap:
-            return None
-        return super().choose(kernel, calls)
+    def refuses(self, kernel: Any) -> bool:
+        # ``when #P > cap`` reads no parameters: test it once, not per call
+        # (``pending_count()`` inline: under overload every poll gets here).
+        runtime = self.runtime
+        return len(runtime.attached) + len(runtime.waiting) <= self.cap
 
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (#P > {self.cap})"
@@ -122,7 +124,8 @@ class DeadlineSweepGuard(ShedGuard):
     detection — so serving it could not possibly help anyone.  The
     manager yields ``Reject`` and the slot frees at reject cost; since
     the caller is long gone, no error reaches it (``EntryRuntime.fail``
-    settles a call at most once).  Sweeps in attachment order.
+    settles a call at most once).  Sweeps in element order, and in O(1)
+    finds nothing to sweep while no attached call carries an expiry.
 
     Runs at :data:`SWEEP_PRI`, between ``await`` and the queue-cap shed
     arm: freeing a slot held by a corpse beats shedding a live call.
@@ -133,6 +136,10 @@ class DeadlineSweepGuard(ShedGuard):
     def __init__(self, obj: Any, proc_name: str, pri: Any = SWEEP_PRI) -> None:
         AcceptGuard.__init__(self, obj, proc_name, when=None, pri=pri)
         self.cap = None
+
+    def refuses(self, kernel: Any) -> bool:
+        # Only a call with an armed expiry can be dead while it is queued.
+        return not self.runtime.mortal
 
     def choose(self, kernel: Any, calls: list) -> Any:
         now = kernel.clock.now
@@ -154,8 +161,8 @@ class CpuPressureGuard(ShedGuard):
     (:mod:`repro.kernel.sched`) are saturated, so every admitted body
     will sit behind a wall of unrelated work.  This guard reads the
     scheduling domain directly: it is ready when the total queued work
-    on the object's node exceeds ``depth`` ticks, and sheds in
-    attachment order like every other shed arm.
+    on the object's node exceeds ``depth`` ticks, and sheds in element
+    order like every other shed arm.
 
     On an unbounded kernel with no node domains the queue depth is
     always 0 and the guard never fires — admission decisions only
@@ -177,10 +184,10 @@ class CpuPressureGuard(ShedGuard):
         self.cap = None
         self.depth = depth
 
+    def refuses(self, kernel: Any) -> bool:
+        return kernel.cpu_scheduler.queue_depth(self.runtime.obj.node) <= self.depth
+
     def choose(self, kernel: Any, calls: list) -> Any:
-        node = self.runtime.obj.node
-        if kernel.cpu_scheduler.queue_depth(node) <= self.depth:
-            return None
         return calls[0] if calls else None
 
     def describe(self) -> str:
@@ -214,13 +221,15 @@ class PredictedWaitGuard(ShedGuard):
         AcceptGuard.__init__(self, obj, proc_name, when=None, pri=pri)
         self.cap = None
 
+    def refuses(self, kernel: Any) -> bool:
+        # No estimate yet, or no deadlined call attached to apply it to.
+        runtime = self.runtime
+        return not runtime.mortal or runtime.service_estimator.value is None
+
     def choose(self, kernel: Any, calls: list) -> Any:
         runtime = self.runtime
-        ewma = runtime.service_ewma
-        if ewma is None:
-            return None
         now = kernel.clock.now
-        predicted = ewma * runtime.pending_count()
+        predicted = runtime.service_estimator.value * runtime.pending_count()
         for call in calls:
             if call.deadline_at is None or call.caller_resumed:
                 continue

@@ -166,25 +166,35 @@ class AcceptGuard(Guard):
         pri: Any = None,
     ) -> None:
         self.runtime = _runtime_of(obj, proc_name)
-        self.poll_source = self.runtime.attached_slots
+        self.poll_source = self.runtime.attached
         self.slot = slot
         self.when = when
         self.pri = pri
 
+    #: ``(kernel) -> bool``, or None: an O(1) test that this arm cannot be
+    #: ready whatever is attached, asked before the calls are looked at.
+    refuses: Callable[["Kernel"], bool] | None = None
+
     def poll(self, kernel: "Kernel") -> Ready | None:
-        runtime = self.runtime
-        if not runtime.attached_slots:  # the common case, and O(1)
+        calls = self.runtime.attached
+        if not calls:  # the common case, and O(1)
             return None
-        call = self.choose(kernel, runtime.acceptable(self.slot, self.when))
+        if self.refuses is not None and self.refuses(kernel):
+            return None
+        if self.when is not None or self.slot is not None:  # else: all of them
+            calls = self.runtime.acceptable(self.slot, self.when)
+        call = self.choose(kernel, calls)
         return None if call is None else Ready(call, token=call)
 
     def choose(self, kernel: "Kernel", calls: list[Call]) -> Call | None:
-        """The call this arm would rendezvous with, among the matches.
+        """The call this arm would rendezvous with, among the matches
+        (``calls`` may be the runtime's own index list: read, never write).
 
         A quantified guard (slot=None) with a pri clause ranges over the
         whole array: "(i:1..N) accept P[i] ... pri E" selects the
         candidate with the smallest priority value (§2.4).  The admission
-        arms (:mod:`repro.core.admission`) override this, not ``poll``.
+        arms (:mod:`repro.core.admission`) override this and ``refuses``,
+        not ``poll``.
         """
         if not calls:
             return None
@@ -221,7 +231,7 @@ class AwaitGuard(Guard):
         call: Call | None = None,
     ) -> None:
         self.runtime = _runtime_of(obj, proc_name)
-        self.poll_source = self.runtime.done_slots
+        self.poll_source = self.runtime.done
         self.slot = call.slot if call is not None else slot
         self.only_call = call
         self.when = when
@@ -229,7 +239,7 @@ class AwaitGuard(Guard):
 
     def poll(self, kernel: "Kernel") -> Ready | None:
         runtime = self.runtime
-        if not runtime.done_slots:  # the common case, and O(1)
+        if not runtime.done:  # the common case, and O(1)
             return None
         calls = runtime.awaitable(self.slot, self.when)
         if not calls:

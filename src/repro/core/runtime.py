@@ -41,6 +41,7 @@ EWMA_ALPHA = 0.2
 
 _intercepted_args = attrgetter("intercepted_args")
 _intercepted_results = attrgetter("intercepted_results")
+_slot = attrgetter("slot")
 
 
 class EntryRuntime:
@@ -58,14 +59,17 @@ class EntryRuntime:
         #: ``slots[i]`` is the call currently attached to ``P[i]`` (through
         #: its whole accept→finish life), or None when the element is free.
         self.slots: list[Call | None] = [None] * self.array_size
-        #: The slot index: ascending element indices that are free, whose
-        #: call is ATTACHED, and whose call is BODY_DONE — the two states
-        #: guards ask about.  Written only by the transitions below, so a
-        #: poll costs O(matches), not O(array).  Always equal to a scan of
-        #: ``slots`` (``tests/core/test_slot_index.py``).
+        #: The slot index: the free element indices, the ATTACHED calls and
+        #: the BODY_DONE calls — the two states guards ask about — each in
+        #: ascending element order.  Written only by the transitions below
+        #: and handed to guards uncopied, so a poll builds nothing.  Always
+        #: equal to a scan of ``slots`` (``tests/core/test_slot_index.py``).
         self.free_slots: list[int] = list(range(self.array_size))
-        self.attached_slots: list[int] = []
-        self.done_slots: list[int] = []
+        self.attached: list[Call] = []
+        self.done: list[Call] = []
+        #: How many ``attached`` calls carry an armed expiry: only those can
+        #: be dead while queued, so at 0 the sweep arms have nothing to find.
+        self.mortal = 0
         #: Calls waiting for a free array element.
         self.waiting: deque[Call] = deque()
         #: Notified when a call becomes ATTACHED (wakes ``accept`` guards).
@@ -90,13 +94,17 @@ class EntryRuntime:
         """The current service-time estimate in ticks (None if unmeasured)."""
         return self.service_estimator.value
 
+    #: ``attached`` and ``done`` as element indices: derived, read-only views.
+    attached_slots = property(lambda self: [call.slot for call in self.attached])
+    done_slots = property(lambda self: [call.slot for call in self.done])
+
     # ------------------------------------------------------------------
     # Arrival and attachment (§2.5)
     # ------------------------------------------------------------------
 
     def pending_count(self) -> int:
         """The paper's ``#P``: attached-but-not-accepted plus waiting."""
-        return len(self.attached_slots) + len(self.waiting)
+        return len(self.attached) + len(self.waiting)
 
     def submit(self, call: Call) -> None:
         """A new invocation arrived: attach it, queue it, or run it.
@@ -133,7 +141,9 @@ class EntryRuntime:
         call.state = CallState.ATTACHED
         call.attached_at = self.kernel.clock.now
         self.slots[index] = call
-        insort(self.attached_slots, index)
+        insort(self.attached, call, key=_slot)
+        if call.expiry_cancel is not None:
+            self.mortal += 1
         self.kernel.notify(self.arrival)
         return True
 
@@ -192,17 +202,16 @@ class EntryRuntime:
 
     def _matching(
         self,
-        indexed: list[int],
+        indexed: list[Call],
         state: CallState,
         slot: int | None,
         when: Callable[..., bool] | None,
         values: Callable[[Call], tuple],
     ) -> list[Call]:
-        slots = self.slots
         if slot is None:
-            calls = [slots[i] for i in indexed]
+            calls = indexed
         else:
-            call = slots[slot] if 0 <= slot < self.array_size else None
+            call = self.slots[slot] if 0 <= slot < self.array_size else None
             calls = [call] if call is not None and call.state is state else []
         if when is not None:
             calls = [call for call in calls if when(*values(call))]
@@ -215,18 +224,19 @@ class EntryRuntime:
 
         In element order; empty when none.  ``when`` is evaluated on the
         intercepted-parameter subsequence — the SR-style "receive into
-        temporaries, then test" of §2.4.
+        temporaries, then test" of §2.4.  Read-only: with neither ``slot``
+        nor ``when`` the result is the index list itself.
         """
         return self._matching(
-            self.attached_slots, CallState.ATTACHED, slot, when, _intercepted_args
+            self.attached, CallState.ATTACHED, slot, when, _intercepted_args
         )
 
     def awaitable(
         self, slot: int | None, when: Callable[..., bool] | None
     ) -> list[Call]:
-        """BODY_DONE calls matching ``slot`` and the result condition."""
+        """BODY_DONE calls matching ``slot`` and the result condition (read-only too)."""
         return self._matching(
-            self.done_slots, CallState.BODY_DONE, slot, when, _intercepted_results
+            self.done, CallState.BODY_DONE, slot, when, _intercepted_results
         )
 
     # ------------------------------------------------------------------
@@ -236,7 +246,9 @@ class EntryRuntime:
     def accepted(self, call: Call) -> None:
         """ATTACHED → ACCEPTED: the manager rendezvoused with the call."""
         call._expect_state(CallState.ATTACHED)
-        self.attached_slots.remove(call.slot)
+        self.attached.remove(call)
+        if call.expiry_cancel is not None:
+            self.mortal -= 1
         call.state = CallState.ACCEPTED
         call.accepted_at = self.kernel.clock.now
         self.kernel.stats.accepts += 1
@@ -250,7 +262,9 @@ class EntryRuntime:
         one, whose body finishes the call itself.
         """
         if call.state is CallState.ATTACHED:  # unmanaged: no accept came first
-            self.attached_slots.remove(call.slot)
+            self.attached.remove(call)
+            if call.expiry_cancel is not None:
+                self.mortal -= 1
         call.hidden_args = hidden
         call.state = CallState.STARTED
         call.started_at = self.kernel.clock.now
@@ -285,7 +299,7 @@ class EntryRuntime:
         if self.managed:
             call.state = CallState.BODY_DONE
             if self.slots[call.slot] is call:  # not orphaned by reset()
-                insort(self.done_slots, call.slot)
+                insort(self.done, call, key=_slot)
             self.kernel.notify(self.completion)
             # The server process conceptually lives until the manager
             # executes finish (§2.3: "both the finish P(...) and P
@@ -298,7 +312,7 @@ class EntryRuntime:
     def awaited(self, call: Call) -> None:
         """BODY_DONE → AWAITED: the manager received the results."""
         call._expect_state(CallState.BODY_DONE)
-        self.done_slots.remove(call.slot)
+        self.done.remove(call)
         call.state = CallState.AWAITED
         self.kernel.stats.awaits += 1
 
@@ -375,7 +389,11 @@ class EntryRuntime:
         value = None if returns == 0 else results[0] if returns == 1 else tuple(results)
         kernel = self.kernel
         if call.response_delay is None:
-            kernel.schedule_resume(call.caller, value)
+            # A settlement wakes only the wait that made the call: a caller
+            # thrown out of it from outside the protocol waits elsewhere.
+            record = call.caller.waiting_for
+            if record is not None and record[1] is call:
+                kernel.schedule_resume(call.caller, value)
         elif not send_response(kernel, call, value):
             return
         call.caller_resumed = True
@@ -419,7 +437,9 @@ class EntryRuntime:
             kernel.obs.complete_call(call, status=status)
         if expired:
             self._expired(call, status)
-        kernel.schedule_throw(call.caller, exc)
+        record = call.caller.waiting_for
+        if record is not None and record[1] is call:  # as in resume_caller
+            kernel.schedule_throw(call.caller, exc)
 
     def _expired(self, call: Call, status: str) -> None:
         """Trace an expiry; wake sweep arms if it left a corpse in ``#P``."""
@@ -512,8 +532,9 @@ class EntryRuntime:
         self.slots = [None] * self.array_size
         # In place: guards hold these lists as their ``poll_source``.
         self.free_slots[:] = range(self.array_size)
-        self.attached_slots.clear()
-        self.done_slots.clear()
+        self.attached.clear()
+        self.done.clear()
+        self.mortal = 0
         self.waiting.clear()
 
     def describe(self) -> str:

@@ -128,7 +128,9 @@ def send_response(kernel: "Kernel", call: "Call", value: Any) -> bool:
     faults = kernel.faults
 
     def resume() -> None:
-        kernel.schedule_resume(caller, value)
+        record = caller.waiting_for
+        if record is not None and record[1] is call:  # still in this call
+            kernel.schedule_resume(caller, value)
 
     if faults is not None and not faults.node_up(caller.node.name):
         # The caller died with its node: the reply goes nowhere, so no

@@ -30,7 +30,7 @@ class ResourceAllocator(AlpsObject):
     """``object Allocator`` — ``acquire(n)`` / ``release(n)`` of ``total`` units.
 
     Configuration: ``total`` (units available), ``policy`` — ``"fifo"``
-    (any satisfiable request, attachment order) or ``"best-fit"``
+    (any satisfiable request, in element order) or ``"best-fit"``
     (largest satisfiable request first, via run-time ``pri``),
     ``queue_cap`` (optional admission control on ``acquire``: shed once
     more than ``queue_cap`` acquires are pending; ``release`` is never

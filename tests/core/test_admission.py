@@ -23,6 +23,7 @@ from repro.stdlib import (
     ResourceAllocator,
     Spooler,
 )
+from repro.workloads import Poisson, TrafficEngine
 
 
 class Gated(AlpsObject):
@@ -370,3 +371,32 @@ class TestStdlibAdoption:
         times = [t for _, t in done]
         # Serialized execution would finish the second at ~2x the first.
         assert max(times) < 2 * min(times)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bug nine: every arm takes the lowest attached *element*, not the "
+    "oldest call, so a call attached to a high element waits out the overload "
+    "(ROADMAP, choice-seam item: 'which attached call an arm takes')",
+)
+def test_sustained_overload_ages_no_served_call():
+    # kv_overload's shape (1.4x the knee, Poisson gap 5) at a quarter of
+    # its length: element 0 turns over while get[3..7] and put[1..7] hold
+    # calls attached in the first burst until the arrivals stop.
+    kernel = Kernel(seed=11)
+    kv = GatedKVStore(kernel, name="kv", read_work=2, write_work=6,
+                      request_max=8, queue_cap=16)
+
+    def request(req):
+        if req.index % 3 == 0:
+            return kv.put(f"k{req.index % 7}", req.index)
+        return kv.get(f"k{req.index % 7}")
+
+    engine = TrafficEngine(kernel, Poisson(5, seed=11), 300, request,
+                           callers=1000, engines=4, clients=48, seed=11)
+    engine.start()
+    kernel.run()
+    served = sorted(engine.result.latencies("ok"))
+    assert len(served) > 150 and engine.result.counts["shed"] > 50
+    median = served[len(served) // 2]
+    assert served[-1] <= 10 * median, (median, served[-14:])

@@ -7,6 +7,12 @@ stepped one kernel event at a time and, after every event, every runtime
 of every object is compared with the scan — including the paths that
 leave the accept→finish protocol sideways (a raising body, an expiring
 caller, a killed body, a crash, a restart, an unmanaged array entry).
+
+The stored lists are ``attached`` and ``done`` — the calls themselves —
+plus ``mortal``, the count of attached calls with an armed expiry; the
+``*_slots`` names are views derived from them.  The same per-event check
+(``tests.helpers.assert_index_matches_scan``) holds every indexed call
+against ``slots`` and ``mortal`` against a count.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import pytest
 
 from repro.channels import Channel, Receive, ReceiveGuard, Send
 from repro.core import (
+    ACCEPT_PRI,
     AcceptGuard,
     AlpsObject,
     AwaitGuard,
@@ -23,9 +30,11 @@ from repro.core import (
     DeadlineSweepGuard,
     Finish,
     PredictedWaitGuard,
+    Reject,
     ShedGuard,
     Start,
     entry,
+    execute_call,
     manager_process,
 )
 from repro.errors import RemoteCallError
@@ -103,6 +112,10 @@ def test_poll_source_contract_holds_across_restart():
                    ShedGuard(kv, op, cap=6), CpuPressureGuard(kv, op, depth=0)]
     sources = [probe.poll_source for probe in probes]
     assert all(source is not None for source in sources)
+    for probe in probes[1:]:  # the index lists themselves, not copies
+        runtime = probe.runtime
+        assert probe.poll_source is (
+            runtime.done if isinstance(probe, AwaitGuard) else runtime.attached)
     ready = set()
 
     def contract():
@@ -183,6 +196,60 @@ def test_caller_timeout_expiring_while_attached():
     assert len(gate.started) == 3 and runtime.free_slots == [0, 1]
 
 
+class SweepGate(AlpsObject):
+    """Four elements behind a monitor-style manager with a sweep arm."""
+
+    def setup(self, work: int = 10):
+        self.work = work
+        self.served: list = []
+
+    @entry(returns=1, array=4)
+    def op(self, x):
+        yield Delay(self.work)
+        return x
+
+    @manager_process(intercepts=["op"])
+    def mgr(self):
+        select = Select(DeadlineSweepGuard(self, "op"),
+                        AcceptGuard(self, "op", pri=ACCEPT_PRI))
+        while True:
+            result = yield select
+            if isinstance(result.guard, DeadlineSweepGuard):
+                yield Reject(result.value, reason=result.guard.reason)
+            else:
+                self.served.append(result.value.args[0])
+                yield from execute_call(result.value)
+
+
+def test_timed_call_expiring_in_a_high_element_is_still_swept():
+    # Elements 0..3 hold a, b, c, d; only d (element 3) is timed.  It
+    # expires at t=15 while the manager executes b, and the sweep arm
+    # reaches past the live c in element 2 to free it.
+    kernel = Kernel(costs=FREE)
+    gate = SweepGate(kernel, name="g")
+    runtime = gate._runtimes["op"]
+    outcomes = []
+
+    def caller(x, timeout):
+        try:
+            outcomes.append((yield gate.op(x, timeout=timeout)))
+        except RemoteCallError:
+            outcomes.append(f"{x} timed out")
+
+    for x in "abcd":
+        kernel.spawn(caller, x, 15 if x == "d" else None)
+    step_to_quiescence(kernel, until=5)
+    assert [c.args[0] for c in runtime.attached] == ["b", "c", "d"]
+    assert runtime.mortal == 1 and runtime.attached[-1].slot == 3
+    step_to_quiescence(kernel, until=18)  # d expired, still attached
+    assert "d timed out" in outcomes and runtime.mortal == 1
+    step_to_quiescence(kernel)
+    assert gate.served == ["a", "b", "c"]
+    assert sorted(outcomes) == ["a", "b", "c", "d timed out"]
+    assert kernel.metrics.snapshot()["admission.swept"] == 1
+    assert runtime.mortal == 0 and runtime.free_slots == [0, 1, 2, 3]
+
+
 def test_kill_of_a_body_process_leaves_its_element_held():
     kernel = Kernel()
     gate = Gate(kernel, name="g", work=30)
@@ -236,6 +303,62 @@ def test_node_crash_and_supervisor_requeue():
     assert sorted(results) == [7, 7, 42, 42, 42]
     assert sup.restarts == [(200, "d", 5)]
     assert d._runtimes["search"].free_slots == [0, 1]
+
+
+def test_crash_zeroes_mortal_and_a_requeue_counts_again():
+    kernel = Kernel(costs=FREE, seed=0)
+    net = ring(kernel, 4)
+    # The manager sleeps 60 ticks whenever it (re)starts: the deadlined
+    # calls are caught ATTACHED by the crash, and again after the re-queue.
+    gate = net.node("n1").place(Gate(kernel, name="g", hold=60))
+    faults = install(
+        kernel, net,
+        FaultPlan(detection_delay=10).crash_node("n1", at=20, restart_at=200),
+    )
+    sup = net.node("n3").place(Supervisor(kernel, name="sup", faults=faults))
+    sup.watch(gate)
+    runtime = gate._runtimes["op"]
+    results = []
+
+    def client(x, deadline):
+        results.append((yield gate.op(x, deadline=deadline)))
+
+    for x, deadline in (("a", 1000), ("b", None), ("c", 1000)):
+        net.node("n0").spawn(client, x, deadline, name=f"c{x}")
+    step_to_quiescence(kernel, until=19)
+    assert runtime.attached_slots == [0, 1] and runtime.mortal == 1
+    assert len(runtime.waiting) == 1  # c: deadlined, but not attached
+    step_to_quiescence(kernel, until=199)
+    assert runtime.attached == [] and runtime.mortal == 0
+    step_to_quiescence(kernel, until=205)
+    assert sup.restarts == [(200, "g", 3)]
+    assert runtime.attached_slots == [0, 1] and runtime.mortal == 1
+    step_to_quiescence(kernel)
+    assert sorted(results) == ["a", "b", "c"]
+    assert runtime.mortal == 0 and runtime.free_slots == [0, 1]
+
+
+def test_uncapped_manager_polls_as_it_always_did():
+    # queue_cap=None: await and accept arms only, nothing reads ``mortal``.
+    # The counts below were recorded on the int-list index (03819f2).
+    kernel = Kernel(seed=11)
+    kv = GatedKVStore(kernel, name="kv", read_work=2, write_work=6,
+                      request_max=4, queue_cap=None)
+
+    def request(req):
+        if req.index % 3 == 0:
+            return kv.put(f"k{req.index % 7}", req.index, deadline=120)
+        return kv.get(f"k{req.index % 7}", timeout=90)
+
+    engine = TrafficEngine(kernel, Poisson(3, seed=11), 300, request,
+                           callers=1000, engines=4, clients=48, seed=11)
+    engine.start()
+    step_to_quiescence(kernel)
+    stats = kernel.stats
+    assert (stats.guard_polls, stats.accepts, stats.finishes, kernel.clock.now) == (
+        3630, 300, 300, 1944)
+    counts = engine.result.counts
+    assert (counts["ok"], counts["timeout"]) == (39, 261)  # dead calls are served
 
 
 def test_restart_orphans_in_flight_calls():

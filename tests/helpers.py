@@ -50,6 +50,16 @@ def assert_index_matches_scan(kernel: Kernel) -> None:
             assert runtime.pending_count() == (
                 len(scan_slots(runtime)[1]) + len(runtime.waiting)
             )
+            # The index holds the calls themselves, and counts the mortal.
+            for calls, state in (
+                (runtime.attached, CallState.ATTACHED),
+                (runtime.done, CallState.BODY_DONE),
+            ):
+                for call in calls:
+                    assert runtime.slots[call.slot] is call and call.state is state
+            assert runtime.mortal == sum(
+                call.expiry_cancel is not None for call in runtime.attached
+            ), f"{obj.alps_name}.{name} at t={kernel.clock.now}"
 
 
 def assert_sched_counters_match_scan(kernel: Kernel, *unregistered) -> None:

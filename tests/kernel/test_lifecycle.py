@@ -10,6 +10,7 @@ from repro.channels import Channel, Receive, Send
 from repro.errors import DeadlockError, ProcessError
 from repro.kernel import Delay, Join, Kernel, Kill, Par, Spawn
 from repro.kernel.process import ProcessState
+from repro.net import ring
 from repro.stdlib import BoundedBuffer, Dictionary, GatedKVStore
 from repro.workloads import TrafficEngine, Uniform
 
@@ -287,11 +288,6 @@ class TestStaleWakes:
         assert kernel.run_process(main) == ["first", "second"]
         assert ch.empty
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a throw from outside the call protocol leaves the call queued: "
-        "resume_caller wakes the caller's next wait (ROADMAP, choice-seam item)",
-    )
     def test_entry_call(self, free_kernel):
         kernel, log = free_kernel, []
         d = Dictionary(kernel, name="d", entries={"a": 1}, search_work=100)
@@ -299,6 +295,30 @@ class TestStaleWakes:
         poke_at(kernel, 10, proc)
         kernel.run()
         assert log == [("poked", 10), (None, 510)]
+
+    def test_remote_entry_call(self, free_kernel):
+        # The response leg (``send_response``) arrives at t=110.
+        kernel, log = free_kernel, []
+        net = ring(kernel, 2, link_latency=5)
+        d = net.node("n1").place(
+            Dictionary(kernel, name="d", entries={"a": 1}, search_work=100))
+        proc = net.node("n0").spawn(self.waiter, kernel, lambda: d.search("a"), log)
+        poke_at(kernel, 10, proc)
+        kernel.run()
+        assert log == [("poked", 10), (None, 510)]
+        assert kernel.stats.calls_completed == 1  # served, for nobody
+
+    def test_entry_call_timeout_after_the_throw(self, free_kernel):
+        # The armed expiry fires at t=50 (``fail``): it settles the call
+        # and raises in nobody.
+        kernel, log = free_kernel, []
+        d = Dictionary(kernel, name="d", entries={"a": 1}, search_work=100)
+        proc = kernel.spawn(
+            self.waiter, kernel, lambda: d.search("a", timeout=50), log)
+        poke_at(kernel, 10, proc)
+        kernel.run()
+        assert log == [("poked", 10), (None, 510)]
+        assert proc.state is ProcessState.DONE
 
 
 class TestKilledParChild:

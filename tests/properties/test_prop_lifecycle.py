@@ -14,7 +14,6 @@ that ended early or returned somebody else's value.  Costs are FREE, so
 every expected time is exact.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channels import Channel, Receive, ReceiveGuard, Send
@@ -146,21 +145,12 @@ def step(kinds=tuple(KINDS), leaves=LEAVES):
     )
 
 
-def not_the_open_cell(steps):
-    return not any(kind == "call" and leave == "throw" for kind, _, leave, _ in steps)
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(step(), min_size=1, max_size=3).filter(not_the_open_cell))
+@given(st.lists(step(), min_size=1, max_size=3))
 def test_every_wait_wakes_once(steps):
     run_plan(steps)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a throw from outside the call protocol leaves the call queued: "
-    "resume_caller wakes the caller's next wait (ROADMAP, choice-seam item)",
-)
 @settings(max_examples=20, deadline=None)
 @given(step(("call",), ("throw",)), st.lists(step(), max_size=2))
 def test_entry_call_thrown_into(first, rest):

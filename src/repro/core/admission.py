@@ -12,7 +12,9 @@ answer composes three mechanisms ALPS already has:
   the only way to reach it) and yields
   :class:`~repro.core.primitives.Reject`, resuming the caller with
   :class:`~repro.errors.AdmissionError` at finish cost, far below
-  service cost;
+  service cost.  It sheds the *oldest* attached call, while the plain
+  accept arm keeps element order (§2.5 leaves the choice open), so no
+  queued call waits out an overload;
 * **``pri``-based preference for in-flight work** — run-time guard
   priorities (§2.4) order the manager's arms so work already admitted
   completes before new work is admitted.
@@ -58,9 +60,12 @@ Usage inside a manager::
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 from .primitives import AcceptGuard
+
+_attached_at = attrgetter("attached_at")
 
 #: Conventional arm priorities (see module docstring; smallest wins).
 AWAIT_PRI = 0
@@ -80,11 +85,12 @@ class ShedGuard(AcceptGuard):
     An :class:`~repro.core.primitives.AcceptGuard` whose acceptance
     condition is the queue-cap predicate; the manager recognizes the
     chosen arm by type and yields ``Reject`` instead of ``Start``.  The
-    guard sheds in *element* order — the call in the lowest attached
-    element, which need not be the oldest: ``attach`` reuses the lowest
-    free element first, so under sustained overload low elements turn
-    over while a call in a high one ages (bug nine, pinned by a strict
-    ``xfail`` in ``tests/core/test_admission.py``; DESIGN.md §11.2).
+    guard sheds the oldest attached call (smallest ``attached_at``; a
+    callable ``pri`` is evaluated on that call to rank the arm, §2.4), so
+    the backlog never silently ages: ``attach`` reuses the lowest free
+    element first, and shedding in element order let low elements turn
+    over while a call parked in a high one waited out the overload
+    (DESIGN.md §11.2).
 
     ``reason`` is the machine-readable shed reason the manager forwards
     to ``Reject(call, reason=guard.reason)``; subclasses override it so
@@ -111,6 +117,11 @@ class ShedGuard(AcceptGuard):
         # (``pending_count()`` inline: under overload every poll gets here).
         runtime = self.runtime
         return len(runtime.attached) + len(runtime.waiting) <= self.cap
+
+    def choose(self, kernel: Any, calls: list) -> Any:
+        # ``calls`` is the whole element-ordered index, never empty here:
+        # the first minimum is the lowest element among the oldest.
+        return min(calls, key=_attached_at)
 
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (#P > {self.cap})"
@@ -161,8 +172,8 @@ class CpuPressureGuard(ShedGuard):
     (:mod:`repro.kernel.sched`) are saturated, so every admitted body
     will sit behind a wall of unrelated work.  This guard reads the
     scheduling domain directly: it is ready when the total queued work
-    on the object's node exceeds ``depth`` ticks, and sheds in element
-    order like every other shed arm.
+    on the object's node exceeds ``depth`` ticks, and sheds the oldest
+    attached call like the queue-cap arm.
 
     On an unbounded kernel with no node domains the queue depth is
     always 0 and the guard never fires — admission decisions only
@@ -186,9 +197,6 @@ class CpuPressureGuard(ShedGuard):
 
     def refuses(self, kernel: Any) -> bool:
         return kernel.cpu_scheduler.queue_depth(self.runtime.obj.node) <= self.depth
-
-    def choose(self, kernel: Any, calls: list) -> Any:
-        return calls[0] if calls else None
 
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (cpu queue > {self.depth})"

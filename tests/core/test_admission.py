@@ -1,5 +1,7 @@
 """Tests for admission control: ShedGuard, Reject, AdmissionError."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (
@@ -71,6 +73,11 @@ def flood(kernel, obj, n, collect):
         kernel.spawn(caller(i), name=f"c{i}")
 
 
+def queued(*elements):
+    """Stand-ins for attached calls, in element order: (slot, attached_at)."""
+    return [SimpleNamespace(slot=slot, attached_at=at) for slot, at in elements]
+
+
 class TestShedGuard:
     def test_sheds_past_cap(self):
         kernel = Kernel(costs=FREE)
@@ -116,6 +123,12 @@ class TestShedGuard:
         guard = ShedGuard(obj, "op", cap=7)
         assert "7" in guard.describe()
         assert "shed" in guard.describe()
+
+    def test_sheds_the_oldest_attached_call(self, kernel):
+        # Candidates come in element order; the first of the oldest wins.
+        guard = ShedGuard(Gated(kernel), "op", cap=0)
+        calls = queued((0, 9), (1, 4), (2, 4))
+        assert guard.choose(kernel, calls) is calls[1]
 
 
 class CpuGated(AlpsObject):
@@ -194,6 +207,11 @@ class TestCpuPressureGuard:
         guard = CpuPressureGuard(obj, "op", depth=4)
         assert "4" in guard.describe()
         assert "shed" in guard.describe()
+
+    def test_sheds_the_oldest_attached_call(self, kernel):
+        guard = CpuPressureGuard(CpuGated(kernel), "op", depth=0)
+        calls = queued((0, 9), (1, 4), (2, 4))
+        assert guard.choose(kernel, calls) is calls[1]
 
 
 class TestRejectProtocol:
@@ -373,16 +391,11 @@ class TestStdlibAdoption:
         assert max(times) < 2 * min(times)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="bug nine: every arm takes the lowest attached *element*, not the "
-    "oldest call, so a call attached to a high element waits out the overload "
-    "(ROADMAP, choice-seam item: 'which attached call an arm takes')",
-)
 def test_sustained_overload_ages_no_served_call():
     # kv_overload's shape (1.4x the knee, Poisson gap 5) at a quarter of
-    # its length: element 0 turns over while get[3..7] and put[1..7] hold
-    # calls attached in the first burst until the arrivals stop.
+    # its length.  Shedding the lowest element instead of the oldest call
+    # let element 0 turn over while get[3..7] and put[1..7] held calls
+    # attached in the first burst until the arrivals stopped.
     kernel = Kernel(seed=11)
     kv = GatedKVStore(kernel, name="kv", read_work=2, write_work=6,
                       request_max=8, queue_cap=16)
@@ -398,5 +411,26 @@ def test_sustained_overload_ages_no_served_call():
     kernel.run()
     served = sorted(engine.result.latencies("ok"))
     assert len(served) > 150 and engine.result.counts["shed"] > 50
+    median = served[len(served) // 2]
+    assert served[-1] <= 10 * median, (median, served[-14:])
+
+
+def test_sustained_overload_ages_no_served_spooler_job():
+    # E14's spooler cell (three printers, eight job elements, cap 12)
+    # under Poisson arrivals at gap 4, past its knee.  Shedding the lowest
+    # element let the longest served job wait 21x the median.
+    kernel = Kernel(seed=11)
+    spool = Spooler(kernel, name="spool", printers=3, speed=8, job_max=8,
+                    queue_cap=12)
+
+    def request(req):
+        return spool.print_file(f"job{req.index}")
+
+    engine = TrafficEngine(kernel, Poisson(4, seed=11), 300, request,
+                           callers=1000, engines=4, clients=48, seed=11)
+    engine.start()
+    kernel.run()
+    served = sorted(engine.result.latencies("ok"))
+    assert len(served) > 50 and engine.result.counts["shed"] > 100
     median = served[len(served) // 2]
     assert served[-1] <= 10 * median, (median, served[-14:])

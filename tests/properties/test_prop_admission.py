@@ -5,13 +5,16 @@ The arms of :mod:`repro.core.admission` answer from the slot index: the
 list of attached calls, handed over uncopied, and ``mortal``, the O(1)
 reason a sweep or predicted-wait arm has nothing to look for.  The
 *reference arms* below do what the arms did before the index held the
-calls: copy the ATTACHED calls off ``runtime.slots``, then choose.
+calls: copy the ATTACHED calls off ``runtime.slots``, then choose — the
+shed arms the oldest ``attached_at``, every other arm in element order.
 Drawn: arrivals on a managed and an unmanaged entry with and without
 ``timeout=`` / ``deadline=``, body lengths, the queue cap, the CPU
 pressure depth, how long the manager rests between rendezvous, and an
 optional node crash with supervised (re-queue) or manual recovery.
 Every arrival ends in exactly one of five ways.
 """
+
+from operator import attrgetter
 
 from hypothesis import given, settings, strategies as st
 
@@ -109,9 +112,11 @@ def reference(kernel, guard):
     elif type(guard) is CpuPressureGuard:
         if kernel.cpu_scheduler.queue_depth(runtime.obj.node) <= guard.depth:
             calls = []
+        calls = sorted(calls, key=attrgetter("attached_at"))  # oldest, stable
     elif type(guard) is ShedGuard:
         if pending <= guard.cap:
             calls = []
+        calls = sorted(calls, key=attrgetter("attached_at"))  # oldest, stable
     else:  # a plain accept: one element, a condition, a run-time priority
         if guard.slot is not None:
             calls = [c for c in calls if c.slot == guard.slot]
@@ -129,6 +134,7 @@ def probes_of(gate, cap, depth):
         ShedGuard(gate, "op", cap=cap),
         ShedGuard(gate, "op", cap=0),
         CpuPressureGuard(gate, "op", depth=depth),
+        CpuPressureGuard(gate, "op", depth=0),
         AcceptGuard(gate, "op"),
         AcceptGuard(gate, "op", slot=2),
         AcceptGuard(gate, "op", when=even),

@@ -81,14 +81,25 @@ _WAKE = 2  # proc's Delay expires; proc is BLOCKED
 #: always polls them.
 _ALWAYS = (None,)
 
+#: ``_SelectPlan.compiled`` of a ranked plan: its buckets run in the
+#: order ``Kernel._choose`` ranks ready guards under ``"ordered"``, so a
+#: sweep may stop at the first ready one.
+_FIRST_WINS = object()
+
+
+def _rank(pair: tuple[int, Guard]) -> tuple[bool, int, int]:
+    """``Kernel._choose``'s key for a static ``pri``, then guard index."""
+    pri = pair[1].pri
+    return (pri is None, 0 if pri is None else int(pri), pair[0])
+
 
 class _SelectPlan:
     """What the kernel derives from a ``Select``'s guards (DESIGN.md §5.1).
 
     Built on a select's first run and kept on the ``Select`` only when no
     guard overrides ``Guard.feasible``; a select that comes back skips
-    the feasibility pass, is bucketed on that second run and fills its
-    block lists once.  Host work only: nothing here is modelled.
+    the feasibility pass, is bucketed (or ranked) on that second run and
+    fills its block lists once.  Host work only: nothing here is modelled.
     """
 
     __slots__ = (
@@ -118,10 +129,30 @@ class _SelectPlan:
         #: order); None until the first block (:meth:`fill_block_lists`).
         self.waitables: list[Waitable] | None = None
 
-    def compile(self) -> None:
-        """Bucket the guards by ``poll_source`` (the select's second run)."""
+    def compile(self, ordered: bool) -> None:
+        """Bucket the guards by ``poll_source`` (the select's second run).
+
+        Under ``"ordered"`` arbitration, when every guard names a source
+        and no ``pri`` is callable, the pairs are ranked instead: sorted
+        by :func:`_rank`, adjacent pairs on one source sharing a bucket.
+        """
+        pairs = self.pairs
+        if ordered and all(
+            guard.poll_source is not None and not callable(guard.pri)
+            for _index, guard in pairs
+        ):
+            ranked: list[tuple[Any, list]] = []
+            for pair in sorted(pairs, key=_rank):
+                source = pair[1].poll_source
+                if ranked and ranked[-1][0] is source:
+                    ranked[-1][1].append(pair)
+                else:
+                    ranked.append((source, [pair]))
+            self.buckets = ranked
+            self.compiled = _FIRST_WINS
+            return
         buckets: dict[int, tuple[Any, list]] = {}
-        for pair in self.pairs:
+        for pair in pairs:
             source = pair[1].poll_source
             if source is None:
                 source = _ALWAYS
@@ -833,7 +864,9 @@ class Kernel:
     def _sweep(self, plan: _SelectPlan) -> list[tuple[int, Guard, Ready]]:
         """One sweep: every feasible guard polled once, each a modelled poll.
 
-        The host skips the buckets whose source says "nothing there".
+        The host skips the buckets whose source says "nothing there", and
+        a ranked plan's guards after its first ready one (their polls are
+        modelled all the same: side-effect free, they could not win).
         """
         self.stats.guard_polls += plan.count
         ready: list[tuple[int, Guard, Ready]] = []
@@ -843,6 +876,8 @@ class Kernel:
                     outcome = guard.poll(self)
                     if outcome is not None:
                         ready.append((index, guard, outcome))
+                        if plan.compiled is _FIRST_WINS:
+                            return ready
         return ready
 
     def _choose(
@@ -871,7 +906,7 @@ class Kernel:
         if plan is None:
             plan = _SelectPlan(select)
         elif not plan.compiled:
-            plan.compile()
+            plan.compile(self.arbitration == "ordered")
         ready = self._sweep(plan)
         if ready:
             index, guard, outcome = self._choose(ready)

@@ -22,10 +22,14 @@ class Timeout(Guard):
     """Guard that fires ``ticks`` after its select starts waiting.
 
     The deadline is anchored at the first poll, so guard objects must not
-    be shared between selects: once a ``Timeout`` has been consumed (its
-    select committed a guard — this one or another), re-arming it in a new
-    select raises :class:`ValueError` instead of silently reusing the
-    stale deadline.
+    be shared between selects: once a ``Timeout`` has been consumed — it
+    committed, or its select blocked and was then resolved by any guard or
+    cancelled — re-arming it in a new select raises :class:`ValueError`
+    instead of silently reusing the stale deadline.  A select that commits
+    another guard without blocking does not consume it: the first-poll
+    anchor stays, and a later select holding it fires as soon as that
+    deadline has passed (anchored at t=0 for 10 ticks and yielded again at
+    t=21, it fires at t=21).
     """
 
     def __init__(self, ticks: int, value: object = None, pri: object = None) -> None:

@@ -85,7 +85,9 @@ class Guard:
     Subclasses implement:
 
     * :meth:`poll` — return :class:`Ready` if the guard could fire *now*,
-      ``None`` otherwise.  Must be side-effect free.
+      ``None`` otherwise.  Must be side-effect free, ``when=`` conditions
+      included: the kernel leans on it, since a ranked sweep does not
+      call ``poll`` on the guards ranked below a ready one.
     * :meth:`commit` — consume the event identified by the earlier poll and
       return the value to deliver.  Called exactly once, immediately after
       a successful poll of the same kernel state.
@@ -103,7 +105,9 @@ class Guard:
 
     A ``Select`` object that is yielded again keeps what the kernel
     derived from its guards, so a guard that does not override
-    :meth:`feasible` must return the same :meth:`waitables` every time.
+    :meth:`feasible` must return the same :meth:`waitables` every time,
+    and its ``pri`` stays what it was (under ``"ordered"`` arbitration
+    the kernel may rank a reused select's guards by it once).
     """
 
     #: Evaluation priority (paper: "pri E", smallest wins). ``None`` means
@@ -111,9 +115,10 @@ class Guard:
     pri: Any = None
     #: A container whose emptiness means :meth:`poll` returns ``None``
     #: (the kernel then skips the call; the poll is still modelled), or
-    #: ``None`` to be called on every sweep.  Must keep its identity for
-    #: the guard's lifetime; a subclass whose ``poll`` can be ready on an
-    #: empty source resets this to ``None``.
+    #: ``None`` to be called on every sweep — so a select holding such a
+    #: guard is never ranked.  Must keep its identity for the guard's
+    #: lifetime; a subclass whose ``poll`` can be ready on an empty source
+    #: resets this to ``None``.
     poll_source: Any = None
     #: Ticks the last :meth:`commit` cost, charged to the selector.
     commit_cost = 0

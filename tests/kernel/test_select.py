@@ -4,11 +4,20 @@ conditions, else-clauses, exhaustion (§2.4 semantics at kernel level)."""
 import pytest
 
 from repro.channels import Channel, ReceiveGuard, Send
-from repro.core import WhenGuard
+from repro.core import (
+    AcceptGuard,
+    AwaitGuard,
+    DeadlineSweepGuard,
+    PredictedWaitGuard,
+    ShedGuard,
+    WhenGuard,
+)
 from repro.errors import GuardExhaustedError
 from repro.kernel import Delay, Kernel, Select, SelectResult, Timeout
 from repro.kernel.costs import FREE
-from repro.kernel.waiting import Guard, Ready, Waitable
+from repro.kernel.kernel import _FIRST_WINS
+from repro.kernel.waiting import EventCount, Guard, Ready, Waitable
+from repro.stdlib import GatedKVStore
 
 
 class TestImmediateSelect:
@@ -598,8 +607,9 @@ class TestSelectPlan:
         free_kernel.run_process(main)
         assert select._plan.compiled and picks == [1, 1, 1]
 
-    def test_blocked_reused_select_still_lists_its_guards_in_order(self):
-        kernel = Kernel()
+    @staticmethod
+    def blocked_on_a_compiled_plan(arbitration):
+        kernel = Kernel(arbitration=arbitration)
         a, b = Inbox("a"), Inbox("b")
         guards = [TakeGuard(a), TakeGuard(b), TakeGuard(a)]
         select = Select(guards)
@@ -611,10 +621,133 @@ class TestSelectPlan:
 
         proc = kernel.spawn(main, name="m", daemon=True)
         kernel.run()
-        # Bucketed by source as a: [0, 2], b: [1] — the wait-for graph and
-        # the deadlock report still see textual order.
-        sources = [source for source, _pairs in select._plan.buckets]
-        assert sources[0] is a.items and sources[1] is b.items and len(sources) == 2
+        # The wait-for graph and the deadlock report still see textual order.
         kind, pending = proc.waiting_for
         assert kind == "select" and list(pending) == guards
         assert str(proc.blocked_on) == "select(take(a), take(b), take(a))"
+        buckets = [
+            (source, [index for index, _guard in pairs])
+            for source, pairs in select._plan.buckets
+        ]
+        return buckets, a.items, b.items
+
+    def test_blocked_reused_select_still_lists_its_guards_in_order(self):
+        # Ranked (all static pri None): one bucket per guard, a / b / a.
+        buckets, a, b = self.blocked_on_a_compiled_plan("ordered")
+        assert [index for _source, index in buckets] == [[0], [1], [2]]
+        assert buckets[0][0] is a and buckets[1][0] is b and buckets[2][0] is a
+
+    def test_blocked_reused_select_under_random_keeps_source_buckets(self):
+        # Unranked: bucketed by source as a: [0, 2], b: [1].
+        buckets, a, b = self.blocked_on_a_compiled_plan("random")
+        assert [index for _source, index in buckets] == [[0, 2], [1]]
+        assert buckets[0][0] is a and buckets[1][0] is b
+
+
+class CountingTake(TakeGuard):
+    """A ``TakeGuard`` that counts the host's calls to ``poll``."""
+
+    def __init__(self, inbox, pri=None):
+        super().__init__(inbox, pri=pri)
+        self.polls = 0
+
+    def poll(self, kernel):
+        self.polls += 1
+        return super().poll(kernel)
+
+
+def compiled_plan(select, arbitration="ordered"):
+    """Yield ``select`` twice; return the plan its second run compiled."""
+    kernel = Kernel(costs=FREE, arbitration=arbitration)
+
+    def main():
+        for _ in range(2):
+            yield select
+
+    kernel.run_process(main)
+    return select._plan
+
+
+class TestRankedPlan:
+    """Under ``"ordered"`` a reused select whose guards all name a source
+    and carry a static ``pri`` sweeps in rank order (DESIGN.md §5.1)."""
+
+    def test_sweep_stops_at_the_first_ready_guard(self, free_kernel):
+        kernel = free_kernel
+        a, b, c = Inbox("a"), Inbox("b"), Inbox("c")
+        guards = [CountingTake(a, pri=1), CountingTake(b, pri=0), CountingTake(c)]
+        select = Select(guards)
+        a.items.append("a1")
+        b.items.extend(["b1", "b2"])
+        c.items.append("c1")
+        seen = []
+
+        def main():
+            for _ in range(2):
+                before = kernel.stats.guard_polls
+                result = yield select
+                seen.append((result.index, kernel.stats.guard_polls - before))
+
+        kernel.run_process(main)
+        assert select._plan.compiled is _FIRST_WINS
+        # Run one polls all three; run two polls guard 1 (pri 0) and stops,
+        # yet both sweeps are modelled as three polls.
+        assert seen == [(1, 3), (1, 3)]
+        assert [guard.polls for guard in guards] == [1, 2, 1]
+
+    def test_adjacent_guards_on_one_source_share_a_bucket(self):
+        a, b = Inbox("a"), Inbox("b")
+        select = Select(TakeGuard(a, pri=0), TakeGuard(b), TakeGuard(a, pri=0))
+        a.items.extend(["x", "y"])
+        plan = compiled_plan(select)
+        assert plan.compiled is _FIRST_WINS
+        assert [[index for index, _g in pairs] for _s, pairs in plan.buckets] == [
+            [0, 2], [1]]
+
+    def test_negative_pri_ranks_first_and_none_last(self):
+        a, b, c = Inbox("a"), Inbox("b"), Inbox("c")
+        select = Select(TakeGuard(a), TakeGuard(b, pri=5), TakeGuard(c, pri=-7))
+        for inbox in (a, b, c):
+            inbox.items.extend(["x", "y"])
+        plan = compiled_plan(select)
+        assert [pairs[0][0] for _s, pairs in plan.buckets] == [2, 1, 0]
+
+    @pytest.mark.parametrize("case", ["callable pri", "sourceless", "random"])
+    def test_what_leaves_a_plan_unranked(self, case):
+        a, b = Inbox("a"), Inbox("b")
+        guards = [TakeGuard(a), TakeGuard(b, pri=1)]
+        if case == "callable pri":
+            guards.append(TakeGuard(b, pri=lambda value: 0))
+        elif case == "sourceless":
+            events = EventCount("e")
+            events.count = 1
+            guards.append(events.beyond(0))
+        a.items.extend(["x", "y"])
+        plan = compiled_plan(Select(guards), "random" if case == "random" else "ordered")
+        assert plan.compiled is True
+
+    @pytest.mark.parametrize(
+        "arbitration, buckets", [("ordered", 15), ("random", 6)])
+    def test_gated_kv_store_arms(self, arbitration, buckets):
+        kernel = Kernel(arbitration=arbitration)
+        kv = GatedKVStore(kernel, name="kv", queue_cap=2)
+
+        def caller():
+            for key in ("k", "k"):
+                yield kv.get(key)
+
+        kernel.run_process(caller)
+        plan = kernel._pending_selects[kv.manager_process.pid].plan
+        assert len(plan.buckets) == buckets
+        if arbitration == "random":
+            assert plan.compiled is True
+            return
+        # await -> sweep -> predicted-wait / shed -> accept, get/put/delete
+        # within each rung: rank order is the arms' textual order here.
+        assert plan.compiled is _FIRST_WINS
+        ranked = [pairs for _source, pairs in plan.buckets]
+        assert all(len(pairs) == 1 for pairs in ranked)
+        assert [pairs[0][0] for pairs in ranked] == list(range(15))
+        kinds = [type(pairs[0][1]) for pairs in ranked]
+        assert kinds == [AwaitGuard] * 3 + [DeadlineSweepGuard] * 3 + [
+            PredictedWaitGuard] * 3 + [ShedGuard] * 3 + [AcceptGuard] * 3

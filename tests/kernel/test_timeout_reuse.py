@@ -43,6 +43,24 @@ def test_reuse_after_losing_to_another_guard_raises():
         kernel.run()
 
 
+def test_reuse_after_losing_without_blocking_keeps_the_first_anchor():
+    # Pinned as it is, not endorsed: the select never blocked, so nothing
+    # consumed the guard, and its t=0 anchor makes it fire on the spot.
+    kernel = Kernel(costs=FREE)
+    ch = Channel()
+    guard = Timeout(10, value="t")
+
+    def main():
+        yield Send(ch, "msg")
+        result = yield Select(ReceiveGuard(ch), guard)  # t=0: the receive wins
+        assert result.value == "msg" and not guard._consumed
+        yield Delay(21)
+        result = yield Select(ReceiveGuard(ch), guard)
+        return result.value, kernel.clock.now
+
+    assert kernel.run_process(main) == ("t", 21)
+
+
 def test_fresh_timeout_per_select_is_fine():
     kernel = Kernel(costs=FREE)
     fired = []

@@ -2,17 +2,21 @@
 indistinguishable — in everything the model can see — from building a
 fresh ``Select(*guards)`` per iteration over the same guard objects.
 
-The reused select runs on a cached, bucketed plan (or, with a
-dynamic-``feasible`` guard in the list, on a plan rebuilt per run); the
-fresh one on a first-run plan every time.  Same traffic, same seed, both
-arbitration policies => the same commits in the same order at the same
-ticks, the same modelled poll count, and the same next ``rng`` draw.
+The reused select runs on a cached plan (or, with a dynamic-``feasible``
+guard in the list, on a plan rebuilt per run): under ``"ordered"``, with
+every guard naming a source, a ranked one whose sweep stops at the first
+ready guard, else one bucketed by source.  The fresh one runs on a
+first-run plan every time: a full sweep, then ``Kernel._choose``.  Same
+traffic, same seed, both arbitration policies => the same commits in the
+same order at the same ticks, the same modelled poll count, and the same
+next ``rng`` draw.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.channels import Channel, ReceiveGuard, Send
 from repro.core import (
+    SHED_PRI_ALWAYS,
     AcceptGuard,
     AlpsObject,
     AwaitGuard,
@@ -37,6 +41,9 @@ class Tokens(Waitable):
         super().__init__()
         self.count = 0
 
+    def __len__(self):  # empty <=> no token: a ``poll_source``
+        return self.count
+
 
 class TokenGuard(Guard):
     """A guard with no ``poll_source``: called on every sweep."""
@@ -54,6 +61,15 @@ class TokenGuard(Guard):
 
     def waitables(self):
         return (self.tokens,)
+
+
+class SourcedTokenGuard(TokenGuard):
+    """The same guard naming ``tokens`` as its source: a custom arm that a
+    ranked plan may skip."""
+
+    def __init__(self, tokens, pri):
+        super().__init__(tokens, pri)
+        self.poll_source = tokens
 
 
 class Mixed(AlpsObject):
@@ -94,6 +110,8 @@ class Mixed(AlpsObject):
             return WhenGuard(lambda: self.flag, value="flag", pri=pri)
         if kind == "receive":
             return ReceiveGuard(self.chan, pri=pri)
+        if kind == "sourced":
+            return SourcedTokenGuard(self.tokens, pri)
         return TokenGuard(self.tokens, pri)
 
     @manager_process(intercepts=list(ENTRIES))
@@ -158,20 +176,23 @@ def fingerprint(specs, timeout, traffic, arbitration, seed, reuse):
     )
 
 
-STATIC = ["accept", "accept", "accept", "await", "shed", "sweep", "token"]
+STATIC = ["accept", "accept", "accept", "await", "shed", "sweep", "token", "sourced"]
+#: Half the draws unprioritized; the rest small, tied, negative or far out.
+PRIS = [None] * 6 + [0, 1, 1, -3, 10**6, SHED_PRI_ALWAYS]
 
 
 def arm_lists(kinds):
     arm = st.tuples(
         st.sampled_from(kinds),
-        st.sampled_from([0, 0, 1, 2]),  # arms of one entry share a bucket
-        st.sampled_from([None, None, None, 0, 1]),
+        st.sampled_from([0, 0, 1, 2]),  # arms of one entry share a source
+        st.sampled_from(PRIS),
     )
     return st.lists(arm, min_size=1, max_size=9)
 
 
-#: Half the lists hold only static-feasibility arms (the plan is cached and
-#: bucketed), half may hold a ``when``/``receive`` arm (never cached).
+#: Half the lists hold only static-feasibility arms (the plan is cached; it
+#: is ranked unless a ``token`` arm or the ``Timeout`` has no source), half
+#: may hold a ``when``/``receive`` arm (never cached).
 specs = st.one_of(arm_lists(STATIC), arm_lists(STATIC + ["when", "receive"]))
 events = st.tuples(
     st.sampled_from([0, 0, 0, 1, 3, 6]),                         # gap before it
@@ -192,9 +213,10 @@ BURST = [(0, "call", which, None) for which in (0, 1, 0, 1, 0, 1, 0, 1)]
     arbitration=st.sampled_from(["ordered", "random"]),
     seed=st.integers(min_value=0, max_value=5),
 )
-# Buckets e0: [0, 2], e1: [1], every arm ready at once: a sweep meets them
-# out of textual order, so the tie-break (first, or the rng's pick by
-# position) must not depend on bucket order.
+# Every arm ready at once.  Ranked, the sweep stops at guard 0; bucketed
+# (e0: [0, 2], e1: [1]) it meets them out of textual order, so the
+# tie-break (first, or the rng's pick by position) must not depend on
+# bucket order.
 @example(
     specs=[("sweep", 0, None), ("accept", 1, None), ("accept", 0, None)],
     timeout=None, traffic=BURST, arbitration="ordered", seed=1,
@@ -202,6 +224,19 @@ BURST = [(0, "call", which, None) for which in (0, 1, 0, 1, 0, 1, 0, 1)]
 @example(
     specs=[("shed", 0, None), ("accept", 1, None), ("accept", 0, None)],
     timeout=None, traffic=BURST, arbitration="random", seed=1,
+)
+# A ranked plan puts an unprioritized arm after ``pri 1``, not beside 0.
+@example(
+    specs=[("accept", 0, None), ("accept", 1, 1)],
+    timeout=None, traffic=BURST, arbitration="ordered", seed=0,
+)
+# The Timeout is spent once the first call woke the blocked select; the
+# second call's accept is ready on the next run, and a fresh select still
+# polls the Timeout there (ValueError), so the reused one must too.
+@example(
+    specs=[("accept", 0, None)], timeout=15,
+    traffic=[(1, "call", 0, None), (0, "call", 0, None)],
+    arbitration="ordered", seed=0,
 )
 def test_reused_select_equals_fresh_select(specs, timeout, traffic, arbitration, seed):
     reused = fingerprint(specs, timeout, traffic, arbitration, seed, reuse=True)

@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """A single kernel event.
 
     ``kind`` is a short machine-readable tag (``"spawn"``, ``"switch"``,
     ``"send"``, ``"block"``, ``"wake"``, ``"exit"``, ...); ``detail`` holds
-    event-specific data.
+    event-specific data.  A plain slotted record: events compare by value
+    and are unhashable.  Once recorded or forwarded, neither an event nor
+    its ``detail`` is changed; sinks keep them as they are.
     """
 
     time: int
@@ -65,7 +67,7 @@ class Trace:
         """
         if not self.enabled and not self._listeners:  # ``recording``, inlined
             return
-        event = TraceEvent(time=time, kind=kind, process=process, detail=detail)
+        event = TraceEvent(time, kind, process, detail)
         if self.enabled:
             self._events.append(event)
             if self._capacity is not None and len(self._events) > self._capacity:

@@ -12,7 +12,8 @@ receptiveness §1/§3, polling cost §3, combining's saved work §2.7):
   ``Gauge``/``Histogram`` objects per module, registered on
   ``kernel.metrics``;
 * **sinks** (:mod:`repro.obs.sinks`) — the in-memory kernel ``Trace``
-  (unchanged), JSONL, and Chrome ``trace_event`` for Perfetto.
+  (unchanged), a memory sink that keeps the delivered spans and
+  instants themselves, JSONL, and Chrome ``trace_event`` for Perfetto.
 
 The :class:`Observability` facade lives on every kernel as
 ``kernel.obs`` but is *disabled* by default.  The zero-cost contract:
@@ -259,12 +260,22 @@ class Observability:
         manager = call.obj.manager_process
         mname = manager.name if manager is not None else root.process
 
+        keep = self.spans if self.keep_spans else None
+        sinks = self.sinks
+
         def phase(kind: str, name: str, start: int | None, stop: int | None,
                   process: str) -> None:
+            # What ``emit`` does, built directly: one span, one delivery.
             if start is None or stop is None or stop < start:
                 return
-            self.emit(kind, name, start=start, end=stop, process=process,
-                      parent=rid, call_id=cid)
+            self.span_count += 1
+            span = Span(self._next_span_id, kind, name, process, start, rid, cid,
+                        None, stop)
+            self._next_span_id += 1
+            if keep is not None:
+                keep.append(span)
+            for sink in sinks:
+                sink.on_span(span)
 
         request_delay = root.attrs.get("request_delay", 0)
         arrived = None if call.issued_at is None else call.issued_at + request_delay

@@ -13,8 +13,9 @@ Three consumers share one producer-side surface:
 Sinks receive *finished* spans (the observability layer emits at span
 end, when the duration is known) plus instant events forwarded from the
 kernel trace.  A sink must implement ``on_span``/``on_instant``/
-``close``; :class:`MemorySink` is the trivial in-memory implementation
-used by tests and the bench harness.
+``close``; :class:`MemorySink` is the in-memory implementation used by
+tests and the bench harness: it keeps what it is handed and renders
+dicts only when read.
 
 Virtual ticks map 1:1 onto trace-viewer microseconds: one tick renders
 as 1µs, keeping the timeline axis equal to the paper's tick counts.
@@ -33,6 +34,7 @@ import io
 import json
 from typing import Any, Iterable
 
+from ..kernel.tracing import TraceEvent
 from .spans import Recording, Span, event_record
 
 
@@ -52,18 +54,32 @@ class TraceSink:
 
 
 class MemorySink(TraceSink):
-    """Keeps every record as a dict, for tests and in-process queries."""
+    """Keeps every record as delivered, for tests and in-process queries.
+
+    A span is kept as the :class:`Span` itself (the object the span log
+    holds too), an instant as a :class:`TraceEvent` over the ``detail``
+    it was handed; :attr:`records` renders them as JSONL-line dicts on
+    each read, and caches nothing.  What is delivered is finished: no one
+    changes a delivered span or a forwarded instant's ``detail``.
+    """
 
     def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-
-    def on_span(self, span: Span) -> None:
-        self.records.append(span.to_record())
+        self._kept: list[Span | TraceEvent] = []
+        # A delivered span goes straight onto the list: no frame per span.
+        self.on_span = self._kept.append
 
     def on_instant(
         self, time: int, kind: str, process: str, detail: dict[str, Any]
     ) -> None:
-        self.records.append(event_record(time, kind, process, detail))
+        self._kept.append(TraceEvent(time, kind, process, detail))
+
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        return [
+            item.to_record() if isinstance(item, Span)
+            else event_record(item.time, item.kind, item.process, item.detail)
+            for item in self._kept
+        ]
 
     def spans(self) -> list[dict[str, Any]]:
         return [r for r in self.records if r["type"] == "span"]

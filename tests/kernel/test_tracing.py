@@ -1,5 +1,7 @@
 """Unit tests for tracing and stats plumbing."""
 
+import pytest
+
 from repro.kernel import Delay, Kernel, Spawn
 from repro.kernel.stats import KernelStats
 from repro.kernel.tracing import Trace, TraceEvent
@@ -35,6 +37,7 @@ class TestTrace:
             trace.record(i, "tick", "p")
         assert len(trace) == 3
         assert trace.events()[0].time == 7
+        assert list(trace) == [TraceEvent(i, "tick", "p") for i in (7, 8, 9)]
 
     def test_listener(self):
         trace = Trace(enabled=True)
@@ -44,9 +47,10 @@ class TestTrace:
         assert len(seen) == 1
 
     def test_format(self):
-        event = TraceEvent(time=3, kind="send", process="p", detail={"ch": "c"})
-        text = event.format()
-        assert "send" in text and "'c'" in text
+        event = TraceEvent(time=3, kind="send", process="p", detail={"ch": "c", "n": 2})
+        assert event.format() == (
+            "[       3] send       p                        ch='c' n=2"
+        )
 
     def test_kernel_trace_integration(self):
         kernel = Kernel(trace=True)
@@ -101,6 +105,60 @@ class TestTrace:
         trace.record(0, "x", "p")
         trace.clear()
         assert len(trace) == 0
+
+
+class TestTraceEventContract:
+    """A slotted record with the frozen dataclass's observable behaviour:
+    field names, a fresh default ``detail``, value equality, unhashable.
+    ``format()`` text and capacity retention are pinned in ``TestTrace``."""
+
+    def test_keyword_and_positional_construction(self):
+        by_name = TraceEvent(time=3, kind="send", process="p", detail={"ch": "c"})
+        by_place = TraceEvent(3, "send", "p", {"ch": "c"})
+        for event in (by_name, by_place):
+            assert (event.time, event.kind, event.process, event.detail) == (
+                3, "send", "p", {"ch": "c"}
+            )
+        assert TraceEvent(0, "x", "p").detail == {}
+        assert TraceEvent(0, "x", "p").detail is not TraceEvent(0, "x", "p").detail
+
+    def test_value_equality(self):
+        assert TraceEvent(1, "wake", "p", {"by": "q"}) == TraceEvent(
+            1, "wake", "p", {"by": "q"}
+        )
+        assert TraceEvent(1, "wake", "p", {"by": "q"}) != TraceEvent(
+            1, "wake", "p", {"by": "r"}
+        )
+        assert TraceEvent(1, "wake", "p") != TraceEvent(2, "wake", "p")
+        assert TraceEvent(1, "wake", "p") != (1, "wake", "p", {})
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(TraceEvent(0, "spawn", "p"))
+
+    def test_disabled_kernel_builds_no_event(self, monkeypatch):
+        import repro.kernel.tracing as tracing
+
+        built = []
+
+        class Counting(TraceEvent):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args or kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tracing, "TraceEvent", Counting)
+        kernel = Kernel()
+
+        def main():
+            yield Delay(2)
+
+        kernel.run_process(main)
+        assert built == [] and len(kernel.trace) == 0
+        kernel = Kernel(trace=True)
+        kernel.run_process(main)
+        assert len(built) == len(kernel.trace) > 0
 
 
 class TestKernelStats:

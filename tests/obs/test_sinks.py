@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from repro import PoolConfig
 from repro.faults import FaultPlan, install
 from repro.kernel import Delay, Kernel
-from repro.net import ring
+from repro.kernel.costs import CostModel
+from repro.net import Network, ring
 from repro.obs import (
     ChromeTraceSink,
     JsonlSink,
@@ -18,7 +20,8 @@ from repro.obs import (
 from repro.obs.analyze import from_spans
 from repro.obs.sinks import from_chrome, validate_live_jsonl
 from repro.replication import Replicated
-from repro.stdlib import KVStore
+from repro.stdlib import Dictionary, GatedKVStore, KVStore
+from repro.workloads import Poisson, TrafficEngine, watch_traffic
 
 
 def run_workload(kernel):
@@ -48,6 +51,127 @@ class TestMemorySink:
         assert not kernel.obs.enabled
         kernel.obs.add_sink(MemorySink())
         assert kernel.obs.enabled
+
+
+def _traffic(kernel):
+    """Gated KV traffic under a live plane: spans, kernel events, live
+    snapshots and SLO alerts."""
+    kv = GatedKVStore(kernel, read_work=1, write_work=3, request_max=4,
+                      queue_cap=4)
+
+    def request(req):
+        key = f"k{req.caller % 8}"
+        return kv.put(key, req.index) if req.index % 3 == 0 else kv.get(key)
+
+    engine = TrafficEngine(kernel, Poisson(3, seed=7), 120, request,
+                           callers=1000, engines=4, clients=6, seed=7,
+                           deadline=40)
+    plane = kernel.obs.live
+    watch_traffic(plane, engine, objective=0.99, window=500, fast=500,
+                  slow=2500, key=lambda o: f"k{o.request.caller % 8}")
+    plane.stream_snapshots(2)
+    engine.run()
+
+
+def _smp_pool(kernel):
+    """A shared pool of 4 on a 4-CPU node: the scheduler tags the spans
+    of the calls its workers run with their CPU."""
+    node = Network(kernel, name="smp").add_node("server", cpus=4)
+    dictionary = node.place(Dictionary(
+        kernel, name="dict", entries={f"w{i}": i for i in range(32)},
+        search_max=8, search_work=30, combining=False,
+        pool=PoolConfig("shared", size=4),
+    ))
+
+    def client(c):
+        for i in range(6):
+            yield dictionary.search(f"w{(c * 7 + i) % 32}")
+
+    for c in range(8):
+        kernel.spawn(client, c, name=f"client{c}")
+    kernel.run()
+
+
+def _failover(kernel):
+    """A replicated KV through a primary crash: heartbeat probes, crash
+    and restart events, replication and catch-up."""
+    net = ring(kernel, 6)
+    install(kernel, net, FaultPlan(seed=3, detection_delay=20).crash_node(
+        "n0", at=250, restart_at=900))
+    rep = Replicated(
+        lambda name: KVStore(kernel, name=name), net, 3,
+        writes=("put", "delete"), nodes=["n0", "n2", "n4"],
+        call_timeout=60, heartbeat_interval=40, seed=3,
+    )
+
+    def writer():
+        for i in range(10):
+            try:
+                yield from rep.put(f"k{i % 3}", i)
+            except Exception:
+                pass
+            yield Delay(60)
+
+    kernel.spawn(writer, name="writer")
+    kernel.run(until=1200)
+
+
+class TestRecordIdentity:
+    """A memory sink keeps what it is handed and renders it on read: its
+    records are exactly the lines a JSONL sink wrote at delivery time."""
+
+    SCENARIOS = {
+        "traffic": (lambda: Kernel(seed=11), _traffic,
+                    {"live.snapshot", "live.alert", "spawn"}),
+        "smp_pool": (
+            lambda: Kernel(seed=5, costs=CostModel(
+                process_create=300, lwp_create=5, context_switch=1)),
+            _smp_pool, {"spawn"}),
+        "failover": (lambda: Kernel(seed=3), _failover,
+                     {"crash", "restart", "replicate"}),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(SCENARIOS))
+    def run(self, request):
+        make, drive, kinds = self.SCENARIOS[request.param]
+        kernel = make()
+        buffer = io.StringIO()
+        kernel.obs.add_sink(JsonlSink(buffer))
+        memory = kernel.obs.add_sink(MemorySink())
+        drive(kernel)
+        kernel.obs.close()
+        return request.param, kernel, memory, buffer.getvalue(), kinds
+
+    def test_records_equal_the_jsonl_lines(self, run):
+        name, _kernel, memory, text, kinds = run
+        lines = text.splitlines()
+        records = memory.records
+        assert [json.dumps(r, sort_keys=True) for r in records] == lines
+        assert kinds <= {r["kind"] for r in records if r["type"] == "event"}
+        assert {r["type"] for r in records} == {"span", "event"}
+        if name == "smp_pool":
+            assert any("cpu" in r.get("attrs", {}) for r in records)
+        if name == "failover":
+            assert any(r["kind"] == "heartbeat" for r in memory.spans())
+
+    def test_spans_are_the_span_log_objects(self, run):
+        _name, kernel, memory, _text, _kinds = run
+        kept = [item for item in memory._kept if isinstance(item, Span)]
+        assert len(kept) == len(kernel.obs.spans) > 0
+        assert all(a is b for a, b in zip(kept, kernel.obs.spans))
+        assert memory.spans() == [s.to_record() for s in kernel.obs.spans]
+
+    def test_mutating_a_rendering_leaves_the_kept_objects(self, run):
+        _name, kernel, memory, _text, _kinds = run
+        before = json.dumps(memory.records, sort_keys=True)
+        for record in memory.records:
+            record["name"] = "changed"
+            record.get("attrs", {})["extra"] = 1
+            record.get("detail", {})["extra"] = 1
+        for record in memory.spans():
+            record["start"] = -1
+        assert json.dumps(memory.records, sort_keys=True) == before
+        assert all("extra" not in s.attrs for s in kernel.obs.spans)
 
 
 class TestJsonlSink:

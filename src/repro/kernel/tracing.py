@@ -17,15 +17,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class TraceEvent:
     """A single kernel event.
 
     ``kind`` is a short machine-readable tag (``"spawn"``, ``"switch"``,
     ``"send"``, ``"block"``, ``"wake"``, ``"exit"``, ...); ``detail`` holds
-    event-specific data.  A plain slotted record: events compare by value
-    and are unhashable.  Once recorded or forwarded, neither an event nor
-    its ``detail`` is changed; sinks keep them as they are.
+    event-specific data.
     """
 
     time: int

@@ -108,8 +108,8 @@ class TestTrace:
 
 
 class TestTraceEventContract:
-    """A slotted record with the frozen dataclass's observable behaviour:
-    field names, a fresh default ``detail``, value equality, unhashable.
+    """What sinks and tests rely on: field names, keyword and positional
+    construction, a fresh default ``detail``, value equality, unhashable.
     ``format()`` text and capacity retention are pinned in ``TestTrace``."""
 
     def test_keyword_and_positional_construction(self):

@@ -65,7 +65,7 @@ class Trace:
         """
         if not self.enabled and not self._listeners:  # ``recording``, inlined
             return
-        event = TraceEvent(time, kind, process, detail)
+        event = TraceEvent(time=time, kind=kind, process=process, detail=detail)
         if self.enabled:
             self._events.append(event)
             if self._capacity is not None and len(self._events) > self._capacity:

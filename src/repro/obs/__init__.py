@@ -260,9 +260,6 @@ class Observability:
         manager = call.obj.manager_process
         mname = manager.name if manager is not None else root.process
 
-        keep = self.spans if self.keep_spans else None
-        sinks = self.sinks
-
         def phase(kind: str, name: str, start: int | None, stop: int | None,
                   process: str) -> None:
             # What ``emit`` does, built directly: one span, one delivery.
@@ -272,9 +269,9 @@ class Observability:
             span = Span(self._next_span_id, kind, name, process, start, rid, cid,
                         None, stop)
             self._next_span_id += 1
-            if keep is not None:
-                keep.append(span)
-            for sink in sinks:
+            if self.keep_spans:
+                self.spans.append(span)
+            for sink in self.sinks:
                 sink.on_span(span)
 
         request_delay = root.attrs.get("request_delay", 0)

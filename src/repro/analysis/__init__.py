@@ -35,8 +35,6 @@ from .watchdog import LiveDeadlockDetector
 from .sarif import render_sarif, to_sarif
 from .static import (
     ManagerLinter,
-    lint_class,
-    lint_file,
     lint_paths,
     lint_source,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "callgraph_to_dot",
     "check_interference",
     "entry_effects",
-    "lint_class",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "predict_cycles",

@@ -6,24 +6,19 @@ Run as ``python -m repro.analysis`` (or via ``tools/alpslint.py``)::
     python -m repro.analysis --format json file.py       # machine output
     python -m repro.analysis --select ALP101,ALP111 ...  # only some checks
     python -m repro.analysis --list-checks               # show catalogue
-    python -m repro.analysis --check-corpus tests/fixtures/analysis
     python -m repro.analysis --dot snapshot.json -o wait_for.dot
     python -m repro.analysis --whole-program src examples  # merged program
     python -m repro.analysis --whole-program --dot src -o callgraph.dot
     python -m repro.analysis --sarif out.sarif src       # PR annotations
 
-Exit codes: 0 clean, 1 findings reported (or corpus failures), 2 usage /
-input errors (including unknown ``--select``/``--ignore`` codes).
+Exit codes: 0 clean, 1 findings reported, 2 usage / input errors
+(including unknown ``--select``/``--ignore`` codes).
 ``--dot SNAPSHOT`` renders a wait-for snapshot (the
 ``WaitForSnapshot.to_json()`` dump carried by ``DeadlockError``) as
 Graphviz DOT instead of linting; under ``--whole-program`` a bare
 ``--dot`` exports the *static call graph* instead, predicted-cycle
 edges red/bold — the two graphs share a notation so a prediction can be
-laid beside the live snapshot.  ``--check-corpus`` is the CI self-test: every
-``bad_*.py`` fixture must produce exactly the codes named in its
-``# expect: ALPxxx [ALPyyy ...]`` header and every ``good_*.py`` must
-lint clean — and an *empty* corpus is a failure, so a bad glob can
-never silently skip the whole suite.
+laid beside the live snapshot.
 """
 
 from __future__ import annotations
@@ -31,13 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .findings import CATALOGUE, Finding, Severity
-from .static import lint_file, lint_paths
-
-_EXPECT_RE = re.compile(r"^#\s*expect:\s*(.+)$", re.MULTILINE)
+from .static import lint_paths
 
 
 class UsageError(Exception):
@@ -91,82 +83,6 @@ def _list_checks(stream) -> None:
         print(f"        {check.summary}", file=stream)
 
 
-def expected_codes(source: str) -> set[str]:
-    """Codes declared in ``# expect:`` header comments of a fixture."""
-    codes: set[str] = set()
-    for match in _EXPECT_RE.finditer(source):
-        codes.update(
-            part.strip().upper()
-            for part in re.split(r"[,\s]+", match.group(1))
-            if part.strip()
-        )
-    return codes
-
-
-def check_corpus(directory: str, stream) -> int:
-    """Verify the bad/good fixture corpus; returns a process exit code."""
-    if not os.path.isdir(directory):
-        print(f"alpslint: corpus directory not found: {directory}", file=stream)
-        return 2
-    bad = sorted(
-        f for f in os.listdir(directory)
-        if f.startswith("bad_") and f.endswith(".py")
-    )
-    good = sorted(
-        f for f in os.listdir(directory)
-        if f.startswith("good_") and f.endswith(".py")
-    )
-    if not bad or not good:
-        print(
-            f"alpslint: corpus at {directory} is empty or one-sided "
-            f"({len(bad)} bad, {len(good)} good fixture(s)) — refusing to "
-            f"pass a vacuous check",
-            file=stream,
-        )
-        return 1
-    failures = 0
-    for name in bad:
-        path = os.path.join(directory, name)
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        expected = expected_codes(source)
-        if not expected:
-            print(f"FAIL {name}: no '# expect: ALPxxx' header", file=stream)
-            failures += 1
-            continue
-        found = {f.code for f in lint_file(path)}
-        missing = expected - found
-        if missing:
-            print(
-                f"FAIL {name}: expected {sorted(expected)}, linter found "
-                f"{sorted(found)} (missing {sorted(missing)})",
-                file=stream,
-            )
-            failures += 1
-        else:
-            print(f"ok   {name}: {sorted(found)}", file=stream)
-    for name in good:
-        path = os.path.join(directory, name)
-        findings = lint_file(path)
-        if findings:
-            print(
-                f"FAIL {name}: expected clean, got "
-                f"{sorted({f.code for f in findings})}",
-                file=stream,
-            )
-            for finding in findings:
-                print("     " + finding.render(), file=stream)
-            failures += 1
-        else:
-            print(f"ok   {name}: clean", file=stream)
-    print(
-        f"alpslint corpus: {len(bad)} bad + {len(good)} good fixture(s), "
-        f"{failures} failure(s)",
-        file=stream,
-    )
-    return 1 if failures else 0
-
-
 def render_dot(snapshot_path: str, output: str | None, err) -> int:
     """Load a wait-for snapshot JSON file and emit Graphviz DOT."""
     from .dot import to_dot
@@ -212,11 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--list-checks", action="store_true", help="print the check catalogue"
-    )
-    parser.add_argument(
-        "--check-corpus",
-        metavar="DIR",
-        help="self-test: verify the bad/good fixture corpus in DIR",
     )
     parser.add_argument(
         "--whole-program",
@@ -265,8 +176,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
         return render_dot(args.dot, args.output, sys.stderr)
-    if args.check_corpus:
-        return check_corpus(args.check_corpus, sys.stdout)
     if not args.paths:
         parser.print_usage(sys.stderr)
         print("alpslint: no paths given", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 The structured snapshot that ``DeadlockError.wait_for`` (and the live
 detector) carries, rendered for ``dot``/Graphviz so a blocked run can be
-*seen* — and laid side by side with the Chrome trace / critical-path
-report of the same run (``python -m repro.obs.analyze TRACE.json
---waitgraph snap.json``) or with the static call graph, which marks its
-predicted cycles the same way (:data:`CYCLE_NODE`, :data:`CYCLE_EDGE`).
+*seen* — and laid side by side with the critical-path report of the
+same run (``python -m repro.obs.analyze TRACE.json``) or with the static
+call graph, which marks its predicted cycles the same way
+(:data:`CYCLE_NODE`, :data:`CYCLE_EDGE`).
 
 Rendering rules:
 

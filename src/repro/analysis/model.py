@@ -16,8 +16,7 @@ checks cover and what the call graph draws manager-blocking edges from.
 The extraction is best-effort by design.  Anything it cannot resolve
 syntactically — a computed intercepts mapping, an ``array=`` bound read
 from configuration — is recorded as *unknown* and the checks that would
-need it stay silent rather than guess (``repro.analysis.lint_class``
-offers the reflective mode for exact specs).
+need it stay silent rather than guess.
 """
 
 from __future__ import annotations
@@ -81,6 +80,8 @@ class EntryInfo:
 
     name: str
     line: int
+    #: The body ``def`` node.
+    fn: ast.FunctionDef
     exported: bool = True
     #: Formal parameter count of the def, minus ``self``.
     n_formals: int = 0
@@ -92,8 +93,6 @@ class EntryInfo:
     #: Compatibility groups from ``compatible=`` (multiactive annotation);
     #: empty when undeclared, UNKNOWN when syntactically unresolvable.
     compatible: Any = ()
-    #: The body ``def`` node (None in reflective mode when unavailable).
-    fn: ast.FunctionDef | None = None
 
     @property
     def def_params(self) -> Any:
@@ -203,11 +202,11 @@ def _parse_entry(fn: ast.FunctionDef, deco: ast.expr, kind: str) -> EntryInfo:
     info = EntryInfo(
         name=fn.name,
         line=fn.lineno,
+        fn=fn,
         exported=(kind == "entry"),
         n_formals=max(0, len(fn.args.args) - 1)
         + len(fn.args.posonlyargs),
     )
-    info.fn = fn
     if isinstance(deco, ast.Call):
         for kw in deco.keywords:
             if kw.arg == "returns":
@@ -301,70 +300,6 @@ def extract_objects(tree: ast.Module, path: str = "<source>") -> list[ObjectInfo
         elif info.entries:
             objects.append(info)
     return objects
-
-
-def object_info_from_class(cls: type, path: str, tree: ast.Module) -> ObjectInfo:
-    """Reflective extraction: exact specs from the class, body from AST.
-
-    Used by :func:`repro.analysis.lint_class` so tests can lint a class
-    object directly — decorated specs (``__alps_entries__``,
-    ``__alps_manager__``) are authoritative, only the manager *body*
-    comes from the source tree.
-    """
-    class_node = None
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
-            class_node = node
-            break
-    if class_node is None:
-        raise ValueError(f"class {cls.__name__} not found in parsed source")
-
-    info = ObjectInfo(name=cls.__name__, line=class_node.lineno, path=path)
-    manager_spec = cls.__alps_manager__
-    for name, spec in cls.__alps_entries__.items():
-        entry = EntryInfo(
-            name=name,
-            line=class_node.lineno,
-            exported=spec.exported,
-            n_formals=spec.params + spec.hidden_params,
-            returns=spec.returns,
-            array=spec.array,
-            hidden_params=spec.hidden_params,
-            hidden_results=spec.hidden_results,
-            compatible=tuple(getattr(spec, "compatible", ()) or ()),
-        )
-        if spec.intercept is not None:
-            entry.intercept = InterceptInfo(
-                params=spec.intercept.params,
-                results=spec.intercept.results,
-                line=class_node.lineno,
-            )
-        for stmt in class_node.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-                entry.fn = stmt
-                entry.line = stmt.lineno
-        info.entries[name] = entry
-    if manager_spec is not None:
-        for stmt in class_node.body:
-            if (
-                isinstance(stmt, ast.FunctionDef)
-                and stmt.name == manager_spec.fn.__name__
-            ):
-                info.manager = ManagerInfo(
-                    name=stmt.name,
-                    line=stmt.lineno,
-                    fn=stmt,
-                    intercepts={
-                        name: InterceptInfo(
-                            params=icpt.params,
-                            results=icpt.results,
-                            line=stmt.lineno,
-                        )
-                        for name, icpt in manager_spec.intercepts.items()
-                    },
-                    intercepts_line=stmt.lineno,
-                )
-    return info
 
 
 # -- the site model: what a manager body does, read once ----------------------

@@ -584,10 +584,6 @@ def lint_source(source: str, path: str = "<source>") -> list[Finding]:
     return analyze([[load_source(source, path)]])[1]
 
 
-def lint_file(path: str) -> list[Finding]:
-    return lint_paths([path])
-
-
 def lint_paths(paths: Iterable[str]) -> list[Finding]:
     """Lint every ``.py`` file under the given files/directories.
 
@@ -598,25 +594,3 @@ def lint_paths(paths: Iterable[str]) -> list[Finding]:
     from .wholeprogram import analyze
 
     return analyze([[module] for module in load_paths(paths)])[1]
-
-
-def lint_class(cls: type) -> list[Finding]:
-    """Reflective mode: lint an imported AlpsObject subclass directly.
-
-    Uses the class's authoritative ``__alps_entries__``/``__alps_manager__``
-    specs (so attribute-named array bounds and inherited entries resolve
-    exactly) and only the manager *body* from ``inspect.getsource``.
-    """
-    import inspect
-    import textwrap
-
-    from .model import object_info_from_class
-
-    source = textwrap.dedent(inspect.getsource(cls))
-    tree = ast.parse(source)
-    try:
-        path = inspect.getsourcefile(cls) or "<class>"
-    except TypeError:  # pragma: no cover - builtins
-        path = "<class>"
-    obj = object_info_from_class(cls, path, tree)
-    return ManagerLinter(obj).run()

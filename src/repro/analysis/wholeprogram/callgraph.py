@@ -356,10 +356,7 @@ def build_call_graph(program: Program) -> CallGraph:
             ctx = Node("manager", cls_name, "manager")
             graph.add_node(ctx)
             _ContextWalker(program, graph, obj, ctx).walk(obj.manager.fn)
-        for entry_name in sorted(obj.entries):
-            info = obj.entries[entry_name]
-            if info.fn is None:
-                continue
+        for entry_name, info in sorted(obj.entries.items()):
             ctx = Node("body", cls_name, entry_name)
             graph.add_node(ctx)
             _ContextWalker(program, graph, obj, ctx).walk(info.fn)
@@ -567,9 +564,7 @@ class _ContextWalker:
         node: ast.Call,
         internal: bool = False,
     ) -> None:
-        info = target.entries[entry]
-        intercepted = entry in target.intercepted()
-        if intercepted:
+        if entry in target.intercepted():
             manager_node = Node("manager", target.name, "manager")
             if not (internal and self.ctx == manager_node):
                 # Manager self-loops are the per-class ALP111 finding.
@@ -585,16 +580,15 @@ class _ContextWalker:
                         entry=entry,
                     )
                 )
-        if info.fn is not None or not intercepted:
-            self.graph.add_edge(
-                Edge(
-                    self.ctx,
-                    Node("body", target.name, entry),
-                    "body",
-                    f"call {target.name}.{entry} (body running)",
-                    self.path,
-                    node.lineno,
-                    obj=target.name,
-                    entry=entry,
-                )
+        self.graph.add_edge(
+            Edge(
+                self.ctx,
+                Node("body", target.name, entry),
+                "body",
+                f"call {target.name}.{entry} (body running)",
+                self.path,
+                node.lineno,
+                obj=target.name,
+                entry=entry,
             )
+        )

@@ -70,7 +70,7 @@ def entry_effects(obj: ObjectInfo, entry: str) -> EffectSet:
     """Effect set of one entry body, with ``self`` helpers inlined."""
     info = obj.entries.get(entry)
     effects = EffectSet()
-    if info is None or info.fn is None:
+    if info is None:
         return effects
     _collect(obj, info.fn, effects, visited={entry})
     return effects
@@ -141,12 +141,11 @@ def _inline(
         name = entry_arg(call) or name
     if name in visited:
         return
-    target = None
-    if name in obj.entries and obj.entries[name].fn is not None:
+    if name in obj.entries:
         target = obj.entries[name].fn
     elif name in obj.methods:
         target = obj.methods[name]
-    if target is None:
+    else:
         return
     visited.add(name)
     _collect(obj, target, effects, visited)

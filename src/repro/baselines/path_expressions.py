@@ -39,14 +39,13 @@ Examples::
 
 Use :func:`compile_path` to obtain a :class:`PathRuntime`, then wrap each
 operation body with ``yield from rt.before("name")`` / ``yield from
-rt.after("name")`` (or :meth:`PathRuntime.wrap`).
+rt.after("name")``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..errors import PathExpressionError
 from .semaphore import P, Semaphore, V
@@ -202,8 +201,8 @@ class PathRuntime:
     """Executable form of a path expression.
 
     ``before(name)``/``after(name)`` are generators performing the
-    semaphore operations derived from the expression.  ``wrap(name, gen)``
-    brackets a body with both.  Executions are counted per operation.
+    semaphore operations derived from the expression; a caller brackets
+    a body with both.  Executions are counted per operation.
     """
 
     def __init__(self, expression: str) -> None:
@@ -304,35 +303,6 @@ class PathRuntime:
         """Epilogue for operation ``name``."""
         yield from self._run_ops(self._lookup(name).after)
         self.counts[name] += 1
-
-    def wrap(self, name: str, body_gen):
-        """Bracket ``body_gen`` with the operation's prologue/epilogue."""
-        yield from self.before(name)
-        result = yield from body_gen
-        yield from self.after(name)
-        return result
-
-    def guard_fn(self, name: str, body: Callable[..., object]):
-        """Build a wrapped generator function for ``body``."""
-
-        def wrapped(*args, **kwargs):
-            gen = body(*args, **kwargs)
-            if not (hasattr(gen, "send") and hasattr(gen, "throw")):
-                plain = gen
-
-                def once():
-                    return plain
-                    yield  # pragma: no cover
-
-                gen = once()
-            return (yield from self.wrap(name, gen))
-
-        wrapped.__name__ = f"path_{name}"
-        return wrapped
-
-    @property
-    def operations(self) -> list[str]:
-        return [n for n in self.ops]
 
 
 def compile_path(expression: str) -> PathRuntime:

@@ -4,8 +4,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import CATALOGUE, Severity, lint_class, lint_source
-from repro.core import AlpsObject, entry, icpt, manager_process
+from repro.analysis import CATALOGUE, Severity, lint_source
+from repro.core import AlpsObject, entry, manager_process
 from repro.errors import ProtocolError
 
 
@@ -236,42 +236,6 @@ class TestArities:
             """
         )
         assert findings == []
-
-
-class TestReflectiveMode:
-    def test_lint_class_clean(self):
-        class Fine(AlpsObject):
-            @entry(returns=1)
-            def op(self):
-                return 1
-
-            @manager_process(intercepts={"op": icpt(results=1)})
-            def mgr(self):
-                while True:
-                    call = yield self.accept("op")
-                    yield from self.execute(call)
-
-        assert lint_class(Fine) == []
-
-    def test_lint_class_reports(self):
-        class Starver(AlpsObject):
-            @entry
-            def op(self):
-                pass
-
-            @entry
-            def starved(self):
-                pass
-
-            @manager_process(intercepts=["op", "starved"])
-            def mgr(self):
-                while True:
-                    call = yield self.accept("op")
-                    yield from self.execute(call)
-
-        findings = lint_class(Starver)
-        assert codes(findings) == {"ALP101"}
-        assert findings[0].entry == "starved"
 
 
 class TestStdlibAndExamplesClean:

@@ -221,25 +221,3 @@ class TestBurst:
         kernel.run_process(main)
         assert state["violations"] == 0
         assert state["peak_readers"] >= 2  # burst really does share
-
-    def test_wrap_helper(self, kernel):
-        rt = compile_path("path 1:(op) end")
-
-        def body():
-            yield Delay(1)
-            return "wrapped"
-
-        def main():
-            return (yield from rt.wrap("op", body()))
-
-        assert kernel.run_process(main) == "wrapped"
-
-    def test_guard_fn_wraps_plain_functions(self, kernel):
-        rt = compile_path("path 1:(op) end")
-        wrapped = rt.guard_fn("op", lambda x: x + 1)
-
-        def main():
-            return (yield from wrapped(41))
-
-        assert kernel.run_process(main) == 42
-        assert rt.counts["op"] == 1

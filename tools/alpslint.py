@@ -5,7 +5,6 @@ Equivalent to ``PYTHONPATH=src python -m repro.analysis`` but runnable
 from a plain checkout with no environment setup::
 
     python tools/alpslint.py src/repro examples
-    python tools/alpslint.py --check-corpus tests/fixtures/analysis
 """
 
 import os

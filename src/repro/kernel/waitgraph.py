@@ -159,9 +159,7 @@ class WaitForSnapshot:
 
         This is the interchange format of the DOT exporter: dump it next
         to a failing run (``json.dump(err.wait_for.to_json(), fh)``) and
-        render it later with ``python -m repro.analysis --dot FILE`` or
-        alongside a critical-path report via ``repro.obs.analyze
-        --waitgraph``.
+        render it later with ``python -m repro.analysis --dot FILE``.
         """
         return {
             "type": "wait_for",

@@ -27,12 +27,6 @@ Recordings load from any sink format: a Chrome ``trace_event`` file
 
     python -m repro.obs.analyze TRACE_E13.json
     python -m repro.obs.analyze TRACE_E13.json --json
-    python -m repro.obs.analyze TRACE_E13.json --waitgraph snapshot.json
-
-``--waitgraph`` renders a wait-for-graph snapshot (the JSON written by
-``DeadlockError.wait_for.to_json()``) as Graphviz DOT next to the
-critical path, so the blocked-on structure and the latency structure of
-the same run can be read side by side (see DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -628,10 +622,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", metavar="FILE",
                         help="write the report here instead of stdout")
     parser.add_argument(
-        "--waitgraph", metavar="SNAPSHOT",
-        help="wait-for snapshot JSON to render as DOT after the report",
-    )
-    parser.add_argument(
         "--folded", metavar="FILE",
         help="also write the recording as flame-graph folded stacks "
              "(flamegraph.pl / speedscope input); '-' for stdout",
@@ -642,6 +632,10 @@ def main(argv: list[str] | None = None) -> int:
              "flame graph; '-' for stdout",
     )
     args = parser.parse_args(argv)
+    if args.folded == "-" and args.svg == "-":
+        print("analyze: --folded - and --svg - both claim stdout",
+              file=sys.stderr)
+        return 2
 
     try:
         rec = load(args.trace)
@@ -650,14 +644,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.folded:
-        folded = folded_stacks(rec)
-        if args.folded == "-":
-            for line in folded:
-                print(line)
-            return 0
-        with open(args.folded, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(folded) + ("\n" if folded else ""))
-
+        _write(args.folded, "".join(f"{line}\n" for line in folded_stacks(rec)))
     if args.svg:
         import os
 
@@ -665,36 +652,27 @@ def main(argv: list[str] | None = None) -> int:
             parse_folded(folded_stacks(rec)),
             title=os.path.basename(args.trace),
         )
-        if args.svg == "-":
-            print(svg)
-            return 0
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg + "\n")
+        _write(args.svg, svg + "\n")
+    if not args.out and "-" in (args.folded, args.svg):
+        # stdout is claimed: the report goes only to --out.
+        return 0
 
     if args.as_json:
         text = json.dumps(report_json(rec, top=args.top), indent=2,
                           sort_keys=True, default=str)
     else:
         text = render_report(rec, top=args.top)
-
-    if args.waitgraph:
-        from ..analysis import to_dot
-
-        try:
-            with open(args.waitgraph, "r", encoding="utf-8") as fh:
-                snapshot = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"analyze: cannot load {args.waitgraph}: {exc}",
-                  file=sys.stderr)
-            return 2
-        text += "\n\n## Wait-for graph (DOT)\n" + to_dot(snapshot)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args.out or "-", text + "\n")
     return 0
+
+
+def _write(path: str, text: str) -> None:
+    """Write *text* to the file at *path*, or to stdout for ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests

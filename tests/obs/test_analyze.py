@@ -234,23 +234,3 @@ class TestReportAndCli:
         assert main([str(trace), "--out", str(out)]) == 0
         assert "Critical-path profile" in out.read_text()
         assert main([str(tmp_path / "missing.json")]) == 2
-
-    def test_cli_waitgraph_appends_dot(self, tmp_path, capsys):
-        kernel = Kernel(spans=True)
-        trace = tmp_path / "t.jsonl"
-        kernel.obs.add_sink(JsonlSink(str(trace)))
-        obj = Echo(kernel, name="echo")
-        kernel.run_process(lambda: (yield obj.echo("hi")), name="client")
-        kernel.obs.close()
-        snap = tmp_path / "snap.json"
-        snap.write_text(json.dumps({
-            "type": "wait_for", "time": 7,
-            "processes": ["a", "b"],
-            "edges": [{"src": "a", "dst": "b", "label": "call b.x[0]",
-                       "definite": True}],
-            "pools": [], "cycles": [],
-        }))
-        assert main([str(trace), "--waitgraph", str(snap)]) == 0
-        out = capsys.readouterr().out
-        assert "## Wait-for graph (DOT)" in out
-        assert "digraph wait_for" in out

@@ -118,6 +118,23 @@ class TestFoldedCli:
         folded = parse_folded(out.splitlines())
         assert folded
 
+    def test_stdout_claim_still_writes_every_named_file(self, tmp_path, capsys):
+        trace = self.write_trace(tmp_path)
+        svg, report = tmp_path / "flame.svg", tmp_path / "report.txt"
+        argv = [str(trace), "--folded", "-", "--svg", str(svg), "--out", str(report)]
+        assert main(argv) == 0
+        assert parse_folded(capsys.readouterr().out.splitlines())
+        assert svg.read_text().startswith("<svg ")
+        assert "Critical-path profile" in report.read_text()
+        assert main([str(trace), "--svg", "-", "--out", str(report)]) == 0
+        assert capsys.readouterr().out.startswith("<svg ")
+
+    def test_two_stdout_claims_are_a_usage_error(self, tmp_path, capsys):
+        trace = self.write_trace(tmp_path)
+        assert main([str(trace), "--folded", "-", "--svg", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "stdout" in captured.err
+
 
 class TestSvgFlameGraph:
     def folded(self):

@@ -311,6 +311,136 @@ class TestCompiledCombining:
         assert kernel.stats.calls_combined == 1
 
 
+CELL_SOURCE = """
+object Cell defines
+  proc Put(Value);
+  proc Get() returns (Value);
+end Cell;
+
+object Cell implements
+  var Content := nil;
+  var LastPut := nil;
+  proc Put(V); begin Content := V + 10; end Put;
+  proc Get() returns (1); begin return (Content); end Get;
+  manager intercepts Put(X), Get;
+  begin
+    loop
+      when true =>
+        accept Put(X);
+        LastPut := X;
+        start Put(X);
+        await Put;
+        finish Put;
+        accept Get;
+        execute Get;
+    end loop;
+  end manager;
+end Cell;
+"""
+
+ASK_SOURCE = """
+object Adder defines
+  proc Ask(X) returns (Y);
+end Adder;
+
+object Adder implements
+  proc Ask(X) returns (1); begin return (X * 2); end Ask;
+  manager intercepts Ask(X; R);
+  begin
+    loop
+      when true =>
+        accept Ask(X);
+        start Ask(X);
+        await Ask(R);
+        finish Ask(R + X);
+    end loop;
+  end manager;
+end Adder;
+"""
+
+JOBS_SOURCE = """
+object Jobs defines
+  proc Job(Level) returns (Done);
+end Jobs;
+
+object Jobs implements
+  var Accepted := array(3);
+  var Finished := array(3);
+  var NA: int := 0;
+  var NF: int := 0;
+  proc Job[1..3](L) returns (1);
+  begin work(1); return (L); end Job;
+  manager intercepts Job(L; D);
+  begin
+    work(50);
+    loop
+      accept Job(L) when NA < 3 pri L =>
+        Accepted[NA] := L;
+        NA := NA + 1;
+        start Job;
+        work(20);
+    or
+      await Job(D) when NA = 3 pri 0 - D =>
+        Finished[NF] := D;
+        NF := NF + 1;
+        finish Job;
+    end loop;
+  end manager;
+end Jobs;
+"""
+
+
+class TestManagerStatements:
+    """``accept``/``await`` written as statements, and ``pri`` on their
+    guards: the same calls and the same virtual time as the guard forms."""
+
+    def test_standalone_accept_start_await_finish(self):
+        kernel = Kernel()
+        cell = compile_program(CELL_SOURCE).instantiate(kernel, "Cell")
+
+        def main():
+            got = []
+            for i in range(3):
+                yield cell.call("Put", i)
+                got.append((yield cell.call("Get")))
+            return got
+
+        assert kernel.run_process(main) == [10, 11, 12]
+        assert cell.LastPut == 2
+        assert kernel.clock.now == 38
+
+    def test_await_statement_binds_intercepted_results(self):
+        kernel = Kernel()
+        adder = compile_program(ASK_SOURCE).instantiate(kernel, "Adder")
+
+        def ask(x):
+            return (yield adder.call("Ask", x))
+
+        def main():
+            return (yield Par(lambda: ask(5), lambda: ask(7)))
+
+        assert kernel.run_process(main) == [15, 21]
+        assert kernel.clock.now == 14
+
+    @pytest.mark.parametrize("costs, end", [(None, 129), (FREE, 110)])
+    def test_pri_orders_accept_and_await_arms(self, costs, end):
+        kernel = Kernel() if costs is None else Kernel(costs=costs)
+        jobs = compile_program(JOBS_SOURCE).instantiate(kernel, "Jobs")
+
+        def job(level):
+            return (yield jobs.call("Job", level))
+
+        def main():
+            return (yield Par(*[lambda l=l: job(l) for l in (2, 3, 1)]))
+
+        assert kernel.run_process(main) == [2, 3, 1]
+        # Smallest pri first: lowest level accepted first, highest
+        # result awaited first (pri 0 - D), whatever the arrival order.
+        assert jobs.Accepted == [1, 2, 3]
+        assert jobs.Finished == [3, 2, 1]
+        assert kernel.clock.now == end
+
+
 CHANNEL_SOURCE = """
 object Relay defines
   proc Run(Inbox, Outbox, Count);
@@ -359,6 +489,49 @@ class TestCompiledChannels:
         kernel.run()
         assert proc.result == [0, 10, 20, 30]
 
+
+    def test_receive_arms_with_when_and_pri(self):
+        from repro.channels import Channel, Send
+
+        kernel = Kernel()
+        module = compile_program(
+            """
+            object Merge implements
+              var Got := nil;
+              proc Run(A, B, Count);
+              var X := nil;
+              var Y := nil;
+              var N: int := 0;
+              begin
+                Got := array(Count);
+                while N < Count do
+                  select
+                    receive A(X, Y) when X > 0 pri Y => Got[N] := X;
+                  or
+                    receive B(X, Y) when X > 0 pri Y => Got[N] := X * 100;
+                  end select;
+                  N := N + 1;
+                end while;
+              end Run;
+            end Merge;
+            """
+        )
+        merge = module.instantiate(kernel, "Merge")
+        a, b = Channel(), Channel()
+
+        def main():
+            for message in [(0, 1), (1, 5), (2, 1)]:
+                yield Send(a, *message)
+            for message in [(3, 2), (4, 9)]:
+                yield Send(b, *message)
+            yield merge.call("Run", a, b, 4)
+
+        kernel.run_process(main)
+        # (0, 1) never passes 'when X > 0'; among the two ready arms
+        # the smaller Y wins.
+        assert merge.Got == [300, 1, 2, 400]
+        assert len(a._queue) == 1
+        assert kernel.clock.now == 8
 
 class TestErrors:
     def test_unknown_object_rejected(self):
@@ -420,6 +593,24 @@ class TestErrors:
         with pytest.raises(LangRuntimeError):
             kernel.run()
 
+
+    def test_accept_outside_manager_is_loud(self):
+        kernel = Kernel()
+        module = compile_program(
+            """
+            object T implements
+              proc P(); begin skip; end P;
+              proc Q(); begin accept P; end Q;
+            end T;
+            """
+        )
+        obj = module.instantiate(kernel, "T")
+
+        def main():
+            yield obj.call("Q")
+
+        with pytest.raises(LangRuntimeError, match="only allowed inside a manager"):
+            kernel.run_process(main)
 
 class TestCrossObjectCalls:
     def test_objects_call_each_other_by_name(self):

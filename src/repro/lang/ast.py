@@ -132,38 +132,20 @@ class SkipStmt:
 
 
 @dataclass
-class AcceptStmt:
-    proc: str
-    slot_var: str | None   # bound loop variable, informational
-    params: list            # names receiving intercepted params
-    bind: str | None        # variable that receives the call handle
-
-
-@dataclass
 class StartStmt:
     proc: str
-    call_var: str | None    # call-handle variable; None = "the current call"
     hidden: list            # hidden parameter expressions
-
-
-@dataclass
-class AwaitStmt:
-    proc: str
-    results: list           # names receiving intercepted results
-    bind: str | None
 
 
 @dataclass
 class FinishStmt:
     proc: str
-    call_var: str | None
     results: list           # expressions for intercepted results
 
 
 @dataclass
 class ExecuteStmt:
     proc: str
-    call_var: str | None
     hidden: list
 
 
@@ -178,7 +160,6 @@ class GuardClause:
     proc: str | None        # for accept/await
     channel: Any            # for receive
     binders: list           # names bound from params/results/message
-    bind: str | None        # call-handle variable for accept/await
     when: Any               # condition expression or None
     pri: Any                # priority expression or None
     body: list
@@ -186,6 +167,9 @@ class GuardClause:
 
 @dataclass
 class SelectStmt:
+    """``select``/``loop``; ``accept P(X);`` and ``await P(R);`` written
+    as statements are one-clause selects with an empty body (§2.4)."""
+
     clauses: list
     repetitive: bool        # loop vs select
 

@@ -54,9 +54,6 @@ class Module:
         self.instances[name] = obj
         return obj
 
-    def __getitem__(self, name: str) -> AlpsObject:
-        return self.instances[name]
-
 
 def compile_program(source: str) -> Module:
     """Parse and compile ALPS source text into a :class:`Module`."""

@@ -19,8 +19,6 @@ from ..core.primitives import (
     Finish,
     Start,
     WhenGuard,
-    accept,
-    await_call,
     execute_call,
 )
 from ..errors import AlpsError
@@ -230,12 +228,8 @@ def exec_stmt(env: Env, stmt: Any, mgr: "ManagerState | None"):
         pass
     elif isinstance(stmt, ast.SelectStmt):
         yield from _exec_select(env, stmt, mgr)
-    elif isinstance(stmt, ast.AcceptStmt):
-        yield from _exec_accept(env, stmt, _need_mgr(mgr, "accept"))
     elif isinstance(stmt, ast.StartStmt):
         yield from _exec_start(env, stmt, _need_mgr(mgr, "start"))
-    elif isinstance(stmt, ast.AwaitStmt):
-        yield from _exec_await(env, stmt, _need_mgr(mgr, "await"))
     elif isinstance(stmt, ast.FinishStmt):
         yield from _exec_finish(env, stmt, _need_mgr(mgr, "finish"))
     elif isinstance(stmt, ast.ExecuteStmt):
@@ -346,39 +340,37 @@ class ManagerState:
         return stack.pop()
 
 
-def _exec_accept(env: Env, stmt: ast.AcceptStmt, mgr: ManagerState):
-    proc = _runtime_proc_name(env.obj, stmt.proc)
-    call = yield accept(env.obj, proc)
-    mgr.push(mgr.accepted, proc, call)
-    _bind_names(env, stmt.params, call.intercepted_args, "accept")
+def _accepted_call(
+    env: Env, stmt: ast.StartStmt | ast.ExecuteStmt, mgr: ManagerState, what: str
+) -> Any:
+    call = mgr.pop(mgr.accepted, _runtime_proc_name(env.obj, stmt.proc))
+    if call is None:
+        raise LangRuntimeError(f"{what} {stmt.proc}: no accepted call")
+    return call
+
+
+def _hidden_params(env: Env, call: Any, exprs: list) -> list:
+    """The hidden parameters among the arguments of ``start``/``execute``.
+
+    The source form 'start P(Word, Place)' re-supplies the intercepted
+    parameters first (the manager "supplies all the invocation
+    parameters that it received", §2.3); only the surplus beyond the
+    intercepted count are hidden parameters.
+    """
+    hidden = [eval_expr(env, h) for h in exprs]
+    icpt = call.spec.intercept.params if call.spec.intercept else 0
+    return hidden[icpt:] if len(hidden) > call.spec.hidden_params else hidden
 
 
 def _exec_start(env: Env, stmt: ast.StartStmt, mgr: ManagerState):
-    proc = _runtime_proc_name(env.obj, stmt.proc)
-    call = mgr.pop(mgr.accepted, proc)
-    if call is None:
-        raise LangRuntimeError(f"start {stmt.proc}: no accepted call")
-    hidden = [eval_expr(env, h) for h in stmt.hidden]
-    # The source form 'start P(Word, Place)' re-supplies the intercepted
-    # parameters first (the manager "supplies all the invocation
-    # parameters that it received", §2.3); only the surplus beyond the
-    # intercepted count are hidden parameters.
-    icpt = call.spec.intercept.params if call.spec.intercept else 0
-    surplus = hidden[icpt:] if len(hidden) > call.spec.hidden_params else hidden
-    yield Start(call, *surplus)
+    call = _accepted_call(env, stmt, mgr, "start")
+    yield Start(call, *_hidden_params(env, call, stmt.hidden))
 
 
 def _await_values(call: Any) -> tuple:
     """Everything the manager may receive at ``await``: the intercepted
     prefix of the definition results plus any hidden results (§2.8)."""
     return tuple(call.intercepted_results) + tuple(call.hidden_results)
-
-
-def _exec_await(env: Env, stmt: ast.AwaitStmt, mgr: ManagerState):
-    proc = _runtime_proc_name(env.obj, stmt.proc)
-    call = yield await_call(env.obj, proc)
-    mgr.push(mgr.awaited, proc, call)
-    _bind_names(env, stmt.results, _await_values(call), "await")
 
 
 def _exec_finish(env: Env, stmt: ast.FinishStmt, mgr: ManagerState):
@@ -393,14 +385,8 @@ def _exec_finish(env: Env, stmt: ast.FinishStmt, mgr: ManagerState):
 
 
 def _exec_execute(env: Env, stmt: ast.ExecuteStmt, mgr: ManagerState):
-    proc = _runtime_proc_name(env.obj, stmt.proc)
-    call = mgr.pop(mgr.accepted, proc)
-    if call is None:
-        raise LangRuntimeError(f"execute {stmt.proc}: no accepted call")
-    hidden = [eval_expr(env, h) for h in stmt.hidden]
-    icpt = call.spec.intercept.params if call.spec.intercept else 0
-    surplus = hidden[icpt:] if len(hidden) > call.spec.hidden_params else hidden
-    yield from execute_call(call, *surplus)
+    call = _accepted_call(env, stmt, mgr, "execute")
+    yield from execute_call(call, *_hidden_params(env, call, stmt.hidden))
 
 
 def _bind_names(env: Env, names: list, values: tuple, what: str) -> None:
@@ -420,22 +406,15 @@ def _bind_names(env: Env, names: list, values: tuple, what: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _make_guard(env: Env, clause: ast.GuardClause):
-    if clause.kind == "accept":
-        proc = _runtime_proc_name(env.obj, clause.proc)
-        return AcceptGuard(
+def _make_guard(env: Env, clause: ast.GuardClause, mgr: ManagerState | None):
+    if clause.kind in ("accept", "await"):
+        _need_mgr(mgr, clause.kind)
+        accepting = clause.kind == "accept"
+        return (AcceptGuard if accepting else AwaitGuard)(
             env.obj,
-            proc,
+            _runtime_proc_name(env.obj, clause.proc),
             when=_param_condition(env, clause),
-            pri=_call_pri(env, clause, use_args=True),
-        )
-    if clause.kind == "await":
-        proc = _runtime_proc_name(env.obj, clause.proc)
-        return AwaitGuard(
-            env.obj,
-            proc,
-            when=_param_condition(env, clause),
-            pri=_call_pri(env, clause, use_args=False),
+            pri=_call_pri(env, clause, use_args=accepting),
         )
     if clause.kind == "receive":
         channel = eval_expr(env, clause.channel)
@@ -488,18 +467,17 @@ def _call_pri(env: Env, clause: ast.GuardClause, use_args: bool):
 
 def _exec_select(env: Env, stmt: ast.SelectStmt, mgr: ManagerState | None):
     def run_once():
-        guards = [_make_guard(env, clause) for clause in stmt.clauses]
+        guards = [_make_guard(env, clause, mgr) for clause in stmt.clauses]
         result = yield Select(*guards)
         clause = stmt.clauses[result.index]
         if clause.kind in ("accept", "await"):
             call = result.value
             proc = _runtime_proc_name(env.obj, clause.proc)
-            state = _need_mgr(mgr, clause.kind)
             if clause.kind == "accept":
-                state.push(state.accepted, proc, call)
+                mgr.push(mgr.accepted, proc, call)
                 _bind_names(env, clause.binders, call.intercepted_args, "accept")
             else:
-                state.push(state.awaited, proc, call)
+                mgr.push(mgr.awaited, proc, call)
                 _bind_names(env, clause.binders, _await_values(call), "await")
         elif clause.kind == "receive":
             message = result.value

@@ -21,15 +21,16 @@ Grammar (regularized from the paper's examples)::
                 | 'receive' NAME '(' names ')' | 'work' '(' expr ')'
                 | 'return' [args] | 'skip'
                 | ifstmt | whilestmt | selectstmt
-                | 'accept' primargs | 'start' primargs | 'await' primargs
-                | 'finish' primargs | 'execute' primargs
+                | primhead               (a one-guard select, no body)
+                | ('start'|'finish'|'execute') primname ['(' args ')']
     selectstmt := ('select'|'loop') guarded {'or' guarded} 'end' ('select'|'loop')
     guarded    := ['(' NAME ':' expr '..' expr ')'] guardprim
                   ['when' expr] ['pri' expr] '=>' stmts
-    guardprim  := 'accept' NAME ['[' NAME ']'] ['(' names ')']
-                | 'await'  NAME ['[' NAME ']'] ['(' names ')']
+    guardprim  := primhead
                 | 'receive' NAME '(' names ')'
                 | 'when' expr            (pure boolean guard)
+    primhead   := ('accept'|'await') primname ['(' names ')']
+    primname   := NAME ['[' NAME ']']
 
 Expressions use the usual precedence: ``or`` < ``and`` < ``not`` <
 comparison < additive < multiplicative < unary < postfix (call, index,
@@ -332,11 +333,11 @@ class Parser:
                 "return": self.parse_return,
                 "work": self.parse_work,
                 "skip": lambda: (self.take(), ast.SkipStmt())[1],
-                "accept": lambda: self.parse_accept_stmt(),
-                "start": lambda: self.parse_start_stmt(),
-                "await": lambda: self.parse_await_stmt(),
-                "finish": lambda: self.parse_finish_stmt(),
-                "execute": lambda: self.parse_execute_stmt(),
+                "accept": self.parse_prim_stmt,
+                "await": self.parse_prim_stmt,
+                "start": lambda: ast.StartStmt(*self._prim_call()),
+                "finish": lambda: ast.FinishStmt(*self._prim_call()),
+                "execute": lambda: ast.ExecuteStmt(*self._prim_call()),
             }.get(token.value)
             if handler is not None:
                 return handler()
@@ -431,65 +432,46 @@ class Parser:
 
     # -- manager primitives as statements --------------------------------------
 
-    def _prim_target(self) -> tuple[str, str | None]:
-        """Parse ``P`` or ``P[i]`` after a primitive keyword."""
+    def _prim_target(self) -> str:
+        """Parse ``P`` or ``P[i]`` after a primitive keyword.
+
+        ``i`` is the quantifier's binder; the runtime quantifies over the
+        whole array, so it is parsed and discarded.
+        """
         proc = self.expect("name").value
-        slot_var = None
         if self.at("sym", "["):
             self.take()
-            slot_var = self.expect("name").value
+            self.expect("name")
             self.expect_sym("]")
-        return proc, slot_var
+        return proc
 
-    def parse_accept_stmt(self):
-        self.expect_kw("accept")
-        proc, slot_var = self._prim_target()
-        params: list = []
+    def _prim_call(self) -> tuple[str, list]:
+        """``start``/``finish``/``execute P[i](E, ...)``: name and arguments."""
+        self.take()
+        proc = self._prim_target()
+        args: list = []
         if self.at("sym", "("):
             self.take()
-            params = self.parse_name_or_type_list()
+            args = self.parse_args(")")
             self.expect_sym(")")
-        return ast.AcceptStmt(proc, slot_var, params, None)
+        return proc, args
 
-    def parse_start_stmt(self):
-        self.expect_kw("start")
-        proc, _slot = self._prim_target()
-        hidden: list = []
+    def _prim_head(self) -> tuple[str, str, list]:
+        """``accept``/``await P[i](X, ...)``: kind, name and binders."""
+        kind = self.take().value
+        proc = self._prim_target()
+        binders: list = []
         if self.at("sym", "("):
             self.take()
-            hidden = self.parse_args(")")
+            binders = self.parse_name_or_type_list()
             self.expect_sym(")")
-        return ast.StartStmt(proc, None, hidden)
+        return kind, proc, binders
 
-    def parse_await_stmt(self):
-        self.expect_kw("await")
-        proc, _slot = self._prim_target()
-        results: list = []
-        if self.at("sym", "("):
-            self.take()
-            results = self.parse_name_or_type_list()
-            self.expect_sym(")")
-        return ast.AwaitStmt(proc, results, None)
-
-    def parse_finish_stmt(self):
-        self.expect_kw("finish")
-        proc, _slot = self._prim_target()
-        results: list = []
-        if self.at("sym", "("):
-            self.take()
-            results = self.parse_args(")")
-            self.expect_sym(")")
-        return ast.FinishStmt(proc, None, results)
-
-    def parse_execute_stmt(self):
-        self.expect_kw("execute")
-        proc, _slot = self._prim_target()
-        hidden: list = []
-        if self.at("sym", "("):
-            self.take()
-            hidden = self.parse_args(")")
-            self.expect_sym(")")
-        return ast.ExecuteStmt(proc, None, hidden)
+    def parse_prim_stmt(self):
+        """``accept P(X);`` / ``await P(R);``: a one-guard select (§2.4)."""
+        kind, proc, binders = self._prim_head()
+        clause = ast.GuardClause(kind, proc, None, binders, None, None, [])
+        return ast.SelectStmt([clause], repetitive=False)
 
     # -- select / loop -----------------------------------------------------------
 
@@ -527,13 +509,8 @@ class Parser:
         binders: list = []
         when = None
         pri = None
-        if self.at_kw("accept") or self.at_kw("await"):
-            kind = self.take().value
-            proc, _slot = self._prim_target()
-            if self.at("sym", "("):
-                self.take()
-                binders = self.parse_name_or_type_list()
-                self.expect_sym(")")
+        if self.at_kw("accept", "await"):
+            kind, proc, binders = self._prim_head()
         elif self.at_kw("receive"):
             kind = "receive"
             self.take()
@@ -565,7 +542,7 @@ class Parser:
             pri = self.parse_expr()
         self.expect_sym("=>")
         body = self.parse_stmts(stop={"end"})
-        return ast.GuardClause(kind, proc, channel, binders, None, when, pri, body)
+        return ast.GuardClause(kind, proc, channel, binders, when, pri, body)
 
     # -- expressions -----------------------------------------------------------
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from ..errors import DeadlockError
 from ..kernel.process import ProcessState
 from ..kernel.syscalls import Delay
-from ..kernel.waitgraph import PoolReport, build_wait_graph
+from ..kernel.waitgraph import PoolReport, build_wait_graph, describe_cycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -102,8 +102,6 @@ class LiveDeadlockDetector:
                     f"live deadlock detected at t={self.kernel.clock.now}:"
                 ]
                 for cycle in cycles:
-                    lines.append(
-                        "wait-for cycle: " + snapshot.describe_cycle(cycle)
-                    )
+                    lines.append("wait-for cycle: " + describe_cycle(cycle))
                 raise DeadlockError("\n".join(lines), wait_for=snapshot)
             self.cycles.extend(cycles)

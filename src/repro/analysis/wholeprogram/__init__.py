@@ -35,7 +35,7 @@ from .callgraph import (
     build_call_graph,
     build_program,
 )
-from .cycles import cycle_class_sets, cycles, describe_cycle, predict_cycles
+from .cycles import cycle_class_sets, cycles, predict_cycles
 from .effects import EffectSet, entry_effects, object_effects
 from .interference import check_interference
 
@@ -52,7 +52,6 @@ __all__ = [
     "callgraph_to_dot",
     "check_interference",
     "cycle_class_sets",
-    "describe_cycle",
     "entry_effects",
     "object_effects",
     "predict_cycles",

@@ -85,10 +85,6 @@ class Edge:
         self.obj = obj
         self.entry = entry
 
-    @property
-    def unknown(self) -> bool:
-        return self.dst is None
-
     def describe(self) -> str:
         dst = self.dst.label if self.dst is not None else "?"
         return f"{self.src.label} --[{self.label}]--> {dst}"

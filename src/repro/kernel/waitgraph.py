@@ -17,7 +17,8 @@ object/entry/slot involved:
 
 A cycle of such edges is a deadlock: every participant needs another
 participant to move first.  :meth:`WaitForSnapshot.cycles` finds them
-(:func:`cyclic_components`), and the kernel attaches the whole snapshot to
+(:func:`cyclic_components`, :func:`walk_cycle`; :func:`describe_cycle`
+writes them), and the kernel attaches the whole snapshot to
 :class:`~repro.errors.DeadlockError` as ``.wait_for`` so tests and the
 faults runtime can assert on the cycle structurally instead of parsing
 the exception text.  The opt-in *live* detector
@@ -34,7 +35,8 @@ left to fire).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
 from .process import Process, ProcessState
 from .timeouts import Timeout
@@ -140,17 +142,13 @@ class WaitForSnapshot:
         excluded before searching.
         """
         edges = [e for e in self.edges if e.definite] if definite_only else self.edges
-        adjacency: dict[int, list[WaitEdge]] = {}
+        successors: dict[Process, list[Process]] = {}
         for edge in edges:
-            adjacency.setdefault(edge.src.pid, []).append(edge)
-        successors = {
-            pid: [e.dst.pid for e in out] for pid, out in adjacency.items()
-        }
-        cycles = [
-            _walk_cycle(set(component), adjacency)
+            successors.setdefault(edge.src, []).append(edge.dst)
+        return [
+            walk_cycle(min(component, key=attrgetter("pid")), component, edges)
             for component in cyclic_components(successors)
         ]
-        return [cycle for cycle in cycles if cycle]
 
     # -- rendering ---------------------------------------------------------
 
@@ -193,32 +191,13 @@ class WaitForSnapshot:
             ],
         }
 
-    def describe_cycle(self, cycle: list[WaitEdge]) -> str:
-        if not cycle:
-            return ""
-        parts = [cycle[0].src.name]
-        for edge in cycle:
-            parts.append(f"--[{edge.label}]--> {edge.dst.name}")
-        return " ".join(parts)
-
     def describe_cycles(self) -> str:
         """Multi-line rendering of every cycle (and exhausted pool)."""
         lines = []
         for cycle in self.cycles():
-            lines.append("wait-for cycle: " + self.describe_cycle(cycle))
+            lines.append("wait-for cycle: " + describe_cycle(cycle))
         for pool in self.pools:
             lines.append("exhausted pool: " + pool.describe())
-        return "\n".join(lines)
-
-    def describe(self) -> str:
-        lines = [f"wait-for graph at t={self.time}:"]
-        for edge in self.edges:
-            lines.append("  " + edge.describe())
-        if not self.edges:
-            lines.append("  (no edges)")
-        tail = self.describe_cycles()
-        if tail:
-            lines.append(tail)
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -296,25 +275,46 @@ def cyclic_components(
     ]
 
 
-def _walk_cycle(
-    component: set[int], adjacency: dict[int, list[WaitEdge]]
-) -> list[WaitEdge]:
-    """Extract one concrete edge cycle inside an SCC."""
-    start = min(component)
-    path: list[WaitEdge] = []
-    seen: dict[int, int] = {start: 0}
+def walk_cycle(start: Hashable, component: Iterable, edges: Iterable) -> list:
+    """One edge cycle from ``start`` through its cyclic component.
+
+    Of the ``edges`` (``src``/``dst`` nodes) inside the component, each
+    step takes the one back to ``start``, else the first to an unvisited
+    node, else the first; the prefix the walk never returns to is cut.
+    The one walk for the runtime graph (started at the smallest pid) and
+    the static call graph (ALP120, at the component's first node).
+    """
+    members = set(component)
+    out: dict = {}
+    for edge in edges:
+        if edge.src in members and edge.dst in members:
+            out.setdefault(edge.src, []).append(edge)
+    walk: list = []
+    seen: set = set()
     node = start
-    while True:
-        edge = next(
-            (e for e in adjacency.get(node, ()) if e.dst.pid in component), None
-        )
-        if edge is None:
-            return []  # no intra-component edge (cannot happen for real SCCs)
-        path.append(edge)
-        node = edge.dst.pid
-        if node in seen:
-            return path[seen[node] :]
-        seen[node] = len(path)
+    while node not in seen:
+        seen.add(node)
+        options = out[node]  # a cyclic component leaves no member stuck
+        chosen = next((e for e in options if e.dst == start), None)
+        if chosen is None:
+            chosen = next((e for e in options if e.dst not in seen), options[0])
+        walk.append(chosen)
+        node = chosen.dst
+    if walk:
+        closing = walk[-1].dst
+        for i, edge in enumerate(walk):
+            if edge.src == closing:
+                return walk[i:]
+    return walk
+
+
+def describe_cycle(cycle: list, name: Callable[[Any], str] = attrgetter("name")) -> str:
+    """``A --[label]--> B --[label]--> A``: the one notation of a wait
+    cycle, ``DeadlockError``'s and ALP120's.  ``name`` names a node: a
+    process's ``name`` here, ``Node.label`` in the call graph."""
+    parts = [name(cycle[0].src)]
+    parts.extend(f"--[{edge.label}]--> {name(edge.dst)}" for edge in cycle)
+    return " ".join(parts)
 
 
 def _call_target_edges(proc: Process, call: Any) -> Iterable[WaitEdge]:

@@ -69,15 +69,6 @@ class CallDelta:
                 out[phase] = delta
         return out
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "key": _fmt_key(self.key),
-            "total_a": self.a.total,
-            "total_b": self.b.total,
-            "delta": self.total_delta,
-            "phases": self.phase_deltas(),
-        }
-
 
 class TraceDiff:
     """The structured result of diffing recording ``a`` against ``b``."""

@@ -12,7 +12,8 @@ a run with ``plane.stream_snapshots()`` enabled::
 re-renders whenever new snapshots appear; the *rendering* stays a pure
 function of the snapshot payload, so a followed run and a post-hoc
 replay print the same text for the same tick.  Exit status 2 means the
-file held no ``live.snapshot`` instants.
+file held no ``live.snapshot`` instants, or none at or before ``--at``'s
+tick (the message then names the first snapshot's tick).
 """
 
 from __future__ import annotations
@@ -51,12 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         "--at", type=int, default=None,
         help="render the latest snapshot at or before this tick",
     )
-    parser.add_argument(
-        "--out", default=None, help="write the dashboard to a file instead of stdout"
-    )
-    parser.add_argument(
-        "--width", type=int, default=72, help="dashboard width in columns"
-    )
+    parser.add_argument("--out", help="write the dashboard to a file instead of stdout")
+    parser.add_argument("--width", type=int, default=72, help="dashboard width in columns")
     parser.add_argument(
         "--follow", action="store_true",
         help="keep polling the file and re-render on new snapshots",
@@ -67,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-polls", type=int, default=0,
-        help="stop --follow after this many polls (0 = run until EOF stops "
-             "growing is never assumed; interrupt to stop)",
+        help="stop --follow after this many polls (0 = poll until interrupted)",
     )
     args = parser.parse_args(argv)
 
@@ -76,7 +72,11 @@ def main(argv: list[str] | None = None) -> int:
         snapshots = load_snapshots(_read_lines(args.path))
         chosen = snapshot_at(snapshots, args.at)
         if chosen is None:
-            print(f"no live.snapshot instants in {args.path}", file=sys.stderr)
+            where = f"instants in {args.path}"
+            if snapshots:  # --at is earlier than the first snapshot
+                first = snapshots[0].get("time", 0)
+                where = f"at or before tick {args.at} in {args.path} (the first is at tick {first})"
+            print(f"no live.snapshot {where}", file=sys.stderr)
             return 2
         _emit(render(chosen, width=args.width), args.out)
         return 0

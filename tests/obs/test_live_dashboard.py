@@ -60,6 +60,16 @@ class TestCli:
         assert main([str(empty)]) == 2
         assert "no live.snapshot" in capsys.readouterr().err
 
+    def test_at_before_first_snapshot_names_its_tick(self, tmp_path, capsys):
+        path = _make_jsonl(tmp_path)
+        first = load_snapshots(path.read_text().splitlines())[0]["time"]
+        assert first > 0
+        assert main([str(path), "--at", str(first - 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"at or before tick {first - 1}" in err
+        assert f"the first is at tick {first}" in err
+        assert "no live.snapshot instants" not in err
+
     def test_missing_file_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([str(tmp_path / "absent.jsonl")])

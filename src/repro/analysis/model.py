@@ -488,8 +488,23 @@ class Module:
 
 
 def load_source(source: str, path: str = "<source>") -> Module:
-    """Parse *source* and extract its objects; ``SyntaxError`` propagates."""
+    """Parse *source* and extract its objects; ``SyntaxError`` propagates.
+
+    A name bound by ``from m import X as Y`` is read as ``X`` throughout
+    the tree, so an alias never changes what a decorator, base class,
+    primitive or constructor names to any pass.
+    """
     tree = ast.parse(source, filename=path)
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in aliases:
+            node.id = aliases[node.id]
     return Module(path, tree, extract_objects(tree, path=path))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,6 +65,21 @@ class Binary:
     op: str
     left: Any
     right: Any
+
+
+#: The binary operators, ``op -> (level, function)``; a higher level binds
+#: tighter.  ``not`` is a prefix at level 3, comparisons do not chain, and
+#: ``and``/``or`` short-circuit in the evaluator.
+BINARY: dict[str, tuple[int, Any]] = {
+    "or": (1, None),
+    "and": (2, None),
+    "=": (4, operator.eq), "<>": (4, operator.ne),
+    "<": (4, operator.lt), "<=": (4, operator.le),
+    ">": (4, operator.gt), ">=": (4, operator.ge),
+    "+": (5, operator.add), "-": (5, operator.sub),
+    "*": (6, operator.mul), "/": (6, operator.truediv),
+    "div": (6, operator.floordiv), "mod": (6, operator.mod),
+}
 
 
 @dataclass

@@ -9,6 +9,7 @@ statements or as the right-hand side of an assignment.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 from ..channels.channel import Channel, Receive, ReceiveGuard, Send
@@ -134,33 +135,7 @@ def _binary(env: Env, node: ast.Binary) -> Any:
         return bool(eval_expr(env, node.left)) and bool(eval_expr(env, node.right))
     if op == "or":
         return bool(eval_expr(env, node.left)) or bool(eval_expr(env, node.right))
-    left = eval_expr(env, node.left)
-    right = eval_expr(env, node.right)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    if op == "div":
-        return left // right
-    if op == "mod":
-        return left % right
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise LangRuntimeError(f"unknown operator {op!r}")
+    return ast.BINARY[op][1](eval_expr(env, node.left), eval_expr(env, node.right))
 
 
 def _runtime_proc_name(obj: AlpsObject, source_name: str) -> str:
@@ -219,7 +194,7 @@ def exec_stmt(env: Env, stmt: Any, mgr: "ManagerState | None"):
     elif isinstance(stmt, ast.ReceiveStmt):
         channel = eval_expr(env, stmt.channel)
         message = yield Receive(channel)
-        _bind_message(env, stmt.targets, message)
+        _bind_values(env, stmt.targets, message, "receive: {} targets but message has {} values")
     elif isinstance(stmt, ast.WorkStmt):
         yield Charge(int(eval_expr(env, stmt.amount)))
     elif isinstance(stmt, ast.ReturnStmt):
@@ -244,19 +219,22 @@ def _need_mgr(mgr: "ManagerState | None", what: str) -> "ManagerState":
     return mgr
 
 
-def _bind_message(env: Env, targets: list, message: Any) -> None:
-    if len(targets) == 0:
-        return
+def _values(value: Any) -> tuple:
+    """A message or call result as a tuple: one value, or a tuple of values."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _bind_values(env: Env, targets: list, value: Any, mismatch: str) -> None:
+    """Assign *value* to a single lvalue whole, else element-wise to each
+    of *targets* (*mismatch* formats the count error)."""
     if len(targets) == 1:
-        assign_lvalue(env, targets[0], message)
+        assign_lvalue(env, targets[0], value)
         return
-    values = tuple(message) if isinstance(message, tuple) else (message,)
-    if len(values) != len(targets):
-        raise LangRuntimeError(
-            f"receive: {len(targets)} targets but message has {len(values)} values"
-        )
-    for target, value in zip(targets, values):
-        assign_lvalue(env, target, value)
+    values = _values(value)
+    if targets and len(values) != len(targets):
+        raise LangRuntimeError(mismatch.format(len(targets), len(values)))
+    for target, item in zip(targets, values):
+        assign_lvalue(env, target, item)
 
 
 def _exec_assign(env: Env, stmt: ast.Assign):
@@ -266,17 +244,7 @@ def _exec_assign(env: Env, stmt: ast.Assign):
         result = yield from _perform_call(env, stmt.value)
     else:
         result = eval_expr(env, stmt.value)
-    if len(stmt.targets) == 1:
-        assign_lvalue(env, stmt.targets[0], result)
-    else:
-        values = tuple(result) if isinstance(result, tuple) else (result,)
-        if len(values) != len(stmt.targets):
-            raise LangRuntimeError(
-                f"assignment: {len(stmt.targets)} targets but call "
-                f"returned {len(values)} values"
-            )
-        for target, value in zip(stmt.targets, values):
-            assign_lvalue(env, target, value)
+    _bind_values(env, stmt.targets, result, "assignment: {} targets but call returned {} values")
 
 
 def _perform_call(env: Env, call: ast.CallExpr):
@@ -406,63 +374,33 @@ def _bind_names(env: Env, names: list, values: tuple, what: str) -> None:
 # ----------------------------------------------------------------------
 
 
+def _clause_hook(env: Env, clause: ast.GuardClause, expr: Any, cast, values=lambda *a: a):
+    """A guard's ``when``/``pri`` hook: ``cast(expr)`` evaluated with the
+    clause's binders bound to ``values(*args)`` (the hook's own arguments
+    by default); None when the clause has no such expression."""
+    if expr is None:
+        return None
+    binders = clause.binders
+    return lambda *args: cast(eval_expr(env.child(dict(zip(binders, values(*args)))), expr))
+
+
 def _make_guard(env: Env, clause: ast.GuardClause, mgr: ManagerState | None):
+    when = _clause_hook(env, clause, clause.when, bool)
     if clause.kind in ("accept", "await"):
         _need_mgr(mgr, clause.kind)
         accepting = clause.kind == "accept"
+        values = attrgetter("intercepted_args" if accepting else "intercepted_results")
         return (AcceptGuard if accepting else AwaitGuard)(
             env.obj,
             _runtime_proc_name(env.obj, clause.proc),
-            when=_param_condition(env, clause),
-            pri=_call_pri(env, clause, use_args=accepting),
+            when=when,
+            pri=_clause_hook(env, clause, clause.pri, int, values),
         )
     if clause.kind == "receive":
-        channel = eval_expr(env, clause.channel)
-        when = None
-        if clause.when is not None:
-            binders = clause.binders
-
-            def when(*values, _b=binders, _e=env, _c=clause):
-                scoped = _e.child(dict(zip(_b, values)))
-                return bool(eval_expr(scoped, _c.when))
-
-        pri = None
-        if clause.pri is not None:
-            binders = clause.binders
-
-            def pri(value, _b=binders, _e=env, _c=clause):
-                values = value if isinstance(value, tuple) else (value,)
-                scoped = _e.child(dict(zip(_b, values)))
-                return int(eval_expr(scoped, _c.pri))
-
-        return ReceiveGuard(channel, when=when, pri=pri)
+        pri = _clause_hook(env, clause, clause.pri, int, _values)
+        return ReceiveGuard(eval_expr(env, clause.channel), when=when, pri=pri)
     # pure boolean guard
-    return WhenGuard(lambda _e=env, _c=clause: bool(eval_expr(_e, _c.when)))
-
-
-def _param_condition(env: Env, clause: ast.GuardClause):
-    if clause.when is None:
-        return None
-    binders = clause.binders
-
-    def condition(*values, _b=binders, _e=env, _c=clause):
-        scoped = _e.child(dict(zip(_b, values)))
-        return bool(eval_expr(scoped, _c.when))
-
-    return condition
-
-
-def _call_pri(env: Env, clause: ast.GuardClause, use_args: bool):
-    if clause.pri is None:
-        return None
-    binders = clause.binders
-
-    def pri(call, _b=binders, _e=env, _c=clause, _args=use_args):
-        values = call.intercepted_args if _args else call.intercepted_results
-        scoped = _e.child(dict(zip(_b, values)))
-        return int(eval_expr(scoped, _c.pri))
-
-    return pri
+    return WhenGuard(when)
 
 
 def _exec_select(env: Env, stmt: ast.SelectStmt, mgr: ManagerState | None):
@@ -480,9 +418,7 @@ def _exec_select(env: Env, stmt: ast.SelectStmt, mgr: ManagerState | None):
                 mgr.push(mgr.awaited, proc, call)
                 _bind_names(env, clause.binders, _await_values(call), "await")
         elif clause.kind == "receive":
-            message = result.value
-            values = message if isinstance(message, tuple) else (message,)
-            _bind_names(env, clause.binders, values, "receive")
+            _bind_names(env, clause.binders, _values(result.value), "receive")
         yield from exec_stmts(env, clause.body, mgr)
 
     if stmt.repetitive:

@@ -34,7 +34,8 @@ Grammar (regularized from the paper's examples)::
 
 Expressions use the usual precedence: ``or`` < ``and`` < ``not`` <
 comparison < additive < multiplicative < unary < postfix (call, index,
-field) < primary.  ``#P`` is the pending count (§2.5.1).
+field) < primary; the binary levels are the table :data:`ast.BINARY`.
+``#P`` is the pending count (§2.5.1).
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ from __future__ import annotations
 from . import ast
 from .tokens import LangSyntaxError, Token, tokenize
 
-_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+#: Levels the parser treats specially: the comparisons, which do not
+#: chain; the ``not`` prefix just looser than them; the tightest level.
+_COMPARE = ast.BINARY["="][0]
+_NOT = _COMPARE - 1
+_TIGHTEST = max(level for level, _ in ast.BINARY.values())
 
 
 class Parser:
@@ -555,15 +560,31 @@ class Parser:
                 args.append(self.parse_expr())
         return args
 
-    def parse_expr(self):
-        return self.parse_or()
+    def parse_expr(self, level: int = 1):
+        """An expression whose operators bind at *level* or tighter.
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at_kw("or") and self._or_is_operator():
+        Precedence climbing over :data:`ast.BINARY`: an operator at level
+        L takes a right operand that binds at L + 1 or tighter, so
+        operators associate to the left.  ``ceiling`` is the tightest
+        operator this frame may still take: after ``not E`` or a
+        comparison only ``and``/``or``, so comparisons do not chain.
+        """
+        if level <= _NOT and self.at_kw("not"):
             self.take()
-            left = ast.Binary("or", left, self.parse_and())
-        return left
+            left, ceiling = ast.Unary("not", self.parse_expr(_NOT)), _NOT
+        else:
+            left, ceiling = self.parse_unary(), _TIGHTEST
+        while True:
+            token = self.peek()
+            op = token.value if token.kind in ("kw", "sym") else None
+            prec = ast.BINARY.get(op, (0, None))[0]
+            if not level <= prec <= ceiling or (
+                op == "or" and not self._or_is_operator()
+            ):
+                return left
+            self.take()
+            left = ast.Binary(op, left, self.parse_expr(prec + 1))
+            ceiling = _NOT if prec == _COMPARE else prec
 
     def _or_is_operator(self) -> bool:
         # 'or' separates guarded alternatives in select/loop; inside an
@@ -576,45 +597,6 @@ class Parser:
         if nxt.kind == "sym" and nxt.value in ("(", "-", "#"):
             return True
         return False
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at_kw("and"):
-            self.take()
-            left = ast.Binary("and", left, self.parse_not())
-        return left
-
-    def parse_not(self):
-        if self.at_kw("not"):
-            self.take()
-            return ast.Unary("not", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        left = self.parse_additive()
-        if self.at("sym") and self.peek().value in _COMPARISONS:
-            op = self.take().value
-            return ast.Binary(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while self.at("sym", "+") or self.at("sym", "-"):
-            op = self.take().value
-            left = ast.Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_unary()
-        while (
-            self.at("sym", "*")
-            or self.at("sym", "/")
-            or self.at_kw("mod")
-            or self.at_kw("div")
-        ):
-            op = self.take().value
-            left = ast.Binary(op, left, self.parse_unary())
-        return left
 
     def parse_unary(self):
         if self.at("sym", "-"):

@@ -6,14 +6,17 @@ notation", §4) and reports that a compiler was in its initial stages.
 :mod:`repro.lang` is that front end: it parses the paper's notation and
 compiles it onto the :mod:`repro.core` runtime.
 
-The lexer is conventional: keywords, identifiers, integer/string
-literals, and the operator/punctuation set used by the paper's examples
-(``:=``, ``=>``, ``..``, comparisons, arithmetic).  Comments are
-``{ ... }`` (Pascal style) and ``// ...`` to end of line.
+The lexer is one regular expression of named alternatives: keywords,
+identifiers, decimal integer and string literals, and the
+operator/punctuation set used by the paper's examples (``:=``, ``=>``,
+``..``, comparisons, arithmetic).  Comments are ``{ ... }`` (Pascal
+style) and ``// ...`` to end of line.  Lines and columns count from 1
+and every character is one column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import AlpsError
@@ -54,100 +57,50 @@ class Token:
         return f"Token({self.kind},{self.value!r}@{self.line}:{self.column})"
 
 
+#: The lexicon as one table: each alternative is one token class, tried
+#: in this order at every offset.  ``skip`` is whitespace and comments;
+#: symbols are tried longest first, in :data:`SYMBOLS` order.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|\{[^}]*\})"
+    r"|(?P<string>\"[^\"\n]*\"|'[^'\n]*')"
+    r"|(?P<int>\d+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<sym>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+)
+
+
 def tokenize(source: str) -> list[Token]:
     """Split ALPS source into tokens (raises LangSyntaxError)."""
     tokens: list[Token] = []
-    line = 1
-    column = 1
-    index = 0
-    length = len(source)
-
-    def error(message: str) -> LangSyntaxError:
-        return LangSyntaxError(message, line, column)
-
-    while index < length:
-        ch = source[index]
-        # Whitespace
-        if ch == "\n":
-            line += 1
-            column = 1
-            index += 1
+    line, line_start, index = 1, 0, 0
+    while index < len(source):
+        match = _TOKEN.match(source, index)
+        kind = match.lastgroup if match else None
+        text = match.group() if match else source[index]
+        column = index - line_start + 1
+        if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            kind = None  # a numeric character such as '²' starts no word
+        if kind is None:
+            if text[0] == "{":
+                raise LangSyntaxError("unterminated { comment", line, column)
+            if text[0] in "\"'":
+                end = source.find("\n", index)
+                end = len(source) if end < 0 else end
+                raise LangSyntaxError(
+                    "unterminated string literal", line, end - line_start + 1
+                )
+            raise LangSyntaxError(f"unexpected character {text[0]!r}", line, column)
+        index = match.end()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            index += 1
-            column += 1
-            continue
-        # Comments
-        if ch == "{":
-            start_line, start_col = line, column
-            index += 1
-            column += 1
-            while index < length and source[index] != "}":
-                if source[index] == "\n":
-                    line += 1
-                    column = 1
-                else:
-                    column += 1
-                index += 1
-            if index >= length:
-                raise LangSyntaxError("unterminated { comment", start_line, start_col)
-            index += 1
-            column += 1
-            continue
-        if source.startswith("//", index):
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        # String literals
-        if ch in "\"'":
-            quote = ch
-            start_col = column
-            index += 1
-            column += 1
-            chars = []
-            while index < length and source[index] != quote:
-                if source[index] == "\n":
-                    raise error("unterminated string literal")
-                chars.append(source[index])
-                index += 1
-                column += 1
-            if index >= length:
-                raise error("unterminated string literal")
-            index += 1
-            column += 1
-            tokens.append(Token("string", "".join(chars), line, start_col))
-            continue
-        # Numbers
-        if ch.isdigit():
-            start_col = column
-            start = index
-            while index < length and source[index].isdigit():
-                index += 1
-                column += 1
-            tokens.append(Token("int", source[start:index], line, start_col))
-            continue
-        # Identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start_col = column
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-                column += 1
-            word = source[start:index]
-            lowered = word.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token("kw", lowered, line, start_col))
-            else:
-                tokens.append(Token("name", word, line, start_col))
-            continue
-        # Symbols (longest match first)
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, index):
-                tokens.append(Token("sym", symbol, line, column))
-                index += len(symbol)
-                column += len(symbol)
-                break
-        else:
-            raise error(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, column))
+        if kind == "string":
+            text = text[1:-1]
+        elif kind == "word":
+            kind = "kw" if text.lower() in KEYWORDS else "name"
+            text = text.lower() if kind == "kw" else text
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens

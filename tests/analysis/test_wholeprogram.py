@@ -7,6 +7,7 @@ cleanliness.
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from repro.analysis.wholeprogram import (
     predict_cycles,
 )
 from repro.analysis.model import load_source
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "analysis"
 
 
 def graph_of(source: str, path: str = "<source>"):
@@ -642,6 +646,39 @@ class TestSpellings:
         assert {e.label for e in graph.edges_from(manager)} == {
             "executes Obj.op inline"
         }
+
+
+    @pytest.mark.parametrize(
+        "name, alias",
+        [("manager_process", "_mp"), ("entry", "_entry")],
+        ids=["manager_process", "entry"],
+    )
+    def test_an_import_alias_is_the_imported_name(self, name, alias):
+        # The ALP101 fixture with one decorator imported under an alias:
+        # the verdict and the call graph are the plain spelling's.
+        plain = (FIXTURES / "bad_alp101_never_accepted.py").read_text()
+        head, body = plain.split("\n\n\n", 1)
+        aliased = (
+            head.replace(f" {name}", f" {name} as {alias}")
+            + "\n\n\n"
+            + body.replace(f"@{name}", f"@{alias}")
+        )
+        assert f"as {alias}" in aliased and f"@{alias}" in aliased
+        assert [(f.code, f.line, f.message) for f in lint_source(aliased)] == [
+            (f.code, f.line, f.message) for f in lint_source(plain)
+        ]
+        assert codes(lint_source(aliased)) == {"ALP101"}
+        assert [repr(e) for e in graph_of(aliased).edges] == [
+            repr(e) for e in graph_of(plain).edges
+        ]
+
+    def test_an_aliased_class_is_instantiated_as_that_class(self):
+        aliased = MUTUAL.replace(
+            "def build(kernel):",
+            "from objects import A as First, B as Second\n\n    def build(kernel):",
+        ).replace("A(kernel)", "First(kernel)").replace("B(kernel)", "Second(kernel)")
+        assert "First(kernel)" in aliased
+        assert codes(lint_source(textwrap.dedent(aliased))) == {"ALP120"}
 
 
 class TestAnalyzePaths:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import compile_program
+from repro.lang import LangSyntaxError, ast, compile_program, parse_program
 from repro.lang.interp import BUILTINS, Env, LangRuntimeError, eval_expr
 from repro.lang.parser import Parser
 
@@ -44,6 +44,88 @@ class TestArithmetic:
         assert ev("false and Missing") is False
         with pytest.raises(LangRuntimeError):
             ev("true and Missing")
+
+
+#: One evaluation of every binary operator of the notation.
+EVERY_OPERATOR = {
+    "or": ("false or true", True),
+    "and": ("true and false", False),
+    "=": ("2 = 2", True),
+    "<>": ("2 <> 2", False),
+    "<": ("3 < 2", False),
+    "<=": ("3 <= 2", False),
+    ">": ("3 > 2", True),
+    ">=": ("2 >= 3", False),
+    "+": ("7 + 2", 9),
+    "-": ("7 - 2", 5),
+    "*": ("7 * 2", 14),
+    "/": ("7 / 2", 3.5),
+    "div": ("7 div 2", 3),
+    "mod": ("7 mod 2", 1),
+}
+
+
+class TestOperators:
+    @pytest.mark.parametrize("op", sorted(EVERY_OPERATOR))
+    def test_every_operator_evaluates(self, op):
+        text, value = EVERY_OPERATOR[op]
+        node = expr(text)
+        assert isinstance(node, ast.Binary) and node.op == op
+        result = ev(text)
+        assert result == value and type(result) is type(value)
+
+    def test_table_is_every_operator(self):
+        assert set(EVERY_OPERATOR) == set(ast.BINARY)
+
+    def test_left_associative(self):
+        assert ev("10 - 3 - 2") == 5
+        assert ev("16 div 4 div 2") == 2
+
+    def test_not_binds_looser_than_comparison(self):
+        node = expr("not 1 = 2")
+        assert isinstance(node, ast.Unary) and node.op == "not"
+        assert isinstance(node.operand, ast.Binary) and node.operand.op == "="
+        assert ev("not 1 = 2") is True
+
+    def test_unary_minus_binds_tighter_than_multiplication(self):
+        node = expr("-2 * 3")
+        assert isinstance(node, ast.Binary) and node.op == "*"
+        assert isinstance(node.left, ast.Unary) and node.left.op == "-"
+        assert ev("-2 * 3") == -6
+
+    def test_comparisons_do_not_chain(self):
+        with pytest.raises(LangSyntaxError, match="unexpected token '<'"):
+            parse_program(
+                """
+                object T implements
+                  proc P(); begin X := 1 < 2 < 3; end P;
+                end T;
+                """
+            )
+
+    def test_or_separates_select_arms(self):
+        # 'A or B' in a when-condition is the operator; an 'or' followed
+        # by a guard keyword ends the arm's body, even after an
+        # expression with no ';'.
+        program = parse_program(
+            """
+            object T implements
+              proc P(); begin skip; end P;
+              manager intercepts P;
+              begin
+                select when A or B => X := 1
+                or accept P => X := 2 or Y
+                end select;
+              end manager;
+            end T;
+            """
+        )
+        (stmt,) = program.implementations["T"].manager.body
+        first, second = stmt.clauses
+        assert first.when.op == "or"
+        assert first.body[0].value == ast.Num(1)
+        assert second.kind == "accept"
+        assert second.body[0].value.op == "or"
 
 
 class TestNamesAndStructure:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import LangSyntaxError, tokenize
+from repro.lang import LangSyntaxError, parse_program, tokenize
 
 
 class TestTokenize:
@@ -70,3 +70,17 @@ class TestTokenize:
 
     def test_pending_count_symbol(self):
         assert self.kinds("#Write") == [("sym", "#"), ("name", "Write")]
+
+    def test_non_decimal_digit_rejected(self):
+        # '²' is a digit to str.isdigit() but not a decimal: it is not an
+        # integer literal of the notation.
+        with pytest.raises(LangSyntaxError, match="unexpected character '²'"):
+            tokenize("x := ²;")
+        with pytest.raises(LangSyntaxError, match="line 1, column 6"):
+            parse_program("x := ²;")
+
+    def test_eof_after_line_comment_has_its_column(self):
+        assert [(t.kind, t.line, t.column) for t in tokenize("//x")] == [
+            ("eof", 1, 4)
+        ]
+        assert tokenize("a // b\n  ")[-1].column == 3

@@ -15,6 +15,7 @@ from repro.obs.analyze import (
     profile_calls,
     render_report,
     report_json,
+    sequencer_breakdown,
 )
 from repro.obs.sinks import from_chrome
 from repro.obs.spans import Recording
@@ -209,6 +210,40 @@ class TestReportAndCli:
         assert data["calls"] == 3
         for prof in data["profiles"]:
             assert sum(prof["phases"].values()) == prof["total"]
+
+    def test_replicated_writes_get_a_sequencer_section(self):
+        # Two puts on a 2-replica KVStore: each sequenced write makes one
+        # apply on the primary and one forward to the backup; the
+        # view's reconcile span counts as a sequencer span with no calls.
+        from repro.net import ring
+        from repro.replication import Replicated
+        from repro.stdlib import KVStore
+
+        kernel = Kernel(spans=True)
+        rep = Replicated(
+            lambda name: KVStore(kernel, name=name),
+            ring(kernel, 3),
+            2,
+            nodes=["n0", "n1"],
+            writes=("put",),
+        )
+
+        def client():
+            yield from rep.put("k", 1)
+            yield from rep.put("k", 2)
+
+        kernel.spawn(client, name="client")
+        kernel.run(until=200)
+        rec = from_spans(kernel.obs.spans)
+        assert sequencer_breakdown(rec) == {
+            "writes": 3, "sequencer_ticks": 8, "applies": 2, "apply_ticks": 2,
+            "forwards": 2, "forward_ticks": 2,
+        }
+        assert (
+            "## Replication sequencer\n3 sequenced writes, 8 ticks in the "
+            "sequencer: 2 primary applies (2 ticks), 2 backup forwards (2 ticks)."
+        ) in render_report(rec)
+        assert sequencer_breakdown(_echo_recording()[1]) is None
 
     def test_cli_text_and_json(self, tmp_path, capsys):
         kernel = Kernel(spans=True)

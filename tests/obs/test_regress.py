@@ -140,6 +140,55 @@ class TestRecordCheckRoundTrip:
         assert any("vanished" in p for p in report.problems)
 
 
+class TestCheckProblems:
+    """Each problem branch of :func:`check`: none is a regression, each
+    fails the gate (except a new metric, which only reports)."""
+
+    def _recorded(self, tmp_path, payload=None):
+        history = str(tmp_path / "hist.jsonl")
+        record(history, [_write(tmp_path, "base.json", payload or _bench())])
+        return history
+
+    def test_unreadable_bench_file_is_a_problem(self, tmp_path):
+        history = self._recorded(tmp_path)
+        good = _write(tmp_path, "BENCH_E1.json", _bench())
+        garbled = tmp_path / "BENCH_E9.json"
+        garbled.write_text("{not json")
+        missing = str(tmp_path / "BENCH_E2.json")
+        report = check(history, [good, str(garbled), missing])
+        assert not report.ok()
+        assert [p.split(":")[0] for p in report.problems] == [
+            f"cannot read {garbled}",
+            f"cannot read {missing}",
+        ]
+
+    def test_tracked_experiment_absent_from_trajectory_is_a_problem(self, tmp_path):
+        history = self._recorded(tmp_path)
+        e12 = _write(tmp_path, "BENCH_E12.json", _bench(experiment="e12"))
+        report = check(history, [_write(tmp_path, "BENCH_E1.json", _bench()), e12])
+        assert not report.ok()
+        assert report.problems == ["E12: present now but absent from the trajectory"]
+
+    def test_new_metric_is_reported_not_failed(self, tmp_path):
+        history = self._recorded(tmp_path, _bench(rows=[_bench()["rows"][0]]))
+        report = check(history, [_write(tmp_path, "BENCH_E1.json", _bench())])
+        assert report.ok()
+        verdicts = {f.key: f.verdict for f in report.findings}
+        assert verdicts["monitor/4:ops_per_ktick"] == "new"
+        assert verdicts["monitor/4:switches"] == "new"
+        assert verdicts["manager/4:ops_per_ktick"] == "ok"
+        assert "None -> 150.0" in report.render()
+
+    def test_recorded_experiment_not_given_is_a_problem(self, tmp_path):
+        history = self._recorded(tmp_path)
+        report = check(history, [])
+        assert not report.ok()
+        assert report.problems == [
+            "E1: recorded in the trajectory but no current BENCH_E1.json was given"
+        ]
+        assert "PROBLEM: E1: recorded" in report.render()
+
+
 class TestCli:
     def test_record_check_show_exit_codes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -104,7 +104,7 @@ class _SelectPlan:
 
     __slots__ = (
         "pairs", "count", "buckets", "compiled",
-        "waitables", "on_block", "on_unblock",
+        "waitables", "on_block", "on_unblock", "text",
     )
 
     def __init__(self, select: Select) -> None:
@@ -183,7 +183,9 @@ class _PendingSelect:
     Doubles as the process's ``waiting_for`` payload: iterating yields
     the feasible guards and ``str()`` renders ``select(accept get, ...)``
     — only when a trace, a deadlock report or a debugger actually reads
-    it.
+    it, and once per plan: a guard's ``describe()`` is fixed for its
+    lifetime, so the text is kept on the plan (its ``text`` slot, unset
+    until then) for every later block under it.
     """
 
     __slots__ = ("select", "plan", "poll_count")
@@ -201,7 +203,12 @@ class _PendingSelect:
         return (guard for _index, guard in self.plan.pairs)
 
     def __str__(self) -> str:
-        return "select(" + ", ".join(guard.describe() for guard in self) + ")"
+        plan = self.plan
+        try:
+            return plan.text
+        except AttributeError:
+            plan.text = text = "select(" + ", ".join([g.describe() for g in self]) + ")"
+            return text
 
 
 class Kernel:

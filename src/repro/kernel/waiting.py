@@ -108,6 +108,8 @@ class Guard:
     :meth:`feasible` must return the same :meth:`waitables` every time,
     and its ``pri`` stays what it was (under ``"ordered"`` arbitration
     the kernel may rank a reused select's guards by it once).
+    :meth:`describe` is fixed for the guard's lifetime too: the kernel
+    renders a select's text once per plan and keeps it.
     """
 
     #: Evaluation priority (paper: "pri E", smallest wins). ``None`` means

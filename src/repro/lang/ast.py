@@ -175,7 +175,7 @@ class GuardClause:
     kind: str               # 'accept' | 'await' | 'receive' | 'when'
     proc: str | None        # for accept/await
     channel: Any            # for receive
-    binders: list           # names bound from params/results/message
+    binders: list           # names bound from params/results; receive: lvalues
     when: Any               # condition expression or None
     pri: Any                # priority expression or None
     body: list

@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any
 
-from ..channels.channel import Channel, Receive, ReceiveGuard, Send
+from ..channels.channel import Channel, Receive, ReceiveGuard, Send, unwrap_message
 from ..core.object_model import AlpsObject, BoundEntry
 from ..core.primitives import (
     AcceptGuard,
@@ -194,7 +194,7 @@ def exec_stmt(env: Env, stmt: Any, mgr: "ManagerState | None"):
     elif isinstance(stmt, ast.ReceiveStmt):
         channel = eval_expr(env, stmt.channel)
         message = yield Receive(channel)
-        _bind_values(env, stmt.targets, message, "receive: {} targets but message has {} values")
+        _bind_values(env, stmt.targets, message, _RECEIVE_MISMATCH)
     elif isinstance(stmt, ast.WorkStmt):
         yield Charge(int(eval_expr(env, stmt.amount)))
     elif isinstance(stmt, ast.ReturnStmt):
@@ -222,6 +222,9 @@ def _need_mgr(mgr: "ManagerState | None", what: str) -> "ManagerState":
 def _values(value: Any) -> tuple:
     """A message or call result as a tuple: one value, or a tuple of values."""
     return value if isinstance(value, tuple) else (value,)
+
+
+_RECEIVE_MISMATCH = "receive: {} targets but message has {} values"
 
 
 def _bind_values(env: Env, targets: list, value: Any, mismatch: str) -> None:
@@ -374,18 +377,16 @@ def _bind_names(env: Env, names: list, values: tuple, what: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _clause_hook(env: Env, clause: ast.GuardClause, expr: Any, cast, values=lambda *a: a):
-    """A guard's ``when``/``pri`` hook: ``cast(expr)`` evaluated with the
-    clause's binders bound to ``values(*args)`` (the hook's own arguments
-    by default); None when the clause has no such expression."""
+def _clause_hook(env: Env, names: list, expr: Any, cast, values=lambda *a: a):
+    """A guard's ``when``/``pri`` hook: ``cast(expr)`` evaluated with
+    ``names`` bound to ``values(*args)`` (the hook's own arguments by
+    default); None when the clause has no such expression."""
     if expr is None:
         return None
-    binders = clause.binders
-    return lambda *args: cast(eval_expr(env.child(dict(zip(binders, values(*args)))), expr))
+    return lambda *args: cast(eval_expr(env.child(dict(zip(names, values(*args)))), expr))
 
 
 def _make_guard(env: Env, clause: ast.GuardClause, mgr: ManagerState | None):
-    when = _clause_hook(env, clause, clause.when, bool)
     if clause.kind in ("accept", "await"):
         _need_mgr(mgr, clause.kind)
         accepting = clause.kind == "accept"
@@ -393,14 +394,23 @@ def _make_guard(env: Env, clause: ast.GuardClause, mgr: ManagerState | None):
         return (AcceptGuard if accepting else AwaitGuard)(
             env.obj,
             _runtime_proc_name(env.obj, clause.proc),
-            when=when,
-            pri=_clause_hook(env, clause, clause.pri, int, values),
+            when=_clause_hook(env, clause.binders, clause.when, bool),
+            pri=_clause_hook(env, clause.binders, clause.pri, int, values),
         )
     if clause.kind == "receive":
-        pri = _clause_hook(env, clause, clause.pri, int, _values)
+        # The hooks see the message as the arm binds it (``_bind_values``):
+        # whole when there is one target.  An element or field target
+        # binds no name for them.
+        names = [t.name if isinstance(t, ast.Var) else None for t in clause.binders]
+        if len(names) == 1:
+            when = _clause_hook(env, names, clause.when, bool, lambda *a: (unwrap_message(a),))
+            pri = _clause_hook(env, names, clause.pri, int, lambda value: (value,))
+        else:
+            when = _clause_hook(env, names, clause.when, bool)
+            pri = _clause_hook(env, names, clause.pri, int, _values)
         return ReceiveGuard(eval_expr(env, clause.channel), when=when, pri=pri)
     # pure boolean guard
-    return WhenGuard(when)
+    return WhenGuard(_clause_hook(env, clause.binders, clause.when, bool))
 
 
 def _exec_select(env: Env, stmt: ast.SelectStmt, mgr: ManagerState | None):
@@ -418,7 +428,7 @@ def _exec_select(env: Env, stmt: ast.SelectStmt, mgr: ManagerState | None):
                 mgr.push(mgr.awaited, proc, call)
                 _bind_names(env, clause.binders, _await_values(call), "await")
         elif clause.kind == "receive":
-            _bind_names(env, clause.binders, _values(result.value), "receive")
+            _bind_values(env, clause.binders, result.value, _RECEIVE_MISMATCH)
         yield from exec_stmts(env, clause.body, mgr)
 
     if stmt.repetitive:

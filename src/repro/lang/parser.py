@@ -521,10 +521,8 @@ class Parser:
             self.take()
             channel_expr = self.parse_postfix(self.parse_primary())
             if isinstance(channel_expr, ast.CallExpr):
-                binders = [
-                    arg.name for arg in channel_expr.args
-                    if isinstance(arg, ast.Var)
-                ]
+                # Lvalues, as ``receive C(...);`` takes them.
+                binders = channel_expr.args
                 channel = (
                     ast.Field(channel_expr.target, channel_expr.name)
                     if channel_expr.target is not None

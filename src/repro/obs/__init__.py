@@ -175,27 +175,6 @@ class Observability:
             span.attrs.update(attrs)
         self._deliver(span)
 
-    def emit(
-        self,
-        kind: str,
-        name: str,
-        *,
-        start: int,
-        end: int,
-        process: str = "",
-        parent: "Span | int | None" = None,
-        call_id: int | None = None,
-        **attrs: Any,
-    ) -> Span:
-        """Record an already-closed interval (derived phase spans)."""
-        span = self.begin(
-            kind, name, process=process, parent=parent, call_id=call_id,
-            at=start, **attrs,
-        )
-        span.end = end
-        self._deliver(span)
-        return span
-
     def instant(self, kind: str, process: str = "", **detail: Any) -> None:
         """A point annotation delivered straight to the sinks."""
         self.forward(TraceEvent(self.kernel.clock.now, kind, process, detail))
@@ -208,7 +187,7 @@ class Observability:
         live plane's alerts and snapshots.
         """
         for sink in self.sinks:
-            sink.on_instant(event.time, event.kind, event.process, event.detail)
+            sink.on_instant(event)
 
     def _deliver(self, span: Span) -> None:
         if self.keep_spans:
@@ -262,7 +241,7 @@ class Observability:
 
         def phase(kind: str, name: str, start: int | None, stop: int | None,
                   process: str) -> None:
-            # What ``emit`` does, built directly: one span, one delivery.
+            # A closed span built directly: one span, one delivery.
             if start is None or stop is None or stop < start:
                 return
             self.span_count += 1

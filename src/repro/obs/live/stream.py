@@ -179,24 +179,47 @@ class WindowedCount(_Bucketed):
     retained): a bucket counts while any instant it covers is inside the
     window.  All burn-rate and rate queries share this same rule, so
     good/bad ratios always compare like with like.
+
+    Marks arrive in time order (no ``at`` before the newest bucket's
+    start: the plane marks at its clock, which never goes back), so the
+    buckets are in start order.  That lets :meth:`expire` drop every
+    dead bucket from the front and keep a running sum of the rest, and
+    :meth:`total` read that sum instead of re-summing every bucket.
     """
+
+    #: The counts of every bucket kept (set per instance by the first mark).
+    _sum = 0
 
     def mark(self, at: int, weight: int = 1) -> None:
         start = self._bucket_start(at)
         if not self._buckets or self._buckets[-1][0] != start:
             self._buckets.append((start, [0]))
         self._buckets[-1][1][0] += weight
+        self._sum += weight
+
+    def expire(self, now: int) -> None:
+        horizon = now - self.window
+        buckets = self._buckets
+        while buckets and buckets[0][0] + self.step <= horizon:
+            self._sum -= buckets.popleft()[1][0]
 
     def total(self, now: int, window: int | None = None) -> int:
         """Events in the trailing ``window`` (default: full width) at ``now``."""
         self.expire(now)
-        width = self.window if window is None else window
-        horizon = now - width
-        return sum(
-            cell[0]
-            for start, cell in self._buckets
-            if start + self.step > horizon and start <= now
-        )
+        later = self._after(now)
+        if window is None or window >= self.window:
+            # Every kept bucket is inside the window.
+            return self._sum - later
+        return self._after(now - window - self.step) - later
+
+    def _after(self, at: int) -> int:
+        # The counts of the buckets that start after ``at``, newest first.
+        total = 0
+        for start, cell in reversed(self._buckets):
+            if start <= at:
+                break
+            total += cell[0]
+        return total
 
     def per_ktick(self, now: int, window: int | None = None) -> float:
         width = self.window if window is None else window

@@ -13,7 +13,8 @@ Three consumers share one producer-side surface:
 Sinks receive *finished* spans (the observability layer emits at span
 end, when the duration is known) plus instant events forwarded from the
 kernel trace.  A sink must implement ``on_span``/``on_instant``/
-``close``; :class:`MemorySink` is the in-memory implementation used by
+``close``; ``on_instant`` is handed the kernel's :class:`TraceEvent`
+itself.  :class:`MemorySink` is the in-memory implementation used by
 tests and the bench harness: it keeps what it is handed and renders
 dicts only when read.
 
@@ -44,9 +45,7 @@ class TraceSink:
     def on_span(self, span: Span) -> None:
         """A span finished (``span.end`` is set)."""
 
-    def on_instant(
-        self, time: int, kind: str, process: str, detail: dict[str, Any]
-    ) -> None:
+    def on_instant(self, event: TraceEvent) -> None:
         """A point event occurred (kernel trace events, annotations)."""
 
     def close(self) -> None:
@@ -57,21 +56,17 @@ class MemorySink(TraceSink):
     """Keeps every record as delivered, for tests and in-process queries.
 
     A span is kept as the :class:`Span` itself (the object the span log
-    holds too), an instant as a :class:`TraceEvent` over the ``detail``
-    it was handed; :attr:`records` renders them as JSONL-line dicts on
-    each read, and caches nothing.  What is delivered is finished: no one
-    changes a delivered span or a forwarded instant's ``detail``.
+    holds too), an instant as the :class:`TraceEvent` it was handed;
+    :attr:`records` renders them as JSONL-line dicts on each read, and
+    caches nothing.  What is delivered is finished: no one changes a
+    delivered span or a forwarded instant's ``detail``.
     """
 
     def __init__(self) -> None:
         self._kept: list[Span | TraceEvent] = []
-        # A delivered span goes straight onto the list: no frame per span.
+        # A delivered record goes straight onto the list: no frame each.
         self.on_span = self._kept.append
-
-    def on_instant(
-        self, time: int, kind: str, process: str, detail: dict[str, Any]
-    ) -> None:
-        self._kept.append(TraceEvent(time, kind, process, detail))
+        self.on_instant = self._kept.append
 
     @property
     def records(self) -> list[dict[str, Any]]:
@@ -112,10 +107,8 @@ class JsonlSink(TraceSink):
     def on_span(self, span: Span) -> None:
         self._write(span.to_record())
 
-    def on_instant(
-        self, time: int, kind: str, process: str, detail: dict[str, Any]
-    ) -> None:
-        self._write(event_record(time, kind, process, detail))
+    def on_instant(self, event: TraceEvent) -> None:
+        self._write(event_record(event.time, event.kind, event.process, event.detail))
 
     def close(self) -> None:
         if self._fh is not None and self._owns:
@@ -164,19 +157,17 @@ class ChromeTraceSink(TraceSink):
         self.events.append({**common, "ph": "b", "ts": span.start, "args": args})
         self.events.append({**common, "ph": "e", "ts": span.end})
 
-    def on_instant(
-        self, time: int, kind: str, process: str, detail: dict[str, Any]
-    ) -> None:
+    def on_instant(self, event: TraceEvent) -> None:
         self.events.append(
             {
-                "cat": kind,
-                "name": kind,
+                "cat": event.kind,
+                "name": event.kind,
                 "ph": "i",
-                "ts": time,
+                "ts": event.time,
                 "pid": self.pid,
-                "tid": self._tid(process or "?"),
+                "tid": self._tid(event.process or "?"),
                 "s": "t",
-                "args": {str(k): repr(v) for k, v in detail.items()},
+                "args": {str(k): repr(v) for k, v in event.detail.items()},
             }
         )
 

@@ -751,3 +751,51 @@ class TestRankedPlan:
         kinds = [type(pairs[0][1]) for pairs in ranked]
         assert kinds == [AwaitGuard] * 3 + [DeadlineSweepGuard] * 3 + [
             PredictedWaitGuard] * 3 + [ShedGuard] * 3 + [AcceptGuard] * 3
+
+
+class DescribedTake(TakeGuard):
+    """A ``TakeGuard`` that counts its ``describe()`` calls."""
+
+    described = 0
+
+    def describe(self):
+        DescribedTake.described += 1
+        return super().describe()
+
+
+class TestBlockText:
+    """The ``block`` event's ``select(...)`` text is rendered once per plan."""
+
+    def _run(self, kernel):
+        DescribedTake.described = 0
+        a, b = Inbox("a"), Inbox("b")
+        select = Select(DescribedTake(a), DescribedTake(b, pri=1))
+
+        def taker():
+            return (yield select).value
+
+        first = kernel.spawn(taker, name="first")
+        second = kernel.spawn(taker, name="second")
+        kernel.post(5, lambda: a.put(kernel, "x"))
+        kernel.post(6, lambda: b.put(kernel, "y"))
+        kernel.run()
+        assert {first.result, second.result} == {"x", "y"}
+        return select
+
+    def test_two_blocks_on_one_hoisted_select_share_one_rendering(self):
+        kernel = Kernel(costs=FREE, trace=True)
+        select = self._run(kernel)
+        # Each guard described once for both blocks, and the firing one
+        # once per ``wake`` event.
+        assert DescribedTake.described == 2 + len(kernel.trace.events("wake")) == 4
+        blocks = kernel.trace.events("block")
+        assert [e.process for e in blocks] == ["first", "second"]
+        fresh = "select(" + ", ".join(g.describe() for g in select.guards) + ")"
+        assert blocks[0].detail["on"] == blocks[1].detail["on"] == fresh
+        assert select._plan.text == fresh
+
+    def test_untraced_run_renders_nothing(self):
+        kernel = Kernel(costs=FREE)
+        select = self._run(kernel)
+        assert DescribedTake.described == 0
+        assert not hasattr(select._plan, "text")

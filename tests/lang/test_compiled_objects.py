@@ -533,6 +533,66 @@ class TestCompiledChannels:
         assert len(a._queue) == 1
         assert kernel.clock.now == 8
 
+    @staticmethod
+    def _run_arm(arm: str, messages: list):
+        """Run ``select <arm> end select`` once per message sent on ``A``;
+        returns the object (its ``Got`` array has two cells)."""
+        from repro.channels import Channel, Send
+
+        kernel = Kernel(costs=FREE)
+        module = compile_program(
+            f"""
+            object Take implements
+              var Got := nil;
+              var Seen := nil;
+              proc Run(A, Count);
+              var X := nil;
+              var N: int := 0;
+              begin
+                Got := array(2);
+                while N < Count do
+                  select
+                    {arm}
+                  end select;
+                  N := N + 1;
+                end while;
+              end Run;
+            end Take;
+            """
+        )
+        take = module.instantiate(kernel, "Take")
+        a = Channel()
+
+        def main():
+            for message in messages:
+                yield Send(a, *message)
+            yield take.call("Run", a, len(messages))
+
+        kernel.run_process(main)
+        return take
+
+    def test_receive_arm_assigns_element_targets(self):
+        # As the statement ``receive A(Got[1]);`` does: the arm's
+        # arguments are lvalues, not just names.
+        take = self._run_arm("receive A(Got[1]) => Seen := Got[1];", [(7,)])
+        assert take.Got == [None, 7]
+        assert take.Seen == 7
+
+    def test_receive_arm_assigns_mixed_targets(self):
+        take = self._run_arm("receive A(X, Got[0]) when X > 1 => Seen := X;", [(2, 5)])
+        assert take.Got == [5, None]
+        assert take.Seen == 2
+
+    def test_receive_arm_one_target_takes_the_whole_message(self):
+        # ``receive A(X);`` binds a two-value message whole; so does the
+        # arm, and its ``when`` sees what the body sees.
+        take = self._run_arm("receive A(X) when X = X => Seen := X;", [(1, 2)])
+        assert take.Seen == (1, 2)
+
+    def test_receive_arm_target_count_mismatch_is_loud(self):
+        with pytest.raises(LangRuntimeError, match="2 targets but message has 3 values"):
+            self._run_arm("receive A(X, Got[0]) => skip;", [(1, 2, 3)])
+
 class TestErrors:
     def test_unknown_object_rejected(self):
         module = compile_program(BUFFER_SOURCE)

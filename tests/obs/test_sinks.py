@@ -8,6 +8,7 @@ import pytest
 from repro import PoolConfig
 from repro.faults import FaultPlan, install
 from repro.kernel import Delay, Kernel
+from repro.kernel.tracing import TraceEvent
 from repro.kernel.costs import CostModel
 from repro.net import Network, ring
 from repro.obs import (
@@ -329,7 +330,7 @@ class TestLiveRule:
         sinks = (ChromeTraceSink("unwritten.json"), JsonlSink(buf))
         for time, kind, detail in instants:
             for sink in sinks:
-                sink.on_instant(time, kind, "live", detail)
+                sink.on_instant(TraceEvent(time, kind, "live", detail))
         return sinks[0].payload(), buf.getvalue().splitlines()
 
     def test_well_formed_instants_pass_both(self):

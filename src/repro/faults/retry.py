@@ -343,8 +343,7 @@ def retry(
     ``"breaker-open"``).  :class:`~repro.errors.DeadlineExceeded` is
     never retried: the end-to-end budget is spent.
     """
-    rng = random.Random(seed)
-    schedule = policy.delays(rng)
+    schedule = None  # built at the first failure: only a retry draws
     proc = yield Self()
     attempt = 1
     while True:
@@ -372,6 +371,10 @@ def retry(
         except RemoteCallError as exc:
             if breaker is not None:
                 breaker.record(ok=False)
+            if schedule is None:
+                # The RNG is the loop's own, so building it late draws
+                # the same delays.
+                schedule = policy.delays(random.Random(seed))
             try:
                 backoff = next(schedule)
             except StopIteration:

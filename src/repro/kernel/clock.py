@@ -25,6 +25,11 @@ class VirtualClock:
     plane (:mod:`repro.obs.live`) expires windows without posting kernel
     events — clock motion itself is the timer, so observing a run cannot
     change its schedule.  Observers must not advance the clock.
+
+    While no observer is subscribed the kernel's run loop sets ``_now``
+    itself, as ``int(when)`` and only forward, which is what
+    :meth:`advance_to` would do; it reads the observer list live, so a
+    subscription made mid-run sees every later advance.
     """
 
     __slots__ = ("_now", "_observers")

@@ -69,9 +69,11 @@ from .waiting import Guard, Ready, Waitable
 # cancel dict or None.  Otherwise ``a`` is ``proc.epoch`` at push time and
 # ``b`` says what surfaces: one of the kinds below, or — the end of a grant
 # on a finite machine, pushed by :meth:`Kernel.post_release` — the CPU's
-# ``release`` callable, run before anything is decided about ``proc``.  The
-# kernel reads ``clock._now`` directly on these paths: ``clock.now`` is a
-# property call per event.
+# ``release`` callable, run before anything is decided about ``proc``.
+# Each record is pushed in the frame that decides it, with no helper frame
+# between.  The kernel reads ``clock._now`` directly on these paths
+# (``clock.now`` is a property call per event), and the run loop writes
+# it while no clock observer is subscribed.
 _STEP = 0  # dispatch proc; dropped before the clock moves when stale
 _RESUME = 1  # proc's CPU grant ends (unbounded machine); proc is READY
 _WAKE = 2  # proc's Delay expires; proc is BLOCKED
@@ -104,7 +106,7 @@ class _SelectPlan:
 
     __slots__ = (
         "pairs", "count", "buckets", "compiled",
-        "waitables", "on_block", "on_unblock", "text",
+        "waitables", "on_block", "on_unblock", "texts", "text",
     )
 
     def __init__(self, select: Select) -> None:
@@ -183,9 +185,9 @@ class _PendingSelect:
     Doubles as the process's ``waiting_for`` payload: iterating yields
     the feasible guards and ``str()`` renders ``select(accept get, ...)``
     — only when a trace, a deadlock report or a debugger actually reads
-    it, and once per plan: a guard's ``describe()`` is fixed for its
-    lifetime, so the text is kept on the plan (its ``text`` slot, unset
-    until then) for every later block under it.
+    it, and once per plan: the text is kept on the plan (its ``text``
+    slot, unset until then, joined from :meth:`guard_texts`) for every
+    later block under it.
     """
 
     __slots__ = ("select", "plan", "poll_count")
@@ -207,8 +209,20 @@ class _PendingSelect:
         try:
             return plan.text
         except AttributeError:
-            plan.text = text = "select(" + ", ".join([g.describe() for g in self]) + ")"
+            plan.text = text = "select(" + ", ".join(self.guard_texts().values()) + ")"
             return text
+
+    def guard_texts(self) -> dict[int, str]:
+        """Guard index -> ``describe()``, kept on the plan like the text
+        (a guard's ``describe()`` is fixed for its lifetime)."""
+        plan = self.plan
+        try:
+            return plan.texts
+        except AttributeError:
+            plan.texts = texts = {}
+            for index, guard in plan.pairs:
+                texts[index] = guard.describe()
+            return texts
 
 
 class Kernel:
@@ -349,13 +363,21 @@ class Kernel:
             cost = self.costs.lwp_create
         else:
             cost = self.costs.process_create
-        if cost and charge_to is not None:
-            # Creation cost delays the new process's first dispatch; the
-            # work is queued at the *creator's* priority on the
-            # creator's CPUs.
+        if not (cost and charge_to is not None):
+            # A new process's epoch is 0.
+            self._seq = seq = self._seq + 1
+            heappush(self._events, (self.clock._now, priority, seq, proc, 0, _STEP))
+        elif self.cpu_scheduler.domains:
             self._step_after_cpu(proc, cost, charge_to)
         else:
-            self._schedule_step(proc)
+            # Creation cost delays the new process's first dispatch; the
+            # work is queued at the *creator's* priority (on a finite
+            # machine, on the creator's CPUs).
+            self._seq = seq = self._seq + 1
+            heappush(
+                self._events,
+                (self.clock._now + cost, charge_to.priority, seq, proc, 0, _RESUME),
+            )
         trace = self.trace
         if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
             trace.record(self.clock._now, "spawn", proc.name, pid=pid, priority=priority)
@@ -375,12 +397,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Event queue
     # ------------------------------------------------------------------
-
-    def _schedule_step(self, proc: Process) -> None:
-        """Queue a dispatch of ``proc`` at the current time."""
-        self._seq = seq = self._seq + 1
-        now = self.clock._now
-        heappush(self._events, (now, proc.priority, seq, proc, proc.epoch, _STEP))
 
     def post(
         self,
@@ -413,10 +429,6 @@ class Kernel:
         """
         self._seq = seq = self._seq + 1
         heappush(self._events, (when, 0, seq, proc, epoch, release))
-
-    def next_event_time(self) -> int | None:
-        """Time of the earliest queued event (stale ones included), if any."""
-        return self._events[0][0] if self._events else None
 
     def has_live_events(self, ignoring: Process | None = None) -> bool:
         """Is anything queued that will still do work when it surfaces?
@@ -451,11 +463,21 @@ class Kernel:
         proc._resume_exception = None
         proc.state = ProcessState.READY
         proc.waiting_for = None
-        proc.epoch += 1
-        if cost > 0:
+        proc.epoch = epoch = proc.epoch + 1
+        if cost <= 0:
+            self._seq = seq = self._seq + 1
+            heappush(
+                self._events, (self.clock._now, proc.priority, seq, proc, epoch, _STEP)
+            )
+        elif self.cpu_scheduler.domains:
             self._step_after_cpu(proc, cost, proc)
         else:
-            self._schedule_step(proc)
+            # The work starts now and ends in one record (DESIGN.md §5.2).
+            self._seq = seq = self._seq + 1
+            heappush(
+                self._events,
+                (self.clock._now + cost, proc.priority, seq, proc, epoch, _RESUME),
+            )
 
     def schedule_throw(self, proc: Process, exc: BaseException) -> None:
         """Unblock ``proc`` by raising ``exc`` inside it."""
@@ -469,18 +491,23 @@ class Kernel:
         proc.waiting_for = None
         # Also retires a CPU completion still pending for ``proc``: its
         # record carries the epoch it was queued under.
-        proc.epoch += 1
-        self._schedule_step(proc)
+        proc.epoch = epoch = proc.epoch + 1
+        self._seq = seq = self._seq + 1
+        heappush(
+            self._events, (self.clock._now, proc.priority, seq, proc, epoch, _STEP)
+        )
 
     def _step_after_cpu(self, proc: Process, ticks: int, payer: Process) -> None:
-        """Dispatch ``proc`` once ``payer`` has consumed ``ticks`` of CPU.
+        """Dispatch ``proc`` once ``payer`` has consumed ``ticks`` of CPU,
+        on a kernel with scheduling domains (on the unbounded machine the
+        caller pushes the one ``_RESUME`` record itself).
 
         ``payer`` (the process the work belongs to: ``proc`` itself, or
         its creator for a creation cost) routes the grant to its home
         node's scheduling domain at its priority; on a node with no
-        declared CPUs the kernel-wide default applies.  On an unbounded
-        machine the work starts immediately and ends in one ``_RESUME``
-        record; on a finite domain it contends on per-CPU runqueues where
+        declared CPUs the kernel-wide default applies, and with no
+        default either the work runs unbounded, as on a kernel with no
+        domains.  On a domain it contends on per-CPU runqueues where
         strict-class work (priority < ``PRIORITY_NORMAL``) is granted
         first, so a high-priority manager's synchronization steps
         overtake queued entry-body work — the paper's receptiveness
@@ -488,8 +515,7 @@ class Kernel:
         Either way the completion is void if ``proc`` was re-parked
         (thrown into) meanwhile.
         """
-        scheduler = self.cpu_scheduler
-        domain = scheduler.domain_of(payer) if scheduler.domains else None
+        domain = self.cpu_scheduler.domain_of(payer)
         if domain is None:
             # ``priority`` fixes same-instant order among finished work.
             when = self.clock._now + ticks
@@ -518,6 +544,8 @@ class Kernel:
         self._running = True
         events = self._events
         clock = self.clock
+        # The list itself: a process that subscribes mid-run is seen.
+        observers = clock._observers
         stats = self.stats
         limit = -1 if max_events is None else max_events
         dispatched = 0
@@ -542,7 +570,12 @@ class Kernel:
                     return stats
                 heappop(events)
                 if when != clock._now:
-                    clock.advance_to(when)
+                    if observers or when < clock._now:
+                        # Observers to call, or a record left behind by
+                        # an outside ``advance_to`` (which raises).
+                        clock.advance_to(when)
+                    else:
+                        clock._now = int(when)  # ``advance_to``'s int
                 dispatched += 1
                 if proc is None:
                     a()
@@ -570,7 +603,8 @@ class Kernel:
                     # better; then proc goes behind it, as a step with a
                     # fresh seq (DESIGN.md §5.2).
                     if events and events[0][0] == when and events[0][1] <= proc.priority:
-                        self._schedule_step(proc)
+                        self._seq = seq = self._seq + 1
+                        heappush(events, (when, proc.priority, seq, proc, proc.epoch, _STEP))
                     else:
                         self._step_process(proc)
         finally:
@@ -982,7 +1016,9 @@ class Kernel:
         self.schedule_resume(proc, result, cost=wake_cost)
         trace = self.trace
         if trace.enabled or trace._listeners:  # ``trace.recording``, inlined
-            trace.record(self.clock._now, "wake", proc.name, guard=guard.describe())
+            trace.record(
+                self.clock._now, "wake", proc.name, guard=pending.guard_texts()[index]
+            )
         return True
 
     def _cancel_pending_select(self, proc: Process) -> None:

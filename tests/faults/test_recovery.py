@@ -20,6 +20,12 @@ def scenario(plan, **dict_kwargs):
     return kernel, net, d, runtime
 
 
+#: What :meth:`TestRetry.test_jittered_backoffs_are_pinned` read when the
+#: RNG was built before the first attempt: (tick, backoff) per retry.
+PINNED_RETRIES = [(40, 39), (89, 61), (160, 108), (278, 204)]
+PINNED_END = (42, 484)
+
+
 class TestRetry:
     def test_fixed_backoff_outlasts_crash_window(self):
         # Node down for [20, 200); unsupervised, so the object needs an
@@ -167,6 +173,73 @@ class TestRetry:
         assert first == second
         assert first[0][0][0] == 42
         assert len(first[1]) >= 2  # the jittered schedule was exercised
+
+    def test_jittered_backoffs_are_pinned(self):
+        """The RNG is built at the first failure, not at the first call:
+        the backoffs it draws (and when each retry lands) are those of a
+        generator seeded before the first attempt."""
+        kernel, net, d, _ = scenario(
+            FaultPlan(detection_delay=10).crash_node("n1", at=20, restart_at=300)
+        )
+        kernel.post(310, d.restart)
+
+        def client():
+            yield Delay(30)
+            return (
+                yield from retry(
+                    lambda: d.search("a", timeout=40),
+                    ExponentialBackoff(base=25, max_attempts=8, jitter=15),
+                    seed=9,
+                )
+            )
+
+        proc = net.node("n0").spawn(client, name="client")
+        kernel.run()
+        retries = [(e.time, e.detail["backoff"]) for e in kernel.trace if e.kind == "retry"]
+        assert retries == PINNED_RETRIES
+        assert (proc.result, kernel.clock.now) == PINNED_END
+
+    def test_first_attempt_success_builds_no_rng(self, monkeypatch):
+        import importlib
+        import random
+        from types import SimpleNamespace
+
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        # The module, not the ``retry`` function the package re-exports.
+        retry_module = importlib.import_module("repro.faults.retry")
+        monkeypatch.setattr(retry_module, "random", SimpleNamespace(Random=CountingRandom))
+        kernel, net, d, _ = scenario(FaultPlan())
+
+        def client():
+            return (
+                yield from retry(
+                    lambda: d.search("a", timeout=50),
+                    ExponentialBackoff(base=10, max_attempts=3, jitter=5),
+                    seed=7,
+                )
+            )
+
+        proc = net.node("n0").spawn(client, name="client")
+        kernel.run()
+        assert proc.result == 42 and built == []
+        # A failed attempt does build it, once, from the loop's seed.
+        kernel, net, d, _ = scenario(
+            FaultPlan(detection_delay=10).crash_node("n1", at=0)
+        )
+
+        def failing_client():
+            with pytest.raises(RemoteCallError):
+                yield from client()
+
+        net.node("n0").spawn(failing_client, name="client")
+        kernel.run()
+        assert built == [7]
 
     def test_backoff_schedule_is_seeded(self):
         policy = ExponentialBackoff(base=10, max_attempts=6, jitter=20)

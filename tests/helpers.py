@@ -88,6 +88,11 @@ def assert_sched_counters_match_scan(kernel: Kernel, *unregistered) -> None:
         assert domain.peak_queue >= domain.queued, where
 
 
+def next_event_time(kernel: Kernel) -> int | None:
+    """Time of the earliest queued event (stale ones included), if any."""
+    return kernel._events[0][0] if kernel._events else None
+
+
 def step_to_quiescence(
     kernel: Kernel,
     until: int | None = None,
@@ -96,7 +101,7 @@ def step_to_quiescence(
     """Run one event at a time, checking the invariant (and ``also``) after each."""
     events = 0
     assert_index_matches_scan(kernel)
-    while (due := kernel.next_event_time()) is not None and (
+    while (due := next_event_time(kernel)) is not None and (
         until is None or due <= until
     ):
         kernel.run(max_events=1)

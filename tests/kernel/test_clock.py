@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import KernelError
+from repro.kernel import FREE, Charge, Delay, Kernel
 from repro.kernel.clock import VirtualClock
 
 
@@ -47,3 +48,69 @@ class TestVirtualClock:
         clock = VirtualClock(start=10)
         with pytest.raises(KernelError):
             clock.advance_to(9)
+
+
+class TestRunLoopClock:
+    """The run loop moves the clock itself when nobody observes it; what
+    ``advance_to`` promises must hold either way."""
+
+    def test_observer_subscribed_mid_run_sees_every_later_advance(self):
+        kernel = Kernel(costs=FREE)
+        seen = []
+
+        def subscriber():
+            yield Delay(2)
+            kernel.clock.subscribe(seen.append)
+            yield Delay(3)
+            yield Delay(0)  # no motion, no callback
+            yield Charge(4)
+
+        kernel.spawn(subscriber)
+        kernel.post(6, lambda: None)
+        kernel.run()
+        assert seen == [5, 6, 9]
+
+    def test_float_ticks_leave_the_clock_an_int(self):
+        kernel = Kernel(costs=FREE)
+        times = []
+
+        def sleeper():
+            yield Delay(2.5)
+            times.append(kernel.clock.now)
+            yield Delay(2.5)
+            times.append(kernel.clock.now)
+            yield Charge(1.5)
+            times.append(kernel.clock.now)
+
+        kernel.spawn(sleeper)
+        kernel.post(7.0, lambda: times.append(kernel.clock.now))
+        kernel.run()
+        # ``advance_to(2.5)`` leaves 2; the next record is due at 2 + 2.5.
+        assert times == [2, 4, 5, 7]
+        assert all(type(t) is int for t in times)
+        assert type(kernel.clock.now) is int
+
+    def test_run_until_stops_on_until(self):
+        kernel = Kernel(costs=FREE)
+        ticks = []
+
+        def ticker():
+            while True:
+                yield Delay(10)
+                ticks.append(kernel.clock.now)
+
+        kernel.spawn(ticker, daemon=True)
+        kernel.run(until=25)
+        assert kernel.clock.now == 25 and ticks == [10, 20]
+        kernel.run(until=25)  # nothing due by then: the clock stays
+        assert kernel.clock.now == 25 and ticks == [10, 20]
+        kernel.run(until=40)
+        assert kernel.clock.now == 40 and ticks == [10, 20, 30, 40]
+
+    def test_a_record_left_behind_by_an_outside_move_raises(self):
+        kernel = Kernel(costs=FREE)
+        kernel.post(5, lambda: None)
+        kernel.clock.advance_to(9)
+        with pytest.raises(KernelError, match="backwards from 9 to 5"):
+            kernel.run()
+        assert kernel.clock.now == 9

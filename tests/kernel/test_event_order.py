@@ -22,7 +22,7 @@ from repro.kernel.costs import FREE
 from repro.kernel.process import PRIORITY_MANAGER
 from repro.stdlib import BoundedBuffer
 
-from tests.helpers import step_to_quiescence
+from tests.helpers import next_event_time, step_to_quiescence
 
 
 def logger(kernel, log):
@@ -147,7 +147,7 @@ class TestSameTickOrder:
         kernel.run(max_events=charges)
         assert proc.alive and kernel.clock.now == 3 * (charges - 1)
         kernel.run(max_events=1)
-        assert proc.result == "done" and kernel.next_event_time() is None
+        assert proc.result == "done" and next_event_time(kernel) is None
 
     def test_completion_of_killed_process_still_moves_the_clock(self):
         kernel = Kernel(costs=FREE, num_cpus=self.num_cpus)
@@ -488,7 +488,7 @@ class TestSyscallDispatch:
 class TestQueueQueries:
     def test_empty_queue(self):
         kernel = Kernel(costs=FREE)
-        assert kernel.next_event_time() is None
+        assert next_event_time(kernel) is None
         assert not kernel.has_live_events()
 
     def test_live_stale_and_ignored_events(self):
@@ -498,20 +498,20 @@ class TestQueueQueries:
             yield Delay(7)
 
         proc = kernel.spawn(sleeper)
-        assert kernel.next_event_time() == 0
+        assert next_event_time(kernel) == 0
         assert kernel.has_live_events()
         assert not kernel.has_live_events(ignoring=proc)
         kernel.run(max_events=1)  # now parked in its Delay
-        assert kernel.next_event_time() == 7
+        assert next_event_time(kernel) == 7
         assert kernel.has_live_events() and not kernel.has_live_events(ignoring=proc)
         kernel.kill_process(proc)
-        assert kernel.next_event_time() == 7 and not kernel.has_live_events()
+        assert next_event_time(kernel) == 7 and not kernel.has_live_events()
 
     def test_cancelled_callback_is_queued_but_not_live(self):
         kernel = Kernel(costs=FREE)
         cancel = {"cancelled": True}
         kernel.post(9, lambda: None, cancel=cancel)
-        assert kernel.next_event_time() == 9 and not kernel.has_live_events()
+        assert next_event_time(kernel) == 9 and not kernel.has_live_events()
         cancel["cancelled"] = False
         assert kernel.has_live_events()
 
@@ -536,7 +536,7 @@ class TestQueueQueries:
         # The one live process has no event of its own: its grant has not
         # started.  The dead holders' grants are what keeps the run going.
         assert kernel.has_live_events()
-        assert kernel.next_event_time() == 10
+        assert next_event_time(kernel) == 10
         kernel.run(until=10)
         # Released at the original end time; the queued grant starts then.
         assert domain.queued == 0 and domain._free == num_cpus - 1

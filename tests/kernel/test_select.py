@@ -785,14 +785,36 @@ class TestBlockText:
     def test_two_blocks_on_one_hoisted_select_share_one_rendering(self):
         kernel = Kernel(costs=FREE, trace=True)
         select = self._run(kernel)
-        # Each guard described once for both blocks, and the firing one
-        # once per ``wake`` event.
-        assert DescribedTake.described == 2 + len(kernel.trace.events("wake")) == 4
+        # Each guard described once, for both blocks and both wakes.
+        assert len(kernel.trace.events("wake")) == 2
+        assert DescribedTake.described == 2
         blocks = kernel.trace.events("block")
         assert [e.process for e in blocks] == ["first", "second"]
         fresh = "select(" + ", ".join(g.describe() for g in select.guards) + ")"
         assert blocks[0].detail["on"] == blocks[1].detail["on"] == fresh
         assert select._plan.text == fresh
+
+    def test_repeated_wakes_render_each_guard_once(self):
+        """Six wakes under one plan render its two guards once, not once per wake."""
+        DescribedTake.described = 0
+        kernel = Kernel(costs=FREE, trace=True)
+        a, b = Inbox("a"), Inbox("b")
+        select = Select(DescribedTake(a), DescribedTake(b, pri=1))
+        rounds = 6
+
+        def taker():
+            for _ in range(rounds):
+                yield select
+
+        kernel.spawn(taker, name="taker")
+        for t in range(rounds):
+            inbox = a if t % 2 else b
+            kernel.post(10 * (t + 1), lambda inbox=inbox: inbox.put(kernel, "x"))
+        kernel.run()
+        wakes = kernel.trace.events("wake")
+        assert [e.detail["guard"] for e in wakes] == ["take(b)", "take(a)"] * 3
+        assert len(kernel.trace.events("block")) == rounds
+        assert DescribedTake.described == 2
 
     def test_untraced_run_renders_nothing(self):
         kernel = Kernel(costs=FREE)

@@ -90,6 +90,20 @@ class TestRunLoopClock:
         assert all(type(t) is int for t in times)
         assert type(kernel.clock.now) is int
 
+    def test_a_float_record_within_the_tick_is_no_advance(self):
+        kernel = Kernel(costs=FREE)
+        seen = []
+        kernel.clock.subscribe(seen.append)
+
+        def sleeper():
+            yield Delay(2.5)
+            yield Delay(0.25)  # due at 2.25: the clock stays at 2
+
+        kernel.spawn(sleeper)
+        kernel.run()
+        assert seen == [2]
+        assert kernel.clock.now == 2
+
     def test_run_until_stops_on_until(self):
         kernel = Kernel(costs=FREE)
         ticks = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel import Kernel
 from repro.kernel.costs import DEFAULT, FREE, HEAVY_PROCESSES, CostModel
 
 
@@ -26,6 +27,10 @@ class TestCostModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             CostModel(send=-1).validate()
+
+    def test_kernel_rejects_a_negative_cost(self):
+        with pytest.raises(ValueError, match="'send' must be >= 0"):
+            Kernel(costs=CostModel(send=-1))
 
     def test_heavy_processes_regime(self):
         # §3: dynamic (conventional) process creation much more expensive

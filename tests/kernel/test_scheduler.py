@@ -136,6 +136,20 @@ class TestVirtualTime:
         with pytest.raises(KernelError):
             Kernel().run_process(main)
 
+    def test_negative_charge_is_thrown_into_the_process(self):
+        kernel = Kernel(costs=FREE)
+
+        def main():
+            try:
+                yield Charge(-1)
+            except KernelError as exc:
+                caught = str(exc)
+            yield Charge(3)
+            return caught
+
+        assert kernel.run_process(main) == "Charge ticks must be >= 0"
+        assert kernel.clock.now == 3
+
     def test_until_stops_early(self):
         kernel = Kernel(costs=FREE)
 

@@ -16,7 +16,12 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import sys
 from typing import Any, Iterable, Sequence
+
+# The §2 listings' twin driver (``tests/paper_listings.py``) is shared with
+# tier-1: let a bench run as a script import it from the repo root.
+sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def print_table(title: str, rows: Sequence[dict], note: str = "") -> None:

@@ -3,84 +3,30 @@
 
 The paper presents ALPS in a Pascal-like syntax and §4 reports a compiler
 in its initial stages.  ``repro.lang`` is that front end: this example
-compiles the §2.5.1 readers-writers database *from source text* — hidden
-procedure array, quantified guards, `#Write` pending counts, `WriterLast`
-starvation avoidance and all — and drives it from Python processes.
+compiles the §2.5.1 readers-writers database *from source text*
+(``examples/paper/database_251.alps``) — hidden procedure array,
+quantified guards, `#Write` pending counts, `WriterLast` starvation
+avoidance and all — and drives it from Python processes.
 
 Run:  python examples/alps_source.py
 """
+
+from itertools import accumulate
+from pathlib import Path
 
 from repro import Kernel, Par
 from repro.kernel.costs import FREE
 from repro.lang import compile_program
 
-DATABASE = """
-object Database defines
-  proc Read(Key) returns (Data);
-  proc Write(Key, Data);
-end Database;
-
-object Database implements
-  var ReadMax: int := 3;
-  var Store := nil;
-  var PeakReaders: int := 0;
-  var ActiveReaders: int := 0;
-
-  proc Read[1..ReadMax](Key) returns (1);
-  begin
-    ActiveReaders := ActiveReaders + 1;
-    if ActiveReaders > PeakReaders then
-      PeakReaders := ActiveReaders;
-    end if;
-    work(10);                       { the read takes 10 ticks }
-    ActiveReaders := ActiveReaders - 1;
-    return (Store[Key]);
-  end Read;
-
-  proc Write(Key, Data);
-  begin
-    work(25);                       { the write takes 25 ticks }
-    Store[Key] := Data;
-  end Write;
-
-  manager
-    intercepts Read, Write;
-    var ReadCount: int := 0;
-    var WriterLast := false;
-    var Writing := false;
-  begin
-    loop
-      (i: 1..ReadMax) accept Read[i]
-          when ReadCount < ReadMax and not Writing
-               and (#Write = 0 or WriterLast) =>
-        ReadCount := ReadCount + 1;
-        WriterLast := false;
-        start Read;
-    or
-      accept Write
-          when ReadCount = 0 and not Writing
-               and (#Read = 0 or not WriterLast) =>
-        Writing := true;
-        start Write;
-    or
-      (i: 1..ReadMax) await Read[i] =>
-        ReadCount := ReadCount - 1;
-        finish Read;
-    or
-      await Write =>
-        Writing := false;
-        WriterLast := true;
-        finish Write;
-    end loop;
-  end manager;
-end Database;
-"""
+LISTING = Path(__file__).with_name("paper") / "database_251.alps"
 
 
 def main():
     kernel = Kernel(costs=FREE)
-    module = compile_program(DATABASE)
-    db = module.instantiate(kernel, "Database", Store={"config": "v0"})
+    module = compile_program(LISTING.read_text())
+    db = module.instantiate(
+        kernel, "Database", ReadMax=3, WriteWork=25, Store={"config": "v0"}, record_calls=True
+    )
 
     print("compiled from ALPS source:", db.definition().describe(), sep="\n")
     print()
@@ -103,8 +49,12 @@ def main():
 
     kernel.run_process(main_proc)
     print("\n".join(log))
+    # Each read body's start and end, from the call records: +1, then -1.
+    reads = db.completed_calls("Read")
+    edges = sorted([(c.started_at, 1) for c in reads] + [(c.body_done_at, -1) for c in reads])
+    peak = max(accumulate(step for _, step in edges))
     print(
-        f"\npeak concurrent readers: {db.PeakReaders} (ReadMax={db.ReadMax}); "
+        f"\npeak concurrent readers: {peak} (ReadMax={db.ReadMax}); "
         f"final value: {db.Store['config']!r}; t={kernel.clock.now}"
     )
 

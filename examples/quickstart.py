@@ -18,7 +18,7 @@ from repro import (
 
 
 class Buffer(AlpsObject):
-    """object Buffer defines proc Deposit(Message); proc Remove returns(Message)."""
+    """The §2.4.1 buffer: proc Deposit(Message); proc Remove returns(Message)."""
 
     def setup(self, size=4):
         self.size = size

@@ -1,81 +1,23 @@
-"""End-to-end tests: the paper's programs in their own notation.
+"""End-to-end tests: ALPS programs in their own notation.
 
-Each test compiles ALPS source (close to the paper's figures) and runs
-it on the kernel, asserting the same behavioural claims as the
-hand-written stdlib versions.
+The paper's §2 listings are loaded from ``examples/paper/`` (and matched
+against their stdlib twins in ``test_paper_listings.py``); the inline
+programs here each exercise one language feature.
 """
 
 import pytest
 
-from repro.errors import DeadlockError
 from repro.kernel import Kernel, Par
 from repro.kernel.costs import FREE
 from repro.lang import LangRuntimeError, compile_program
-
-
-BUFFER_SOURCE = """
-object Buffer defines
-  proc Deposit(Message);
-  proc Remove() returns (Message);
-end Buffer;
-
-object Buffer implements
-  var N: int := 4;
-  var Buf := array(N);
-  var InPtr: int := 0;
-  var OutPtr: int := 0;
-
-  proc Deposit(M);
-  begin
-    Buf[InPtr] := M;
-    InPtr := (InPtr + 1) mod N;
-  end Deposit;
-
-  proc Remove() returns (1);
-  var M := nil;
-  begin
-    return (Buf[OutPtr]);
-  end Remove;
-
-  manager
-    intercepts Deposit, Remove;
-    var Count: int := 0;
-  begin
-    loop
-      accept Deposit when Count < N =>
-        execute Deposit;
-        Count := Count + 1;
-    or
-      accept Remove when Count > 0 =>
-        execute Remove;
-        OutPtr := (OutPtr + 1) mod N;
-        Count := Count - 1;
-    end loop;
-  end manager;
-end Buffer;
-"""
+from tests.paper_listings import buffer_twin, drive, instantiate, listing
 
 
 class TestCompiledBuffer:
     def run_buffer(self, size, messages):
         kernel = Kernel(costs=FREE)
-        module = compile_program(BUFFER_SOURCE)
-        buf = module.instantiate(kernel, "Buffer", N=size)
-
-        def producer():
-            for i in range(messages):
-                yield buf.call("Deposit", i)
-
-        def consumer():
-            got = []
-            for _ in range(messages):
-                got.append((yield buf.call("Remove")))
-            return got
-
-        kernel.spawn(producer)
-        proc = kernel.spawn(consumer)
-        kernel.run()
-        return proc.result
+        buf = instantiate(kernel, "buffer_241", N=size)
+        return drive(kernel, buf, buffer_twin(size, [list(range(messages))]).workload).outcomes[-1]
 
     def test_fifo_transfer(self):
         assert self.run_buffer(3, 10) == list(range(10))
@@ -83,194 +25,29 @@ class TestCompiledBuffer:
     def test_size_one(self):
         assert self.run_buffer(1, 5) == list(range(5))
 
-    def test_matches_stdlib_buffer(self):
-        from repro.stdlib import BoundedBuffer
-
-        kernel = Kernel(costs=FREE)
-        native = BoundedBuffer(kernel, size=3)
-
-        def producer():
-            for i in range(10):
-                yield native.deposit(i)
-
-        def consumer():
-            got = []
-            for _ in range(10):
-                got.append((yield native.remove()))
-            return got
-
-        kernel.spawn(producer)
-        proc = kernel.spawn(consumer)
-        kernel.run()
-        assert self.run_buffer(3, 10) == proc.result
-
-
-DICTIONARY_SOURCE = """
-object Dictionary defines
-  proc Search(Word) returns (Meaning);
-end Dictionary;
-
-object Dictionary implements
-  var SearchMax: int := 8;
-  var Meanings := nil;
-  var Executed: int := 0;
-
-  proc Search[1..SearchMax](Word) returns (1);
-  begin
-    Executed := Executed + 1;
-    work(50);
-    return (Meanings[Word]);
-  end Search;
-
-  manager
-    intercepts Search(Word; Meaning);
-    var InFlight := nil;
-  begin
-    loop
-      accept Search(Word) =>
-        if InFlight = nil then
-          InFlight := array(0);
-        end if;
-        start Search(Word);
-    or
-      await Search(Meaning) =>
-        finish Search(Meaning);
-    end loop;
-  end manager;
-end Dictionary;
-"""
-
 
 class TestCompiledDictionary:
     def test_hidden_array_with_intercepted_params_and_results(self):
         kernel = Kernel(costs=FREE)
-        module = compile_program(DICTIONARY_SOURCE)
-        dictionary = module.instantiate(
-            kernel, "Dictionary", Meanings={"cat": "feline", "dog": "canine"}
-        )
-
-        def client(word):
-            return (yield dictionary.call("Search", word))
-
-        def main():
-            return (yield Par(lambda: client("cat"), lambda: client("dog")))
-
-        assert kernel.run_process(main) == ["feline", "canine"]
-        assert dictionary.Executed == 2
+        dictionary = instantiate(kernel, "dictionary_27", Meanings={"cat": "feline", "dog": "canine"})
+        run = drive(kernel, dictionary, [[("Search", "cat")], [("Search", "dog")]])
+        assert run.outcomes == [["feline"], ["canine"]]
+        assert run.counters["starts"] == 2
 
     def test_concurrent_searches_overlap(self):
         kernel = Kernel(costs=FREE)
-        module = compile_program(DICTIONARY_SOURCE)
-        dictionary = module.instantiate(
-            kernel, "Dictionary", Meanings={"a": 1, "b": 2, "c": 3, "d": 4}
-        )
-
-        def client(word):
-            return (yield dictionary.call("Search", word))
-
-        def main():
-            return (
-                yield Par(*[lambda w=w: client(w) for w in "abcd"])
-            )
-
-        assert kernel.run_process(main) == [1, 2, 3, 4]
+        dictionary = instantiate(kernel, "dictionary_27", Meanings={"a": 1, "b": 2, "c": 3, "d": 4})
+        run = drive(kernel, dictionary, [[("Search", w)] for w in "abcd"])
+        assert run.outcomes == [[1], [2], [3], [4]]
         # Four 50-tick searches overlapped on the hidden array.
-        assert kernel.clock.now < 200
-
-
-READERS_WRITERS_SOURCE = """
-object Database defines
-  proc Read(Key) returns (Data);
-  proc Write(Key, Data);
-end Database;
-
-object Database implements
-  var ReadMax: int := 4;
-  var Store := nil;
-
-  proc Read[1..ReadMax](Key) returns (1);
-  begin
-    work(10);
-    return (Store[Key]);
-  end Read;
-
-  proc Write(Key, Data);
-  begin
-    work(20);
-    Store[Key] := Data;
-  end Write;
-
-  manager
-    intercepts Read, Write;
-    var ReadCount: int := 0;
-    var WriterLast := false;
-    var Writing := false;
-  begin
-    loop
-      (i: 1..ReadMax) accept Read[i]
-          when ReadCount < ReadMax and not Writing
-               and (#Write = 0 or WriterLast) =>
-        ReadCount := ReadCount + 1;
-        WriterLast := false;
-        start Read;
-    or
-      accept Write
-          when ReadCount = 0 and not Writing
-               and (#Read = 0 or not WriterLast) =>
-        Writing := true;
-        start Write;
-    or
-      (i: 1..ReadMax) await Read[i] =>
-        ReadCount := ReadCount - 1;
-        finish Read;
-    or
-      await Write =>
-        Writing := false;
-        WriterLast := true;
-        finish Write;
-    end loop;
-  end manager;
-end Database;
-"""
+        assert run.now == 50
 
 
 class TestCompiledReadersWriters:
-    def test_paper_program_runs(self):
-        kernel = Kernel(costs=FREE)
-        module = compile_program(READERS_WRITERS_SOURCE)
-        db = module.instantiate(kernel, "Database", Store={"k": "v0"})
-
-        def reader(i):
-            return (yield db.call("Read", "k"))
-
-        def writer(i):
-            yield db.call("Write", "k", f"v{i}")
-
-        def main():
-            return (
-                yield Par(
-                    *[lambda i=i: reader(i) for i in range(6)],
-                    *[lambda i=i: writer(i) for i in range(2)],
-                )
-            )
-
-        results = kernel.run_process(main)
-        reads = results[:6]
-        assert all(r in ("v0", "v1", "v0v", "v1") or str(r).startswith("v") for r in reads)
-        assert db.Store["k"] in ("v0", "v1")
-
     def test_readers_overlap_writers_exclude(self):
         kernel = Kernel(costs=FREE)
-        module = compile_program(READERS_WRITERS_SOURCE)
-        db = module.instantiate(kernel, "Database", Store={"k": 0})
-
-        def reader(i):
-            return (yield db.call("Read", "k"))
-
-        def main():
-            return (yield Par(*[lambda i=i: reader(i) for i in range(8)]))
-
-        kernel.run_process(main)
+        db = instantiate(kernel, "database_251", Store={"k": 0})
+        drive(kernel, db, [[("Read", "k")]] * 8)
         # 8 reads of 10 ticks with up-to-4 concurrency: 2 waves ≈ 20-40.
         assert kernel.clock.now < 8 * 10
 
@@ -595,7 +372,7 @@ class TestCompiledChannels:
 
 class TestErrors:
     def test_unknown_object_rejected(self):
-        module = compile_program(BUFFER_SOURCE)
+        module = compile_program(listing("buffer_241"))
         from repro.errors import ObjectModelError
 
         with pytest.raises(ObjectModelError):

@@ -3,159 +3,44 @@
 This is the paper's most intricate program: Deposit/Remove as hidden
 procedure arrays, a hidden ``Place`` parameter supplied by the manager at
 ``start``, the slot index returned as a hidden result at ``await``, and
-the manager's Free/Full index lists.  Transcribed nearly verbatim
-(regularized syntax; Free/Full as builtin arrays with explicit pointers,
-exactly like the paper's ``FreeIn``/``FreeOut``/``FullIn``/``FullOut``).
+the manager's Free/Full index lists.  The listing is
+``examples/paper/parallel_buffer_282.alps``.
 """
 
-import pytest
-
-from repro.kernel import Kernel, Par
+from repro.kernel import Kernel
 from repro.kernel.costs import FREE
-from repro.lang import compile_program
-
-SOURCE = """
-object Buffer defines
-  proc Deposit(Message);
-  proc Remove() returns (Message);
-end Buffer;
-
-object Buffer implements
-  var N: int := 4;
-  var ProducerMax: int := 3;
-  var ConsumerMax: int := 3;
-  var CopyWork: int := 30;
-  var Buf := array(N);
-
-  proc Deposit[1..ProducerMax](M, Place) returns (1);
-  begin
-    work(CopyWork);
-    Buf[Place] := M;
-    return (Place);             { hidden result: the slot index }
-  end Deposit;
-
-  proc Remove[1..ConsumerMax](Place) returns (2);
-  var M := nil;
-  begin
-    work(CopyWork);
-    M := Buf[Place];
-    return (M, Place);          { message + hidden slot index }
-  end Remove;
-
-  manager
-    intercepts Deposit, Remove;
-    var Free := array(4);
-    var Full := array(4);
-    var FreeIn: int := 0;
-    var FreeOut: int := 0;
-    var FullIn: int := 0;
-    var FullOut: int := 0;
-    var Max: int := 4;          { free slots available }
-    var Min: int := 0;          { full slots available }
-    var I: int := 0;
-  begin
-    while I < 4 do
-      Free[I] := I;             { initially all slots are free }
-      I := I + 1;
-    end while;
-    loop
-      (i: 1..ProducerMax) accept Deposit[i] when Max > 0 =>
-        start Deposit(Free[FreeOut]);
-        FreeOut := (FreeOut + 1) mod N;
-        Max := Max - 1;
-    or
-      (i: 1..ConsumerMax) accept Remove[i] when Min > 0 =>
-        start Remove(Full[FullOut]);
-        FullOut := (FullOut + 1) mod N;
-        Min := Min - 1;
-    or
-      (i: 1..ProducerMax) await Deposit[i](Place) =>
-        finish Deposit;
-        Full[FullIn] := Place;
-        FullIn := (FullIn + 1) mod N;
-        Min := Min + 1;
-    or
-      (i: 1..ConsumerMax) await Remove[i](Place) =>
-        finish Remove;
-        Free[FreeIn] := Place;
-        FreeIn := (FreeIn + 1) mod N;
-        Max := Max + 1;
-    end loop;
-  end manager;
-end Buffer;
-"""
+from tests.paper_listings import drive, instantiate
 
 
-def build(kernel, **config):
-    module = compile_program(SOURCE)
-    return module.instantiate(kernel, "Buffer", **config)
+def run(workload, **config):
+    kernel = Kernel(costs=FREE)
+    return drive(kernel, instantiate(kernel, "parallel_buffer_282", **config), workload)
+
+
+def round_trips(n):
+    """One caller that deposits ``i`` and removes it again, ``n`` times."""
+    return [[call for i in range(n) for call in (("Deposit", i), ("Remove",))]]
+
+
+def three_and_three(n):
+    """Three producers of ``n`` messages each, three consumers of ``n``."""
+    return [[("Deposit", (b, i)) for i in range(n)] for b in range(3)] + [[("Remove",)] * n] * 3
 
 
 class TestPaper282Source:
     def test_single_stream_roundtrip(self):
-        kernel = Kernel(costs=FREE)
-        buffer = build(kernel)
-
-        def main():
-            for i in range(6):
-                yield buffer.call("Deposit", f"m{i}")
-                got = yield buffer.call("Remove")
-                assert got == f"m{i}"
-
-        kernel.run_process(main)
+        assert run(round_trips(6)).outcomes == [[x for i in range(6) for x in (None, i)]]
 
     def test_parallel_producers_consumers_conserve(self):
-        kernel = Kernel(costs=FREE)
-        buffer = build(kernel)
-        received = []
-
-        def producer(base):
-            for i in range(4):
-                yield buffer.call("Deposit", (base, i))
-
-        def consumer():
-            for _ in range(4):
-                received.append((yield buffer.call("Remove")))
-
-        def main():
-            yield Par(
-                *[lambda b=b: producer(b) for b in range(3)],
-                *[lambda: consumer() for _ in range(3)],
-            )
-
-        kernel.run_process(main)
-        assert sorted(received) == [(b, i) for b in range(3) for i in range(4)]
+        removed = sum(run(three_and_three(4)).outcomes[3:], [])
+        assert sorted(removed) == [(b, i) for b in range(3) for i in range(4)]
 
     def test_copies_overlap(self):
-        kernel = Kernel(costs=FREE)
-        buffer = build(kernel, CopyWork=100)
-
-        def producer(base):
-            yield buffer.call("Deposit", base)
-
-        def consumer():
-            return (yield buffer.call("Remove"))
-
-        def main():
-            yield Par(
-                *[lambda b=b: producer(b) for b in range(3)],
-                *[lambda: consumer() for _ in range(3)],
-            )
-
-        kernel.run_process(main)
         # 3 deposits overlap, then 3 removes overlap: far below the
         # 6 x 100 serial bound — the §2.8.2 parallelism claim, from source.
-        assert kernel.clock.now < 350
+        assert run(three_and_three(1), CopyWork=100).now < 350
 
     def test_hidden_results_recycle_slots(self):
         # 10 messages through 4 slots forces slot recycling through the
         # Free/Full lists driven purely by hidden results.
-        kernel = Kernel(costs=FREE)
-        buffer = build(kernel)
-
-        def main():
-            for i in range(10):
-                yield buffer.call("Deposit", i)
-                assert (yield buffer.call("Remove")) == i
-
-        kernel.run_process(main)
+        assert run(round_trips(10)).outcomes == [[x for i in range(10) for x in (None, i)]]

@@ -1,101 +1,22 @@
-"""Property test: compiled ALPS source is observationally equivalent to
-the hand-written runtime objects, tick for tick."""
+"""Property test: the compiled §2.4.1 listing is observationally equivalent
+to the hand-written ``BoundedBuffer``, tick for tick and counter for
+counter, under generated producers and schedules."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Kernel
 from repro.kernel.costs import FREE
-from repro.lang import compile_program
-from repro.stdlib import BoundedBuffer
-
-BUFFER_SOURCE = """
-object Buffer defines
-  proc Deposit(Message);
-  proc Remove() returns (Message);
-end Buffer;
-
-object Buffer implements
-  var N: int := 4;
-  var Buf := array(N);
-  var InPtr: int := 0;
-  var OutPtr: int := 0;
-  proc Deposit(M);
-  begin
-    Buf[InPtr] := M;
-    InPtr := (InPtr + 1) mod N;
-  end Deposit;
-  proc Remove() returns (1);
-  begin
-    return (Buf[OutPtr]);
-  end Remove;
-  manager
-    intercepts Deposit, Remove;
-    var Count: int := 0;
-  begin
-    loop
-      accept Deposit when Count < N =>
-        execute Deposit;
-        Count := Count + 1;
-    or
-      accept Remove when Count > 0 =>
-        execute Remove;
-        OutPtr := (OutPtr + 1) mod N;
-        Count := Count - 1;
-    end loop;
-  end manager;
-end Buffer;
-"""
-
-
-def run_native(size: int, messages: list) -> tuple:
-    kernel = Kernel(costs=FREE)
-    buf = BoundedBuffer(kernel, size=size)
-
-    def producer():
-        for message in messages:
-            yield buf.deposit(message)
-
-    def consumer():
-        got = []
-        for _ in messages:
-            got.append((yield buf.remove()))
-        return got
-
-    kernel.spawn(producer)
-    proc = kernel.spawn(consumer)
-    kernel.run()
-    return proc.result, kernel.clock.now, kernel.stats.accepts
-
-
-def run_compiled(size: int, messages: list) -> tuple:
-    kernel = Kernel(costs=FREE)
-    module = compile_program(BUFFER_SOURCE)
-    buf = module.instantiate(kernel, "Buffer", N=size)
-
-    def producer():
-        for message in messages:
-            yield buf.call("Deposit", message)
-
-    def consumer():
-        got = []
-        for _ in messages:
-            got.append((yield buf.call("Remove")))
-        return got
-
-    kernel.spawn(producer)
-    proc = kernel.spawn(consumer)
-    kernel.run()
-    return proc.result, kernel.clock.now, kernel.stats.accepts
+from tests.paper_listings import buffer_twin, run_twins
 
 
 @given(
     size=st.integers(min_value=1, max_value=6),
-    messages=st.lists(st.integers(), min_size=0, max_size=15),
+    producers=st.lists(st.lists(st.integers(), max_size=8), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=5),
 )
 @settings(max_examples=20, deadline=None)
-def test_compiled_equals_native(size, messages):
-    native = run_native(size, messages)
-    compiled = run_compiled(size, messages)
-    assert compiled[0] == native[0] == messages   # same delivery
-    assert compiled[1] == native[1]               # same virtual time
-    assert compiled[2] == native[2]               # same accept count
+def test_compiled_equals_native(size, producers, seed):
+    tagged = [[(p, m) for m in messages] for p, messages in enumerate(producers)]
+    run = run_twins(buffer_twin(size, tagged), "random" if seed else "ordered", seed, FREE)
+    removed = run.outcomes[-1]
+    for p, messages in enumerate(producers):  # every message, FIFO per producer
+        assert [m for q, m in removed if q == p] == messages

@@ -17,7 +17,7 @@ import json
 import os
 import subprocess
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 # The §2 listings' twin driver (``tests/paper_listings.py``) is shared with
 # tier-1: let a bench run as a script import it from the repo root.
@@ -118,13 +118,3 @@ def _git_rev() -> str:
         )
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))

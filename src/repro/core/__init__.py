@@ -6,13 +6,12 @@ from .admission import (
     SHED_PRI,
     SHED_PRI_ALWAYS,
     SWEEP_PRI,
-    CpuPressureGuard,
     DeadlineSweepGuard,
     PredictedWaitGuard,
     ShedGuard,
 )
 from .calls import Call, CallState
-from .combining import Combiner, combine_finishes
+from .combining import Combiner
 from .entry import EntrySpec, Intercept, ObjectDefinition, entry, icpt, local
 from .manager import ManagerSpec, manager_process
 from .monitoring import (
@@ -20,7 +19,6 @@ from .monitoring import (
     max_overlap,
     queue_times,
     response_times,
-    service_intervals,
     summarize,
     throughput,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "WhenGuard",
     "ShedGuard",
     "DeadlineSweepGuard",
-    "CpuPressureGuard",
     "PredictedWaitGuard",
     "Start",
     "Finish",
@@ -73,7 +70,6 @@ __all__ = [
     "await_call",
     "execute_call",
     "Combiner",
-    "combine_finishes",
     "PoolConfig",
     "ServerPool",
     "DYNAMIC",
@@ -85,5 +81,4 @@ __all__ = [
     "queue_times",
     "throughput",
     "max_overlap",
-    "service_intervals",
 ]

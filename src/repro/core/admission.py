@@ -163,45 +163,6 @@ class DeadlineSweepGuard(ShedGuard):
         return f"sweep {self.runtime.spec.name} (deadline expired)"
 
 
-class CpuPressureGuard(ShedGuard):
-    """Shed arm keyed to the home node's CPU runqueue depth.
-
-    Queue-cap guards read ``#P`` — this object's own backlog — but on a
-    finite machine an object can be the victim of *somebody else's*
-    load: its own queue is short while the node's per-CPU runqueues
-    (:mod:`repro.kernel.sched`) are saturated, so every admitted body
-    will sit behind a wall of unrelated work.  This guard reads the
-    scheduling domain directly: it is ready when the total queued work
-    on the object's node exceeds ``depth`` ticks, and sheds the oldest
-    attached call like the queue-cap arm.
-
-    On an unbounded kernel with no node domains the queue depth is
-    always 0 and the guard never fires — admission decisions only
-    engage when there is a real machine to protect.
-    """
-
-    reason = "cpu-pressure"
-
-    def __init__(
-        self,
-        obj: Any,
-        proc_name: str,
-        depth: int,
-        pri: Any = SHED_PRI,
-    ) -> None:
-        if depth < 0:
-            raise ValueError(f"cpu pressure depth must be >= 0, got {depth}")
-        AcceptGuard.__init__(self, obj, proc_name, when=None, pri=pri)
-        self.cap = None
-        self.depth = depth
-
-    def refuses(self, kernel: Any) -> bool:
-        return kernel.cpu_scheduler.queue_depth(self.runtime.obj.node) <= self.depth
-
-    def describe(self) -> str:
-        return f"shed {self.runtime.spec.name} (cpu queue > {self.depth})"
-
-
 class PredictedWaitGuard(ShedGuard):
     """Latency-aware shed arm: refuse calls that cannot make their deadline.
 

@@ -15,7 +15,7 @@ Search[i]") is common enough that we package it as :class:`Combiner`.
 
 from __future__ import annotations
 
-from typing import Any, Generic, Hashable, TypeVar
+from typing import Generic, Hashable, TypeVar
 
 from .calls import Call
 
@@ -62,14 +62,3 @@ class Combiner(Generic[K]):
 
     def __contains__(self, key: K) -> bool:
         return key in self._inflight
-
-
-def combine_finishes(combiner: Combiner, key: Any, *results: Any):
-    """Generator fragment: finish every follower of ``key`` with ``results``.
-
-    Use inside a manager as ``yield from combine_finishes(c, word, meaning)``.
-    """
-    from .primitives import Finish
-
-    for follower in combiner.settle(key):
-        yield Finish(follower, *results)

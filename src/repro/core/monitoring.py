@@ -90,12 +90,3 @@ def max_overlap(intervals: Iterable[tuple[int, int]]) -> int:
         active += delta
         peak = max(peak, active)
     return peak
-
-
-def service_intervals(calls: Iterable[Call]) -> list[tuple[int, int]]:
-    """(started_at, body_done_at) for every call whose body ran."""
-    out = []
-    for call in calls:
-        if call.started_at is not None and call.body_done_at is not None:
-            out.append((call.started_at, call.body_done_at))
-    return out

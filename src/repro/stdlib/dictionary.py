@@ -78,14 +78,11 @@ class Dictionary(AlpsObject):
                     # "record that Word is now being searched on behalf of
                     # Search[i]" — the follower waits for the leader.
                     continue
-                if not self.combining:
-                    combiner.join((word, call.call_id), call)
                 yield Start(call)
             else:
                 (meaning,) = call.intercepted_results
                 word = call.args[0]
                 yield Finish(call, meaning)
-                key = word if self.combining else (word, call.call_id)
-                for follower in combiner.settle(key):
+                for follower in combiner.settle(word):
                     # finish without start: combining (§2.7).
                     yield Finish(follower, meaning)

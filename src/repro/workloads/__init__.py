@@ -12,7 +12,7 @@ from .generators import (
     closed_loop,
     open_loop,
 )
-from .slo import SloReport, find_knee, goodput_timeline, summarize
+from .slo import SloReport, find_knee, summarize
 from .traces import TraceEntry, mixed_trace, replay
 from .zipf import Zipf, word_corpus
 
@@ -37,6 +37,5 @@ __all__ = [
     "summarize",
     "nearest_rank",
     "find_knee",
-    "goodput_timeline",
     "watch_traffic",
 ]

@@ -114,38 +114,6 @@ def summarize(result: TrafficResult, horizon: int | None = None) -> SloReport:
     )
 
 
-def goodput_timeline(
-    result: TrafficResult, window: int = KILOTICK
-) -> list[tuple[int, float]]:
-    """Goodput per ``window`` ticks across the run, for phase analysis.
-
-    Returns ``(window_start, ok_per_ktick)`` pairs covering every window
-    from the first scheduled arrival to the last completion — including
-    empty windows, which report 0.0 (an outage is a gap in the timeline,
-    not a gap in the data).  Completions are bucketed by *finish* time:
-    the question is "what was the object delivering during this window",
-    not "what was offered".  E15 uses this to compare goodput before a
-    crash, during the outage, and after the heal.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not result.outcomes:
-        return []
-    first = min(o.request.at for o in result.outcomes)
-    last = max(o.finished_at for o in result.outcomes)
-    buckets: dict[int, int] = {}
-    for outcome in result.outcomes:
-        if outcome.status != "ok":
-            continue
-        bucket = (outcome.finished_at - first) // window
-        buckets[bucket] = buckets.get(bucket, 0) + 1
-    n_windows = (last - first) // window + 1
-    return [
-        (first + i * window, buckets.get(i, 0) * KILOTICK / window)
-        for i in range(n_windows)
-    ]
-
-
 def find_knee(points: Sequence[tuple[float, float]]) -> int:
     """Index of the knee of a goodput curve (max distance from the chord).
 

@@ -47,20 +47,6 @@ class Zipf:
             for _ in range(count):
                 yield self.sample(rng)
 
-    def duplicate_fraction(self, count: int) -> float:
-        """Fraction of a ``count``-sample stream that repeats an earlier key.
-
-        A cheap a-priori measure of how much combining is available.
-        """
-        seen = set()
-        duplicates = 0
-        for item in self.stream(count):
-            if item in seen:
-                duplicates += 1
-            else:
-                seen.add(item)
-        return duplicates / count if count else 0.0
-
 
 def word_corpus(size: int) -> list[str]:
     """A deterministic corpus of ``size`` distinct pseudo-words."""

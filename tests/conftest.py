@@ -18,9 +18,3 @@ def kernel() -> Kernel:
 def free_kernel() -> Kernel:
     """A kernel where nothing costs time (pure ordering semantics)."""
     return Kernel(costs=FREE)
-
-
-@pytest.fixture
-def traced_kernel() -> Kernel:
-    """A kernel with event tracing enabled."""
-    return Kernel(trace=True)

@@ -9,7 +9,6 @@ from repro.core import (
     SHED_PRI,
     AcceptGuard,
     AlpsObject,
-    CpuPressureGuard,
     Reject,
     ShedGuard,
     entry,
@@ -127,89 +126,6 @@ class TestShedGuard:
     def test_sheds_the_oldest_attached_call(self, kernel):
         # Candidates come in element order; the first of the oldest wins.
         guard = ShedGuard(Gated(kernel), "op", cap=0)
-        calls = queued((0, 9), (1, 4), (2, 4))
-        assert guard.choose(kernel, calls) is calls[1]
-
-
-class CpuGated(AlpsObject):
-    """Server that sheds when its node's CPU runqueues back up."""
-
-    def setup(self, work: int = 20, depth: int = 0, request_max: int = 32) -> None:
-        self.work = work
-        self.depth = depth
-        self.request_max = request_max
-
-    @entry(returns=1, array="request_max")
-    def op(self, x):
-        from repro.kernel import Charge
-
-        yield Charge(self.work)
-        return x
-
-    @manager_process(intercepts=["op"])
-    def mgr(self):
-        while True:
-            result = yield Select(
-                CpuPressureGuard(self, "op", depth=self.depth),
-                AcceptGuard(self, "op", pri=ACCEPT_PRI),
-            )
-            call = result.value
-            if isinstance(result.guard, CpuPressureGuard):
-                yield Reject(call, reason=result.guard.reason)
-                continue
-            yield from self.execute(call)
-
-
-class TestCpuPressureGuard:
-    def test_sheds_under_node_cpu_pressure(self):
-        from repro.kernel import Charge
-        from repro.net import Network
-
-        kernel = Kernel(costs=FREE)
-        net = Network(kernel)
-        node = net.add_node("server", cpus=1)
-        obj = CpuGated(kernel, name="gated", depth=0)
-        node.place(obj)
-
-        # Saturate the node: one hog runs, the second queues, so the
-        # node's runqueue depth (1) exceeds the guard's budget (0).
-        def hog():
-            yield Charge(1000)
-
-        node.spawn(hog)
-        node.spawn(hog)
-        outcomes = []
-        flood(kernel, obj, 6, outcomes)
-        kernel.run()
-        statuses = [s for _, s, _ in outcomes]
-        assert statuses.count("shed") > 0
-        assert statuses.count("ok") + statuses.count("shed") == 6
-        sheds = [exc for _, s, exc in outcomes if s == "shed"]
-        assert sheds[0].reason == "cpu-pressure"
-
-    def test_never_fires_on_unbounded_machine(self):
-        # No node domains, no finite machine: queue depth is always 0,
-        # so every call is served.
-        kernel = Kernel(costs=FREE)
-        obj = CpuGated(kernel, depth=0)
-        outcomes = []
-        flood(kernel, obj, 6, outcomes)
-        kernel.run()
-        assert all(s == "ok" for _, s, _ in outcomes)
-
-    def test_negative_depth_rejected(self, kernel):
-        obj = CpuGated(kernel)
-        with pytest.raises(ValueError):
-            CpuPressureGuard(obj, "op", depth=-1)
-
-    def test_describe_mentions_depth(self, kernel):
-        obj = CpuGated(kernel)
-        guard = CpuPressureGuard(obj, "op", depth=4)
-        assert "4" in guard.describe()
-        assert "shed" in guard.describe()
-
-    def test_sheds_the_oldest_attached_call(self, kernel):
-        guard = CpuPressureGuard(CpuGated(kernel), "op", depth=0)
         calls = queued((0, 9), (1, 4), (2, 4))
         assert guard.choose(kernel, calls) is calls[1]
 

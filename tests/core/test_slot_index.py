@@ -26,7 +26,6 @@ from repro.core import (
     AlpsObject,
     AwaitGuard,
     CallState,
-    CpuPressureGuard,
     DeadlineSweepGuard,
     Finish,
     PredictedWaitGuard,
@@ -109,7 +108,7 @@ def test_poll_source_contract_holds_across_restart():
     for op in kv.OPS:
         probes += [AcceptGuard(kv, op), AwaitGuard(kv, op),
                    DeadlineSweepGuard(kv, op), PredictedWaitGuard(kv, op),
-                   ShedGuard(kv, op, cap=6), CpuPressureGuard(kv, op, depth=0)]
+                   ShedGuard(kv, op, cap=6)]
     sources = [probe.poll_source for probe in probes]
     assert all(source is not None for source in sources)
     for probe in probes[1:]:  # the index lists themselves, not copies

@@ -16,16 +16,6 @@ def drive(kernel: Kernel, *fns: Callable[[], Any], **spawn_kwargs: Any) -> list[
     return procs
 
 
-def results_of(procs: list[Process]) -> list[Any]:
-    return [p.result for p in procs]
-
-
-def run1(fn: Callable[[], Any], kernel: Kernel | None = None, **kernel_kwargs: Any) -> Any:
-    """Run one process on a fresh kernel and return its result."""
-    k = kernel or Kernel(**kernel_kwargs)
-    return k.run_process(fn)
-
-
 def scan_slots(runtime):
     """(free, attached, done) element indices, read off ``runtime.slots``."""
     free, attached, done = [], [], []

@@ -8,9 +8,9 @@ reason a sweep or predicted-wait arm has nothing to look for.  The
 calls: copy the ATTACHED calls off ``runtime.slots``, then choose — the
 shed arms the oldest ``attached_at``, every other arm in element order.
 Drawn: arrivals on a managed and an unmanaged entry with and without
-``timeout=`` / ``deadline=``, body lengths, the queue cap, the CPU
-pressure depth, how long the manager rests between rendezvous, and an
-optional node crash with supervised (re-queue) or manual recovery.
+``timeout=`` / ``deadline=``, body lengths, the queue cap, how long the
+manager rests between rendezvous, and an optional node crash with
+supervised (re-queue) or manual recovery.
 Every arrival ends in exactly one of five ways.
 """
 
@@ -25,7 +25,6 @@ from repro.core import (
     AlpsObject,
     AwaitGuard,
     CallState,
-    CpuPressureGuard,
     DeadlineSweepGuard,
     Finish,
     PredictedWaitGuard,
@@ -48,9 +47,8 @@ from tests.helpers import step_to_quiescence
 class Gate(AlpsObject):
     """Three managed elements behind the whole ladder, two unmanaged ones."""
 
-    def setup(self, cap: int = 2, depth: int = 4, pace: int = 0):
+    def setup(self, cap: int = 2, pace: int = 0):
         self.cap = cap
-        self.depth = depth
         self.pace = pace  # ticks the manager rests between rendezvous
 
     @entry(returns=1, array=3)
@@ -70,7 +68,6 @@ class Gate(AlpsObject):
             DeadlineSweepGuard(self, "op"),
             PredictedWaitGuard(self, "op"),
             ShedGuard(self, "op", cap=self.cap),
-            CpuPressureGuard(self, "op", depth=self.depth),
             AcceptGuard(self, "op", pri=ACCEPT_PRI),
         )
         while True:
@@ -109,10 +106,6 @@ def reference(kernel, guard):
             c for c in calls
             if c.deadline_at is not None and not c.caller_resumed
             and ewma * pending > c.deadline_at - now]
-    elif type(guard) is CpuPressureGuard:
-        if kernel.cpu_scheduler.queue_depth(runtime.obj.node) <= guard.depth:
-            calls = []
-        calls = sorted(calls, key=attrgetter("attached_at"))  # oldest, stable
     elif type(guard) is ShedGuard:
         if pending <= guard.cap:
             calls = []
@@ -127,14 +120,12 @@ def reference(kernel, guard):
     return calls[0] if calls else None
 
 
-def probes_of(gate, cap, depth):
+def probes_of(gate, cap):
     arms = [
         DeadlineSweepGuard(gate, "op"),
         PredictedWaitGuard(gate, "op"),
         ShedGuard(gate, "op", cap=cap),
         ShedGuard(gate, "op", cap=0),
-        CpuPressureGuard(gate, "op", depth=depth),
-        CpuPressureGuard(gate, "op", depth=0),
         AcceptGuard(gate, "op"),
         AcceptGuard(gate, "op", slot=2),
         AcceptGuard(gate, "op", when=even),
@@ -160,7 +151,6 @@ arrivals = st.lists(
 @given(
     arrivals=arrivals,
     cap=st.integers(min_value=0, max_value=4),
-    depth=st.sampled_from([0, 1, 8]),
     pace=st.sampled_from([0, 2, 5]),
     crash_at=st.one_of(st.none(), st.integers(min_value=3, max_value=50)),
     supervised=st.booleans(),
@@ -168,11 +158,11 @@ arrivals = st.lists(
 )
 @settings(max_examples=60, deadline=None)
 def test_arms_agree_with_a_scan_after_every_event(
-    arrivals, cap, depth, pace, crash_at, supervised, seed
+    arrivals, cap, pace, crash_at, supervised, seed
 ):
     kernel = Kernel(seed=seed)
     net = ring(kernel, 3, cpus_per_node=1)
-    gate = net.node("n1").place(Gate(kernel, name="gate", cap=cap, depth=depth, pace=pace))
+    gate = net.node("n1").place(Gate(kernel, name="gate", cap=cap, pace=pace))
     plan = FaultPlan(detection_delay=5)
     if crash_at is not None:
         plan = plan.crash_node("n1", at=crash_at, restart_at=crash_at + 30)
@@ -181,7 +171,7 @@ def test_arms_agree_with_a_scan_after_every_event(
         net.node("n2").place(Supervisor(kernel, name="sup", faults=faults)).watch(gate)
     elif crash_at is not None:
         kernel.post(crash_at + 31, gate.restart)
-    probes = probes_of(gate, cap, depth)
+    probes = probes_of(gate, cap)
     outcomes = []
 
     def client(at, name, work, timeout, deadline):

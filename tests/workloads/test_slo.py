@@ -159,46 +159,3 @@ class TestFindKnee:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             find_knee([])
-
-
-class TestGoodputTimeline:
-    def make(self, finished, statuses=None):
-        from repro.workloads import goodput_timeline  # noqa: F401
-
-        outcomes = [
-            Outcome(
-                request=Request(index=i, at=0, caller=i, seq=0),
-                status="ok" if statuses is None else statuses[i],
-                issued_at=0,
-                finished_at=t,
-            )
-            for i, t in enumerate(finished)
-        ]
-        return TrafficResult(issued=len(outcomes), outcomes=outcomes)
-
-    def test_buckets_by_finish_time(self):
-        from repro.workloads import goodput_timeline
-
-        result = self.make([5, 7, 105, 305])
-        timeline = goodput_timeline(result, window=100)
-        # Windows anchored at the first scheduled arrival (t=0 here);
-        # the empty [200, 300) window reports 0.0, not a gap.
-        assert timeline == [(0, 20.0), (100, 10.0), (200, 0.0), (300, 10.0)]
-
-    def test_only_ok_counts(self):
-        from repro.workloads import goodput_timeline
-
-        result = self.make([5, 6, 7], statuses=["ok", "shed", "timeout"])
-        timeline = goodput_timeline(result, window=10)
-        assert timeline == [(0, 100.0)]
-
-    def test_empty_result(self):
-        from repro.workloads import goodput_timeline
-
-        assert goodput_timeline(TrafficResult(issued=0)) == []
-
-    def test_window_validation(self):
-        from repro.workloads import goodput_timeline
-
-        with pytest.raises(ValueError, match="window"):
-            goodput_timeline(self.make([1]), window=0)
